@@ -152,13 +152,17 @@ class DiffusionSpec:
             out = 2.0 * np.exp(2.0 * self.mu * x)
         return float(out) if out.ndim == 0 else out
 
-    def speed_density_integral(self, a: float, b: float) -> float:
-        """Exact integral of the speed density over [a, b]."""
-        if b < a:
+    def speed_density_integral(self, a, b):
+        """Exact integral of the speed density over [a, b], elementwise."""
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if np.any(b < a):
             raise ParameterError("integration bounds out of order")
         if self.family is Family.REFLECTED_KILLED_BM or self.mu == 0.0:
-            return 2.0 * (b - a)
-        return (math.exp(2.0 * self.mu * b) - math.exp(2.0 * self.mu * a)) / self.mu
+            out = 2.0 * (b - a)
+        else:
+            out = (np.exp(2.0 * self.mu * b) - np.exp(2.0 * self.mu * a)) / self.mu
+        return float(out) if out.ndim == 0 else out
 
     def speed_atom_at(self, z: float) -> float:
         for loc, w in self.speed_atoms:

@@ -28,8 +28,32 @@ edge rows read
 which uses chain data only and reduces to stopping at the edge wherever the
 edge lies in the stopping region.  Fine grids make the one-step contraction
 factor approach 1, so the solver switches from plain value iteration to
-policy iteration with tridiagonal solves.  Everything is deterministic:
-fixed summation order, Jacobi-style sweeps, no randomness.
+policy iteration with tridiagonal solves.
+
+Policy iteration starts from the optimal policy, read off the chain's own
+excessive-function geometry (Dayanik & Karatzas, Stoch. Proc. Appl. 107,
+2003).  Let psi and phi be the chain's increasing and decreasing
+alpha-harmonic solutions, psi satisfying the left edge row with equality
+(psi_0 = r_left psi_1) and phi the right one (phi_{n-1} = r_right phi_{n-2}),
+and put F = psi / phi.  At an interior node u_i >= (up u_{i+1} + down
+u_{i-1}) / (alpha + up + down) says that u_i lies above the harmonic function
+through u_{i-1} and u_{i+1}; harmonic functions are the lines of the
+(F, u/phi) plane, so u is excessive there exactly when u/phi is concave in F.
+The left edge row u_0 >= r_left u_1 reads (u_0/phi_0)/F_0 >= (u_1/phi_1)/F_1:
+the chord from the origin does not steepen, so the origin (0, 0) is one more
+point of the concave function.  The right edge row u_{n-1} >= r_right u_{n-2}
+reads u_{n-1}/phi_{n-1} >= u_{n-2}/phi_{n-2}: the function does not decrease
+at the end, so it is flat after its maximum.  The value is therefore phi
+times the least concave majorant of {(0, 0)} and the points (F_i, g_i/phi_i),
+cut flat after its maximum, and the chain stops exactly at the majorant's
+vertices.  One monotone-chain pass finds them; the first banded solve then
+gives the value, and the second round confirms that the policy is stable.
+Only where F or g/phi overflows a float (2 sqrt(2 alpha) times the window's
+half-width beyond about 700, for Brownian motion) does policy iteration start
+from the policy that continues wherever one step of continuation does not
+lose, and move the boundary about one node per round.
+Everything is deterministic: fixed summation order, Jacobi-style sweeps, no
+randomness.
 """
 
 from __future__ import annotations
@@ -106,8 +130,7 @@ def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
     edges = np.empty(n + 1)
     edges[0], edges[-1] = nodes[0], nodes[-1]
     edges[1:-1] = 0.5 * (nodes[1:] + nodes[:-1])
-    mass = np.array([spec.speed_density_integral(edges[i], edges[i + 1])
-                     for i in range(n)])
+    mass = spec.speed_density_integral(edges[:-1], edges[1:])
     for loc, w in spec.speed_atoms:
         mass[int(np.argmin(np.abs(nodes - loc)))] += w
 
@@ -186,6 +209,57 @@ def _solve_value_iteration(chain: ChainModel, alpha: float, tol: float,
         achieved=delta)
 
 
+def _majorant_policy(chain: ChainModel, alpha: float,
+                     ratios: tuple[float, float]) -> np.ndarray | None:
+    """Continuation mask of the chain's least F-concave majorant of g/phi.
+
+    See the module docstring: the chain stops at the vertices of the upper
+    hull of {(0, 0)} and the points (F_i, g_i/phi_i), cut flat after its
+    maximum, and continues elsewhere.  The harmonic solutions come from ratio
+    recurrences that start at the edge rows, ``psi_i / psi_{i+1}`` from the
+    left and ``phi_{i+1} / phi_i`` from the right, and are summed in logs.
+    Returns None when F or g/phi does not fit in a float.
+    """
+    n = chain.size
+    up = chain.up_rate.tolist()
+    down = chain.down_rate.tolist()
+    psi_ratio = [ratios[0]] * (n - 1)
+    for i in range(1, n - 1):
+        u, d = up[i - 1], down[i - 1]
+        psi_ratio[i] = u / (alpha + u + d - d * psi_ratio[i - 1])
+    phi_ratio = [ratios[1]] * (n - 1)
+    for i in range(n - 2, 0, -1):
+        u, d = up[i - 1], down[i - 1]
+        phi_ratio[i - 1] = d / (alpha + u + d - u * phi_ratio[i])
+    mid = n // 2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_psi = np.concatenate(([0.0], -np.cumsum(np.log(psi_ratio))))
+        log_phi = np.concatenate(([0.0], np.cumsum(np.log(phi_ratio))))
+        log_phi -= log_phi[mid]
+        f = np.exp(log_psi - log_psi[mid] - log_phi)
+        y = chain.reward * np.exp(-log_phi)
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(y))):
+        return None
+    # upper hull by one monotone-chain pass (F increases); index -1 is the
+    # origin, which stands for the left edge row; collinear points are
+    # dropped, so only vertices stop
+    hx, hy, hk = [0.0], [0.0], [-1]
+    for k, (x, z) in enumerate(zip(f.tolist(), y.tolist())):
+        while len(hk) > 1 and ((hx[-1] - hx[-2]) * (z - hy[-2])
+                               >= (hy[-1] - hy[-2]) * (x - hx[-2])):
+            hx.pop()
+            hy.pop()
+            hk.pop()
+        hx.append(x)
+        hy.append(z)
+        hk.append(k)
+    # the flat tail after the maximum stands for the right edge row
+    top = hy.index(max(hy))
+    continue_mask = np.ones(n, dtype=bool)
+    continue_mask[hk[1:top + 1]] = False
+    return continue_mask
+
+
 def _solve_policy_iteration(chain: ChainModel, alpha: float, tol: float,
                             max_iter: int) -> tuple[np.ndarray, int]:
     g = chain.reward
@@ -195,13 +269,16 @@ def _solve_policy_iteration(chain: ChainModel, alpha: float, tol: float,
     v = g.copy()
     previous = None
     for it in range(1, max_iter + 1):
-        cont = _continuation(chain, v, alpha, ratios)
-        # the first policy continues wherever one step of continuation does
-        # not lose against stopping; later ones change a node's action only
-        # on strict improvement, so ties cannot make the policies cycle
+        # the first policy is the majorant's, or, where F overflows, the one
+        # that continues wherever one step of continuation does not lose;
+        # later ones change a node's action only on strict improvement, so
+        # ties cannot make the policies cycle
         if previous is None:
-            continue_mask = cont >= g
+            continue_mask = _majorant_policy(chain, alpha, ratios)
+            if continue_mask is None:
+                continue_mask = _continuation(chain, v, alpha, ratios) >= g
         else:
+            cont = _continuation(chain, v, alpha, ratios)
             continue_mask = np.where(cont == g, previous, cont > g)
             if np.array_equal(continue_mask, previous):
                 return v, it
@@ -221,6 +298,9 @@ def _solve_policy_iteration(chain: ChainModel, alpha: float, tol: float,
         if continue_mask[-1]:
             banded[2, n - 2] = -ratios[1]
         v = solve_banded((1, 1), banded, rhs)
+        # pivoting against a continuation row to the right can leave a stop
+        # row a rounding error off its reward
+        v[~continue_mask] = g[~continue_mask]
     raise ConvergenceError(
         f"policy iteration did not stabilize in {max_iter} rounds",
         achieved=_residual(chain, v, alpha))
@@ -234,6 +314,16 @@ def solve_chain_stopping(chain: ChainModel, alpha: float, method: str = "auto",
     ``method`` is "value", "policy" or "auto"; auto switches to policy
     iteration when the one-step contraction factor exceeds 0.999, where
     plain value iteration would need millions of sweeps.
+
+    Policy iteration starts from the stopping set of the chain's least
+    concave majorant of g/phi in F = psi/phi, since a chain function is
+    alpha-excessive exactly when its ratio to phi is concave in F.  The left
+    edge row becomes the point (0, 0) of that majorant and the right edge row
+    its flat tail after the maximum (see the module docstring).  That policy
+    is optimal, so the first banded solve gives the value and ``iterations``
+    is 2; the policy rounds, the tie rule and the residual check still decide
+    the result.  Where F or g/phi overflows a float, the first policy is the
+    one that continues wherever one step of continuation does not lose.
     """
     if alpha <= 0:
         raise ParameterError(f"discount rate must be positive, got {alpha}")

@@ -5,13 +5,38 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from diffstop.diffusion import make_drift_bm, make_sticky_bm
+from diffstop.diffusion import (Family, make_drift_bm,
+                                make_reflected_killed_bm, make_sticky_bm)
 from diffstop.errors import ConvergenceError, DomainError, ParameterError
-from diffstop.oracle import compare, discretize, solve_chain_stopping
+from diffstop.oracle import (_edge_ratios, _majorant_policy, compare,
+                             discretize, solve_chain_stopping)
 from diffstop.stopping import solve_threshold, value_function
 
 STICKY = make_sticky_bm(0.0, 1.0)
+
+
+def two_sided_reward(x):
+    return np.maximum(np.abs(np.asarray(x, dtype=float)) - 1.0, 0.0)
+
+
+def cell_masses_by_loop(spec, nodes):
+    """Node masses as one closed-form integral per cell, plus the atoms."""
+    edges = np.empty(len(nodes) + 1)
+    edges[0], edges[-1] = nodes[0], nodes[-1]
+    edges[1:-1] = 0.5 * (nodes[1:] + nodes[:-1])
+    mass = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if spec.family is Family.REFLECTED_KILLED_BM or spec.mu == 0.0:
+            mass.append(2.0 * (b - a))
+        else:
+            mass.append((math.exp(2.0 * spec.mu * b)
+                         - math.exp(2.0 * spec.mu * a)) / spec.mu)
+    mass = np.array(mass)
+    for loc, w in spec.speed_atoms:
+        mass[int(np.argmin(np.abs(nodes - loc)))] += w
+    return mass
 
 
 class TestDiscretize:
@@ -38,6 +63,23 @@ class TestDiscretize:
         chain = discretize(STICKY, -3.0, 3.0, 301)
         assert chain.node_mass.sum() == pytest.approx(
             speed_of_set(STICKY, -3.0, 3.0), rel=1e-12)
+
+    @pytest.mark.parametrize("spec, lo, hi", [
+        (STICKY, -6.0, 6.0),
+        (make_reflected_killed_bm(), 0.0, 0.9),
+    ])
+    def test_masses_equal_per_cell_loop_without_drift(self, spec, lo, hi):
+        chain = discretize(spec, lo, hi, 4001)
+        assert np.array_equal(chain.node_mass,
+                              cell_masses_by_loop(spec, chain.nodes))
+
+    @pytest.mark.parametrize("spec", [make_sticky_bm(-0.3, 0.5),
+                                      make_drift_bm(-0.25),
+                                      make_drift_bm(-0.6)])
+    def test_masses_match_per_cell_loop_with_drift(self, spec):
+        chain = discretize(spec, -6.0, 6.0, 4001)
+        ref = cell_masses_by_loop(spec, chain.nodes)
+        assert np.max(np.abs(chain.node_mass / ref - 1.0)) <= 1e-12
 
     def test_window_and_size_validation(self):
         with pytest.raises(ParameterError):
@@ -97,6 +139,64 @@ class TestSolvers:
         assert pickle.dumps(a.values) == pickle.dumps(b.values)
 
 
+class TestMajorantSeed:
+    """Policy iteration starts from the chain's least F-concave majorant."""
+
+    @pytest.mark.parametrize("reward, alpha", [
+        (None, 0.1), (None, 0.25), (None, 0.6),
+        (two_sided_reward, 0.1), (two_sided_reward, 0.8),
+    ])
+    def test_first_policy_is_optimal(self, reward, alpha):
+        # one banded solve gives the value, the second round confirms it
+        chain = discretize(STICKY, -6.0, 6.0, 4001, reward=reward)
+        sol = solve_chain_stopping(chain, alpha, method="policy")
+        assert sol.iterations == 2
+        assert sol.residual <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    def test_two_sided_stop_rows_equal_reward(self, alpha):
+        # stop rows left of the continuation band are not shielded from the
+        # banded solve's pivoting; they must still return the reward exactly
+        # (both edges, at |x| = 6, lie in the stopping set)
+        chain = discretize(STICKY, -6.0, 6.0, 4001, reward=two_sided_reward)
+        v = solve_chain_stopping(chain, alpha, method="policy").values
+        g = chain.reward
+        denom = alpha + chain.up_rate + chain.down_rate
+        cont = (chain.up_rate * v[2:] + chain.down_rate * v[:-2]) / denom
+        stop = np.concatenate(([True], cont < g[1:-1], [True]))
+        assert stop[:len(g) // 2].any() and stop[len(g) // 2:].any()
+        assert np.array_equal(v[stop], g[stop])
+
+    def test_overflowing_window_falls_back(self):
+        # F = psi/phi spans exp(+-2 sqrt(2 alpha) * 400), beyond a float, so
+        # the first policy is the one-step one; the coarse grid keeps value
+        # iteration's contraction small enough to serve as the reference
+        chain = discretize(STICKY, -400.0, 400.0, 401)
+        assert _majorant_policy(chain, 1.0, _edge_ratios(chain, 1.0)) is None
+        sol = solve_chain_stopping(chain, 1.0, method="policy")
+        ref = solve_chain_stopping(chain, 1.0, method="value")
+        assert sol.residual <= 1e-10
+        assert np.max(np.abs(sol.values - ref.values)) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(knots=st.lists(st.floats(0.0, 4.0), min_size=2, max_size=12),
+           noise=st.lists(st.floats(0.0, 1.0), min_size=201, max_size=201),
+           noisy=st.booleans(),
+           alpha=st.floats(0.05, 2.0),
+           c=st.floats(0.3, 2.0))
+    def test_policy_agrees_with_value_iteration(self, knots, noise, noisy,
+                                                alpha, c):
+        def reward(x):
+            g = np.interp(x, np.linspace(x[0], x[-1], len(knots)), knots)
+            return g + np.asarray(noise) if noisy else g
+        chain = discretize(make_sticky_bm(0.0, c), -10.0, 10.0, 201,
+                           reward=reward)
+        a = solve_chain_stopping(chain, alpha, method="value")
+        b = solve_chain_stopping(chain, alpha, method="policy")
+        assert b.residual <= 1e-10
+        assert np.max(np.abs(a.values - b.values)) <= 1e-7
+
+
 class TestTruncationEdge:
     def test_transparent_edge_at_low_discount(self):
         # at alpha = 0.1 the left edge lies in the continuation region: the
@@ -154,8 +254,8 @@ class TestAgreement:
         assert abs(rep.stopping_boundary - 0.0) <= step + 1e-12
 
     def test_positive_threshold_boundary_with_adequate_window(self):
-        # the left truncation must sit deep enough that its bias does not
-        # leak into the boundary detection band
+        # a wider, equally fine window: the transparent edge leaves no
+        # truncation bias, so the boundary is found on x* here as on [-6, 6]
         chain = discretize(STICKY, -14.0, 6.0, 6001)
         sol = solve_chain_stopping(chain, 0.1)
         rep = compare(chain, sol.values, lambda x: value_function(0.1, 1.0, x))
