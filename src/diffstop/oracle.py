@@ -28,30 +28,42 @@ edge rows read
 which uses chain data only and reduces to stopping at the edge wherever the
 edge lies in the stopping region.  Fine grids make the one-step contraction
 factor approach 1, so the solver switches from plain value iteration to
-policy iteration with tridiagonal solves.
+policy iteration.
 
-Policy iteration starts from the optimal policy, read off the chain's own
-excessive-function geometry (Dayanik & Karatzas, Stoch. Proc. Appl. 107,
-2003).  Let psi and phi be the chain's increasing and decreasing
-alpha-harmonic solutions, psi satisfying the left edge row with equality
-(psi_0 = r_left psi_1) and phi the right one (phi_{n-1} = r_right phi_{n-2}),
-and put F = psi / phi.  At an interior node u_i >= (up u_{i+1} + down
-u_{i-1}) / (alpha + up + down) says that u_i lies above the harmonic function
-through u_{i-1} and u_{i+1}; harmonic functions are the lines of the
-(F, u/phi) plane, so u is excessive there exactly when u/phi is concave in F.
-The left edge row u_0 >= r_left u_1 reads (u_0/phi_0)/F_0 >= (u_1/phi_1)/F_1:
-the chord from the origin does not steepen, so the origin (0, 0) is one more
-point of the concave function.  The right edge row u_{n-1} >= r_right u_{n-2}
-reads u_{n-1}/phi_{n-1} >= u_{n-2}/phi_{n-2}: the function does not decrease
-at the end, so it is flat after its maximum.  The value is therefore phi
-times the least concave majorant of {(0, 0)} and the points (F_i, g_i/phi_i),
-cut flat after its maximum, and the chain stops exactly at the majorant's
-vertices.  One monotone-chain pass finds them; the first banded solve then
-gives the value, and the second round confirms that the policy is stable.
-Only where F or g/phi overflows a float (2 sqrt(2 alpha) times the window's
-half-width beyond about 700, for Brownian motion) does policy iteration start
-from the policy that continues wherever one step of continuation does not
-lose, and move the boundary about one node per round.
+Policy iteration rests on the chain's excessive-function geometry (Dayanik &
+Karatzas, Stoch. Proc. Appl. 107, 2003).  Let psi and phi be the chain's
+increasing and decreasing alpha-harmonic solutions, psi satisfying the left
+edge row with equality (psi_0 = r_left psi_1) and phi the right one
+(phi_{n-1} = r_right phi_{n-2}), and put F = psi / phi.  Harmonic functions
+are the lines of the (F, u/phi) plane.  Two things follow.
+
+A policy's value needs no linear solve.  Between two stop nodes j < k the
+value is harmonic with the rewards at both ends, so it is phi times the
+chord of g/phi from F_j to F_k; left of the first stop node it is
+g_k psi / psi_k (the left edge continues by psi), right of the last one
+g_j phi / phi_j, and a policy that never stops is worth 0.  So the value of
+any policy is phi times the piecewise-linear interpolant, in F, of g/phi
+through its stop nodes.  It is evaluated from log psi and log phi with every
+exponent nonpositive, so nothing overflows, and stop nodes carry the reward
+exactly.
+
+The first policy is the optimal one.  At an interior node u_i >= (up u_{i+1}
++ down u_{i-1}) / (alpha + up + down) says that u_i lies above the harmonic
+function through u_{i-1} and u_{i+1}, so u is excessive there exactly when
+u/phi is concave in F.  The left edge row u_0 >= r_left u_1 reads
+(u_0/phi_0)/F_0 >= (u_1/phi_1)/F_1: the chord from the origin does not
+steepen, so the origin (0, 0) is one more point of the concave function.
+The right edge row u_{n-1} >= r_right u_{n-2} reads u_{n-1}/phi_{n-1} >=
+u_{n-2}/phi_{n-2}: the function does not decrease at the end, so it is flat
+after its maximum.  The value is therefore phi times the least concave
+majorant of {(0, 0)} and the points (F_i, g_i/phi_i), cut flat after its
+maximum, and the chain stops exactly at the majorant's vertices.  One
+monotone-chain pass finds them; the first round evaluates that policy, and
+the second confirms that it is stable.  Only where F or g/phi overflows a
+float (2 sqrt(2 alpha) times the window's half-width beyond about 700, for
+Brownian motion) does policy iteration start from the policy that continues
+wherever one step of continuation does not lose, and move the boundary about
+one node per round; its policies are evaluated the same way.
 Everything is deterministic: fixed summation order, Jacobi-style sweeps, no
 randomness.
 """
@@ -62,7 +74,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .diffusion import DiffusionSpec
 from .errors import ConvergenceError, DomainError, ParameterError
@@ -209,16 +220,16 @@ def _solve_value_iteration(chain: ChainModel, alpha: float, tol: float,
         achieved=delta)
 
 
-def _majorant_policy(chain: ChainModel, alpha: float,
-                     ratios: tuple[float, float]) -> np.ndarray | None:
-    """Continuation mask of the chain's least F-concave majorant of g/phi.
+def _harmonic_logs(chain: ChainModel, alpha: float,
+                   ratios: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """``(log psi, log phi)`` of the chain's harmonic solutions.
 
-    See the module docstring: the chain stops at the vertices of the upper
-    hull of {(0, 0)} and the points (F_i, g_i/phi_i), cut flat after its
-    maximum, and continues elsewhere.  The harmonic solutions come from ratio
-    recurrences that start at the edge rows, ``psi_i / psi_{i+1}`` from the
-    left and ``phi_{i+1} / phi_i`` from the right, and are summed in logs.
-    Returns None when F or g/phi does not fit in a float.
+    psi satisfies every interior row and the left edge row with equality,
+    phi every interior row and the right edge row.  Both come from ratio
+    recurrences that start at their edge row, ``psi_i / psi_{i+1}`` from the
+    left and ``phi_{i+1} / phi_i`` from the right, summed in logs and
+    normalised to 0 at the middle node.  The logs stay finite where psi and
+    phi themselves would overflow.
     """
     n = chain.size
     up = chain.up_rate.tolist()
@@ -232,11 +243,29 @@ def _majorant_policy(chain: ChainModel, alpha: float,
         u, d = up[i - 1], down[i - 1]
         phi_ratio[i - 1] = d / (alpha + u + d - u * phi_ratio[i])
     mid = n // 2
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_psi = np.concatenate(([0.0], -np.cumsum(np.log(psi_ratio))))
         log_phi = np.concatenate(([0.0], np.cumsum(np.log(phi_ratio))))
-        log_phi -= log_phi[mid]
-        f = np.exp(log_psi - log_psi[mid] - log_phi)
+    log_psi -= log_psi[mid]
+    log_phi -= log_phi[mid]
+    return log_psi, log_phi
+
+
+def _majorant_policy(chain: ChainModel, alpha: float,
+                     ratios: tuple[float, float],
+                     logs: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> np.ndarray | None:
+    """Continuation mask of the chain's least F-concave majorant of g/phi.
+
+    See the module docstring: the chain stops at the vertices of the upper
+    hull of {(0, 0)} and the points (F_i, g_i/phi_i), cut flat after its
+    maximum, and continues elsewhere.  ``logs`` are the harmonic solutions
+    from :func:`_harmonic_logs`, computed here when not given.  Returns None
+    when F or g/phi does not fit in a float.
+    """
+    log_psi, log_phi = logs or _harmonic_logs(chain, alpha, ratios)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.exp(log_psi - log_phi)
         y = chain.reward * np.exp(-log_phi)
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(y))):
         return None
@@ -255,17 +284,53 @@ def _majorant_policy(chain: ChainModel, alpha: float,
         hk.append(k)
     # the flat tail after the maximum stands for the right edge row
     top = hy.index(max(hy))
-    continue_mask = np.ones(n, dtype=bool)
+    continue_mask = np.ones(chain.size, dtype=bool)
     continue_mask[hk[1:top + 1]] = False
     return continue_mask
+
+
+def _policy_values(g: np.ndarray, log_psi: np.ndarray, log_phi: np.ndarray,
+                   continue_mask: np.ndarray) -> np.ndarray:
+    """Value of the policy that stops where ``continue_mask`` is False.
+
+    Between two stop nodes j < k the value is harmonic, so V/phi is the
+    line in F = psi/phi through (F_j, g_j/phi_j) and (F_k, g_k/phi_k):
+
+        V_i = g_j (phi_i/phi_j) (F_k - F_i)/(F_k - F_j)
+            + g_k (psi_i/psi_k) (F_i - F_j)/(F_k - F_j).
+
+    With lF = log F each quotient is a ratio of ``-expm1`` of nonpositive
+    log differences, so nothing overflows.  A continuing left edge leaves
+    only ``g_k psi_i/psi_k``, a continuing right edge only ``g_j phi_i/phi_j``
+    (psi and phi satisfy those edge rows), and a policy that never stops has
+    value 0.  Stop nodes return the reward exactly.
+    """
+    n = len(g)
+    idx = np.arange(n)
+    stop = ~continue_mask
+    prev = np.maximum.accumulate(np.where(stop, idx, -1))
+    nxt = np.minimum.accumulate(np.where(stop, idx, n)[::-1])[::-1]
+    log_f = log_psi - log_phi
+    v = np.where(stop, g, 0.0)
+    both = continue_mask & (prev >= 0) & (nxt < n)
+    i, j, k = idx[both], prev[both], nxt[both]
+    v[both] = (g[j] * np.exp(log_phi[i] - log_phi[j]) * -np.expm1(log_f[i] - log_f[k])
+               + g[k] * np.exp(log_psi[i] - log_psi[k]) * -np.expm1(log_f[j] - log_f[i])
+               ) / -np.expm1(log_f[j] - log_f[k])
+    left = continue_mask & (prev < 0) & (nxt < n)
+    i, k = idx[left], nxt[left]
+    v[left] = g[k] * np.exp(log_psi[i] - log_psi[k])
+    right = continue_mask & (prev >= 0) & (nxt == n)
+    i, j = idx[right], prev[right]
+    v[right] = g[j] * np.exp(log_phi[i] - log_phi[j])
+    return v
 
 
 def _solve_policy_iteration(chain: ChainModel, alpha: float, tol: float,
                             max_iter: int) -> tuple[np.ndarray, int]:
     g = chain.reward
-    n = chain.size
     ratios = _edge_ratios(chain, alpha)
-    denom = alpha + chain.up_rate + chain.down_rate
+    logs = _harmonic_logs(chain, alpha, ratios)
     v = g.copy()
     previous = None
     for it in range(1, max_iter + 1):
@@ -274,7 +339,7 @@ def _solve_policy_iteration(chain: ChainModel, alpha: float, tol: float,
         # later ones change a node's action only on strict improvement, so
         # ties cannot make the policies cycle
         if previous is None:
-            continue_mask = _majorant_policy(chain, alpha, ratios)
+            continue_mask = _majorant_policy(chain, alpha, ratios, logs)
             if continue_mask is None:
                 continue_mask = _continuation(chain, v, alpha, ratios) >= g
         else:
@@ -283,24 +348,7 @@ def _solve_policy_iteration(chain: ChainModel, alpha: float, tol: float,
             if np.array_equal(continue_mask, previous):
                 return v, it
         previous = continue_mask
-        # rows: stop -> V_i = g_i; continue -> at an interior node
-        # denom V_i - up V_{i+1} - down V_{i-1} = 0, at the edges
-        # V_0 - r_left V_1 = 0 and V_{n-1} - r_right V_{n-2} = 0
-        banded = np.zeros((3, n))
-        banded[1, :] = 1.0
-        rhs = np.where(continue_mask, 0.0, g)
-        idx = np.nonzero(continue_mask[1:-1])[0] + 1
-        banded[1, idx] = denom[idx - 1]
-        banded[0, idx + 1] = -chain.up_rate[idx - 1]
-        banded[2, idx - 1] = -chain.down_rate[idx - 1]
-        if continue_mask[0]:
-            banded[0, 1] = -ratios[0]
-        if continue_mask[-1]:
-            banded[2, n - 2] = -ratios[1]
-        v = solve_banded((1, 1), banded, rhs)
-        # pivoting against a continuation row to the right can leave a stop
-        # row a rounding error off its reward
-        v[~continue_mask] = g[~continue_mask]
+        v = _policy_values(g, *logs, continue_mask)
     raise ConvergenceError(
         f"policy iteration did not stabilize in {max_iter} rounds",
         achieved=_residual(chain, v, alpha))
@@ -315,15 +363,18 @@ def solve_chain_stopping(chain: ChainModel, alpha: float, method: str = "auto",
     iteration when the one-step contraction factor exceeds 0.999, where
     plain value iteration would need millions of sweeps.
 
-    Policy iteration starts from the stopping set of the chain's least
-    concave majorant of g/phi in F = psi/phi, since a chain function is
+    Policy iteration evaluates each policy in closed form: its value is phi
+    times the piecewise-linear interpolant, in F = psi/phi, of g/phi through
+    the policy's stop nodes, so no linear system is solved and stop nodes
+    return the reward exactly.  The first policy is the stopping set of the
+    chain's least concave majorant of g/phi in F, since a chain function is
     alpha-excessive exactly when its ratio to phi is concave in F.  The left
     edge row becomes the point (0, 0) of that majorant and the right edge row
     its flat tail after the maximum (see the module docstring).  That policy
-    is optimal, so the first banded solve gives the value and ``iterations``
-    is 2; the policy rounds, the tie rule and the residual check still decide
-    the result.  Where F or g/phi overflows a float, the first policy is the
-    one that continues wherever one step of continuation does not lose.
+    is optimal, so ``iterations`` is 2; the policy rounds, the tie rule and
+    the residual check still decide the result.  Where F or g/phi overflows a
+    float, the first policy is the one that continues wherever one step of
+    continuation does not lose.
     """
     if alpha <= 0:
         raise ParameterError(f"discount rate must be positive, got {alpha}")

@@ -50,7 +50,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .diffusion import DiffusionSpec, FundamentalSolutions, fundamental
 from .errors import ConvergenceError, DomainError, NotExcessiveError, ParameterError
@@ -710,6 +709,63 @@ class ExcessivityReport:
     rows: tuple[tuple[float, float, float, float], ...]   # (x, beta, value, bound)
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_MESH_MIN_ULPS = 64
+_MESH_MAX_PANELS = 1000      # panels halved at one level
+
+
+def _resolvent_integrals(spec: DiffusionSpec, fsb: FundamentalSolutions,
+                         u: Callable, xs: np.ndarray, lo: np.ndarray,
+                         hi: np.ndarray, split_points) -> np.ndarray:
+    """Integral of G(x, y) u(y) over [lo_x, hi_x] against the AC speed part.
+
+    One panel mesh serves every row x.  Its initial panels run between the
+    rows' endpoints and the split points; each holds a 10-point
+    Gauss-Legendre rule.  A panel is halved while halving it changes some
+    row's sum by more than that row's share, in proportion to the panel's
+    length, of max(1e-13, 1e-11 |I_x|).  u is called once per mesh node.
+    """
+    edges = np.array(sorted({*lo, *hi, *(p for p in split_points
+                                          if lo.min() < p < hi.max())}))
+    span = hi - lo
+
+    def panel_sums(a, b):
+        half = 0.5 * (b - a)
+        ys = ((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES).ravel()
+        f = np.array([float(u(y)) for y in ys.tolist()])
+        f *= np.asarray(spec.speed_density(ys), dtype=float)
+        f *= (half[:, None] * _GL_WEIGHTS).ravel()
+        kern = fsb.green(xs[:, None], ys[None, :])
+        sums = (kern * f).reshape(len(xs), len(a), -1).sum(axis=2)
+        inside = (lo[:, None] <= a) & (b <= hi[:, None])
+        return np.where(inside, sums, 0.0)
+
+    a, b = edges[:-1], edges[1:]
+    whole = panel_sums(a, b)
+    total = np.zeros(len(xs))
+    while True:
+        mid = 0.5 * (a + b)
+        halves = panel_sums(np.concatenate((a, mid)), np.concatenate((mid, b)))
+        left, right = halves[:, :len(a)], halves[:, len(a):]
+        refined = left + right
+        change = np.abs(refined - whole)
+        tol = np.maximum(1e-13, 1e-11 * np.abs(total + refined.sum(axis=1)))
+        bad = np.any(change > tol[:, None] * ((b - a) / span[:, None]), axis=0)
+        total += refined[:, ~bad].sum(axis=1)
+        if not bad.any():
+            return total
+        # a panel a few ulps wide cannot be halved any further
+        tiny = (b - a)[bad] <= _MESH_MIN_ULPS * np.spacing(np.abs(mid[bad]) + 1.0)
+        if tiny.any() or np.count_nonzero(bad) > _MESH_MAX_PANELS:
+            raise ConvergenceError(
+                f"resolvent mesh on [{lo.min()}, {hi.max()}] at rate "
+                f"{fsb.alpha:g} did not converge: {np.count_nonzero(bad)} "
+                "panels still change when halved",
+                achieved=float(np.max(change[:, bad].sum(axis=1))))
+        a, b = np.concatenate((a[bad], mid[bad])), np.concatenate((mid[bad], b[bad]))
+        whole = np.concatenate((left[:, bad], right[:, bad]), axis=1)
+
+
 def excessivity_check(spec: DiffusionSpec, alpha: float, u: Callable,
                       grid, betas, tol: float = 1e-6,
                       kinks: tuple[float, ...] = ()) -> ExcessivityReport:
@@ -722,34 +778,49 @@ def excessivity_check(spec: DiffusionSpec, alpha: float, u: Callable,
     with the tolerance scaled by max(1, u(x)), and that the left side is
     nondecreasing in beta (it approaches u(x) from below for excessive u).
     Atoms of the speed measure enter the integral exactly.
+
+    Row x integrates over [x - reach, x + reach] (clipped to the state
+    space), where the kernel G_{alpha+beta} has decayed by e^{-60}.  For each
+    beta one panel mesh serves all rows: it is split at the grid points, the
+    given kinks, the speed atoms and every row's integration ends, and each
+    panel carries a 10-point Gauss-Legendre rule.  A panel is halved while
+    halving it changes some row by more than that row's share, in proportion
+    to the panel's length, of max(1e-13, 1e-11 |I_x|), where I_x is the
+    row's integral; these are the absolute and relative tolerances of an
+    adaptive quadrature, so kinks of u missing from ``kinks`` are found by
+    halving.  G is evaluated as one (rows, nodes) matrix; u is called with
+    one float at a time, once per mesh node and once per grid point and
+    speed atom.  Raises :class:`ConvergenceError` (``achieved`` is the
+    largest row change still unresolved) when a panel that still changes has
+    shrunk to a few ulps, as at a jump of u off the mesh, or when more than
+    1000 panels need halving at one level, as for an endless oscillation.
     """
     grid = [float(x) for x in grid]
     betas = sorted(float(b) for b in betas)
     if any(b <= 0 for b in betas):
         raise ParameterError("betas must be positive")
+    xs = np.array(grid)
+    bounds = [float(u(x)) for x in grid]
+    atoms = [(loc, wt, float(u(loc))) for loc, wt in spec.speed_atoms]
+    split_points = sorted({*kinks, *(loc for loc, _ in spec.speed_atoms), *grid})
+    vals = {}
+    for beta in betas:
+        fsb = fundamental(spec, alpha + beta)
+        reach = 60.0 / _exp_rate(fsb) + 1.0
+        lo = np.maximum(spec.interval.left, xs - reach)
+        hi = np.minimum(spec.interval.right, xs + reach)
+        row = _resolvent_integrals(spec, fsb, u, xs, lo, hi, split_points)
+        for loc, wt, u_loc in atoms:
+            inside = (lo <= loc) & (loc <= hi)
+            row = row + np.where(inside, fsb.green(xs, loc) * u_loc * wt, 0.0)
+        vals[beta] = beta * row
     rows = []
     max_violation = -math.inf
     monotone_ok = True
-    split_points = sorted({*kinks, *(loc for loc, _ in spec.speed_atoms)})
-    for x in grid:
+    for k, (x, bound) in enumerate(zip(grid, bounds)):
         prev_val = -math.inf
         for beta in betas:
-            fsb = fundamental(spec, alpha + beta)
-            reach = 60.0 / _exp_rate(fsb) + 1.0
-            lo = max(spec.interval.left, x - reach)
-            hi = min(spec.interval.right, x + reach)
-            pts = [p for p in {*split_points, x} if lo < p < hi]
-
-            def integrand(y):
-                return fsb.green(x, y) * float(u(y)) * float(spec.speed_density(y))
-
-            val, _ = quad(integrand, lo, hi, points=sorted(pts) or None,
-                          limit=300, epsabs=1e-13, epsrel=1e-11)
-            for loc, wt in spec.speed_atoms:
-                if lo <= loc <= hi:
-                    val += fsb.green(x, loc) * float(u(loc)) * wt
-            val *= beta
-            bound = float(u(x))
+            val = float(vals[beta][k])
             rows.append((x, beta, val, bound))
             # violations are judged relative to max(1, u(x)) pointwise
             max_violation = max(max_violation,

@@ -37,13 +37,14 @@ point sticky does not change the scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .diffusion import DiffusionSpec, fundamental, make_sticky_bm
+from .diffusion import DiffusionSpec, FundamentalSolutions, fundamental, make_sticky_bm
 from .errors import ConvergenceError, DomainError, ParameterError
 from .representation import ExcessiveCandidate, f_derivative
 
@@ -243,11 +244,17 @@ def solve_threshold(alpha: float, c: float) -> float:
     return 0.0
 
 
-def value_function(alpha: float, c: float, x) -> float | np.ndarray:
-    """Stopping value: g(x*) psi(x) / psi(x*) below the threshold, g above."""
+@functools.lru_cache(maxsize=64)
+def _value_setup(alpha: float, c: float) -> tuple[float, float, FundamentalSolutions]:
+    """(x*, g(x*) / psi(x*), fundamental solutions) of the stopping value."""
     xs = solve_threshold(alpha, c)
     fs = fundamental(make_sticky_bm(0.0, c), alpha)
-    coef = (1.0 + xs) / float(fs.psi(xs))
+    return xs, (1.0 + xs) / float(fs.psi(xs)), fs
+
+
+def value_function(alpha: float, c: float, x) -> float | np.ndarray:
+    """Stopping value: g(x*) psi(x) / psi(x*) below the threshold, g above."""
+    xs, coef, fs = _value_setup(alpha, c)
     x = np.asarray(x, dtype=float)
     out = np.where(x <= xs, coef * fs.psi(x), np.maximum(1.0 + x, 0.0))
     return float(out) if out.ndim == 0 else out
@@ -259,16 +266,12 @@ def value_candidate(alpha: float, c: float, x0: float | None = None) -> Excessiv
     The default normalization point sits strictly above both the threshold
     and the sticky point, max(0, x*) + 1.
     """
-    xs = solve_threshold(alpha, c)
-    fs = fundamental(make_sticky_bm(0.0, c), alpha)
-    coef = (1.0 + xs) / float(fs.psi(xs))
+    xs, coef, fs = _value_setup(alpha, c)
     if x0 is None:
         x0 = max(0.0, xs) + 1.0
 
     def value(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x <= xs, coef * fs.psi(x), np.maximum(1.0 + x, 0.0))
-        return float(out) if out.ndim == 0 else out
+        return value_function(alpha, c, x)
 
     def ds_right(x):
         x = np.asarray(x, dtype=float)

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from diffstop.diffusion import (Family, make_drift_bm,
                                 make_reflected_killed_bm, make_sticky_bm)
 from diffstop.errors import ConvergenceError, DomainError, ParameterError
-from diffstop.oracle import (_edge_ratios, _majorant_policy, compare,
-                             discretize, solve_chain_stopping)
+from diffstop.oracle import (_edge_ratios, _harmonic_logs, _majorant_policy,
+                             _policy_values, compare, discretize,
+                             solve_chain_stopping)
 from diffstop.stopping import solve_threshold, value_function
 
 STICKY = make_sticky_bm(0.0, 1.0)
@@ -195,6 +196,67 @@ class TestMajorantSeed:
         b = solve_chain_stopping(chain, alpha, method="policy")
         assert b.residual <= 1e-10
         assert np.max(np.abs(a.values - b.values)) <= 1e-7
+
+
+def banded_policy_values(chain, alpha, continue_mask):
+    """Reference: the policy's linear system solved by scipy's banded LU.
+
+    Stop rows read V_i = g_i; continuing interior rows
+    (alpha + up + down) V_i - up V_{i+1} - down V_{i-1} = 0; continuing
+    edges V_0 = r_left V_1 and V_{n-1} = r_right V_{n-2}.
+    """
+    solve_banded = pytest.importorskip("scipy.linalg").solve_banded
+    n = chain.size
+    r_left, r_right = _edge_ratios(chain, alpha)
+    banded = np.zeros((3, n))
+    banded[1, :] = 1.0
+    rhs = np.where(continue_mask, 0.0, chain.reward)
+    idx = np.nonzero(continue_mask[1:-1])[0] + 1
+    banded[1, idx] = alpha + chain.up_rate[idx - 1] + chain.down_rate[idx - 1]
+    banded[0, idx + 1] = -chain.up_rate[idx - 1]
+    banded[2, idx - 1] = -chain.down_rate[idx - 1]
+    if continue_mask[0]:
+        banded[0, 1] = -r_left
+    if continue_mask[-1]:
+        banded[2, n - 2] = -r_right
+    return solve_banded((1, 1), banded, rhs)
+
+
+class TestPolicyValues:
+    """A policy's value is phi times the interpolant of g/phi in F."""
+
+    @pytest.mark.parametrize("edges", ["stop", "left", "right", "both"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_banded_solve(self, edges, seed):
+        rng = np.random.default_rng(seed)
+        alpha = float(rng.uniform(0.05, 1.5))
+        chain = discretize(make_sticky_bm(0.0, float(rng.uniform(0.3, 2.0))),
+                           -6.0, 6.0, 801,
+                           reward=lambda x: rng.uniform(0.0, 2.0, len(x)))
+        continue_mask = rng.random(chain.size) < 0.9
+        continue_mask[0] = edges in ("left", "both")
+        continue_mask[-1] = edges in ("right", "both")
+        ratios = _edge_ratios(chain, alpha)
+        v = _policy_values(chain.reward, *_harmonic_logs(chain, alpha, ratios),
+                           continue_mask)
+        ref = banded_policy_values(chain, alpha, continue_mask)
+        assert np.max(np.abs(v - ref)) <= 1e-9
+        assert np.array_equal(v[~continue_mask], chain.reward[~continue_mask])
+
+    def test_policy_that_never_stops_is_worth_nothing(self):
+        chain = discretize(STICKY, -6.0, 6.0, 801)
+        logs = _harmonic_logs(chain, 0.5, _edge_ratios(chain, 0.5))
+        v = _policy_values(chain.reward, *logs, np.ones(chain.size, dtype=bool))
+        assert np.array_equal(v, np.zeros(chain.size))
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5])
+    def test_residual_at_rounding_level(self, alpha):
+        # acceptance criterion 4's chains: no linear solve is left to lose
+        # digits, so the fixed-point residual is a few ulps
+        chain = discretize(STICKY, -6.0, 6.0, 4001)
+        sol = solve_chain_stopping(chain, alpha)
+        assert sol.method == "policy"
+        assert sol.residual <= 1e-14
 
 
 class TestTruncationEdge:

@@ -17,6 +17,7 @@ from diffstop.errors import (
     ParameterError,
 )
 from diffstop.representation import (
+    _exp_rate,
     candidate_from_callable,
     derivative_jump,
     excessivity_check,
@@ -30,7 +31,8 @@ from diffstop.representation import (
     reconstruct,
     riesz_from_martin,
 )
-from diffstop.stopping import default_reward, value_candidate, value_function
+from diffstop.stopping import (default_reward, solve_threshold, value_candidate,
+                               value_function)
 
 STICKY = make_sticky_bm(0.0, 1.0)
 
@@ -394,6 +396,61 @@ class TestExcessivity:
     def test_bad_betas(self):
         with pytest.raises(ParameterError):
             excessivity_check(STICKY, 0.5, lambda x: 1.0, [0.0], [0.0])
+
+    def quad_rows(self, alpha, u, kinks):
+        """Reference rows: one scipy quad per (x, beta), given every kink
+        of u."""
+        quad = pytest.importorskip("scipy.integrate").quad
+        out = []
+        for x in self.GRID:
+            for beta in self.BETAS:
+                fsb = fundamental(STICKY, alpha + beta)
+                reach = 60.0 / _exp_rate(fsb) + 1.0
+                pts = sorted(p for p in {*kinks, x} if abs(p - x) < reach)
+                val, _ = quad(lambda y: fsb.green(x, y) * float(u(y))
+                              * float(STICKY.speed_density(y)),
+                              x - reach, x + reach, points=pts, limit=300,
+                              epsabs=1e-13, epsrel=1e-11)
+                (loc, wt), = STICKY.speed_atoms
+                out.append(beta * (val + fsb.green(x, loc) * float(u(loc)) * wt))
+        return np.array(out)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    def test_rows_match_quad_reference(self, alpha):
+        # the value function kinks at -1 (reward), 0 (speed atom) and x*;
+        # the shared mesh finds the x* kink itself when it is not given
+        x_star = solve_threshold(alpha, 1.0)
+        u = lambda x: value_function(alpha, 1.0, x)
+        ref = self.quad_rows(alpha, u, (-1.0, 0.0, x_star))
+        for kinks in ((-1.0, 0.0), (-1.0, 0.0, x_star)):
+            rep = excessivity_check(STICKY, alpha, u, self.GRID, self.BETAS,
+                                    kinks=kinks)
+            got = np.array([row[2] for row in rep.rows])
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12, kinks
+
+    def test_calls_u_once_per_node(self):
+        # u is called with one float at a time, once per mesh node; only the
+        # bounds u(x) and the atom's u(0) repeat a point
+        seen = []
+
+        def u(y):
+            assert isinstance(y, float)
+            seen.append(y)
+            return 1.0
+
+        excessivity_check(STICKY, 0.3, u, self.GRID, (10.0,))
+        nodes = [y for y in seen if y not in set(self.GRID)]
+        assert len(nodes) == len(set(nodes)) > 100
+
+    @pytest.mark.parametrize("u", [
+        lambda y: float(y > 0.31),                          # jump off the mesh
+        lambda y: math.sin(1.0 / (y - 0.31)),              # endless oscillation
+    ])
+    def test_unresolved_integrand_raises(self, u):
+        with pytest.raises(ConvergenceError) as err:
+            excessivity_check(STICKY, 0.5, u, np.linspace(-2.0, 2.0, 9),
+                              (1.0, 10.0))
+        assert err.value.achieved > 0.0
 
 
 class TestConverseConstruction:

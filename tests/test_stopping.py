@@ -9,6 +9,7 @@ from diffstop.diffusion import fundamental, make_sticky_bm
 from diffstop.errors import DomainError, ParameterError
 from diffstop.representation import excessivity_check, f_derivative
 from diffstop.stopping import (
+    _value_setup,
     alpha_thresholds,
     default_reward,
     general_smooth_fit_check,
@@ -18,6 +19,7 @@ from diffstop.stopping import (
     st_functions,
     st_table,
     sticky_problem,
+    value_candidate,
     value_function,
 )
 
@@ -141,6 +143,22 @@ class TestValueFunction:
         expected = math.exp(-0.5 * math.sqrt(0.5))
         assert expected == pytest.approx(0.702189, abs=5e-7)
         assert value_function(0.25, 1.0, -0.5) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.7])
+    def test_setup_is_solved_once(self, alpha):
+        # threshold and fundamental solutions are set up once per (alpha, c);
+        # the cached values reproduce the formula bit for bit
+        _value_setup.cache_clear()
+        xs = np.linspace(-3.0, 3.0, 61)
+        got = [value_function(alpha, 1.0, x) for x in xs]
+        assert _value_setup.cache_info().misses == 1
+        x_star = solve_threshold(alpha, 1.0)
+        fs = fundamental(make_sticky_bm(0.0, 1.0), alpha)
+        coef = (1.0 + x_star) / float(fs.psi(x_star))
+        want = np.where(xs <= x_star, coef * fs.psi(xs), np.maximum(1.0 + xs, 0.0))
+        assert np.array_equal(got, want)
+        assert np.array_equal(value_candidate(alpha, 1.0).value(xs), want)
+        assert _value_setup.cache_info().misses == 1
 
     def test_majorant_strict_in_continuation_region(self):
         # strictness is checked a hair away from the threshold: at a
