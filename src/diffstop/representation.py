@@ -19,10 +19,18 @@ diffusion can be written two equivalent ways:
 
 * Riesz form: u(x) = integral of G(x, y) sigma(dy) + c1 phi(x) + c2 psi(x),
   where sigma(dy) = nu(dy) / G(x0, y) on the interior and the boundary
-  masses of nu carry the harmonic coefficients.
+  masses of nu carry the harmonic coefficients.  The generator gives sigma
+  without dividing by G:
+
+      sigma = alpha u dm - d(u+),
+
+  so sigma((x0, y]) = u+(x0) - u+(y) + alpha * integral of u dm over (x0, y]
+  for y >= x0, and sigma([y, x0)) = u-(y) - u-(x0) + alpha * integral of
+  u dm over [y, x0) for y <= x0.
 
 Atoms of nu (equivalently of sigma) are exactly the jumps of the tail
-functions, and they control differentiability: with respect to the scale,
+functions, and they control differentiability: the atom part of the
+generator identity reads, with respect to the scale,
 
     u-(z) - u+(z) = sigma({z}) - m({z}) * alpha * u(z),
 
@@ -46,7 +54,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -237,7 +245,12 @@ class RepresentingMeasure:
     *absolutely continuous* cumulative relative to x0 (sigma_ac((x0, y]) on
     the right, sigma_ac([y, x0)) on the left), since the full sigma-tails
     toward a natural boundary need not be finite.  ``base`` retains the
-    source Martin measure, which exact integration routes through.
+    source Martin measure, through which :func:`reconstruct` and
+    :func:`derivative_jump` integrate.
+
+    ``candidate`` is for this module's use: :func:`martin_measure` keeps the
+    source candidate there, from which :func:`riesz_from_martin` builds the
+    Riesz tails; a measure rebuilt by :func:`measure_from_doc` has none.
     """
 
     kind: str
@@ -253,22 +266,14 @@ class RepresentingMeasure:
     left_tail: Callable
     right_tail: Callable
     base: Optional["RepresentingMeasure"] = None
+    candidate: Optional[ExcessiveCandidate] = field(default=None, repr=False,
+                                                    compare=False)
 
     def atom_at(self, z: float) -> float:
         for loc, w in self.atoms:
             if loc == z:
                 return w
         return 0.0
-
-    def _atoms_below(self, y, strict: bool):
-        """Total atom weight at locations < y (or <= y)."""
-        if not self.atoms:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        locs = np.array([a[0] for a in self.atoms])
-        cum = np.cumsum([a[1] for a in self.atoms])
-        idx = np.searchsorted(locs, np.asarray(y, dtype=float),
-                              side="left" if strict else "right")
-        return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
 
     def ac_cdf(self, y):
         """Continuous cumulative of the absolutely continuous part.
@@ -279,10 +284,10 @@ class RepresentingMeasure:
         """
         y = np.asarray(y, dtype=float)
         if self.kind == "martin":
-            below = self.left_tail(y) - self._atoms_below(y, strict=True) \
+            below = self.left_tail(y) - _atoms_below(self.atoms, y, strict=True) \
                 - self.mass_left_boundary
             above = self.total_mass - self.right_tail(y) \
-                - self._atoms_below(y, strict=False) - self.mass_left_boundary
+                - _atoms_below(self.atoms, y, strict=False) - self.mass_left_boundary
             out = np.where(y <= self.x0, below, above)
             # the tail formulas are only meaningful strictly inside the
             # interval; at an included endpoint the AC mass so far is zero
@@ -291,18 +296,17 @@ class RepresentingMeasure:
             out = np.where(y >= self.x0, self.right_tail(y), -self.left_tail(y))
         return float(out) if out.ndim == 0 else out
 
-    def interior_mass(self, a: float, b: float,
-                      include_a: bool = False, include_b: bool = True) -> float:
-        """Measure of an interval from a to b inside the state space."""
-        total = float(self.ac_cdf(b)) - float(self.ac_cdf(a))
-        for loc, w in self.atoms:
-            if a < loc < b:
-                total += w
-            elif loc == a and include_a:
-                total += w
-            elif loc == b and include_b and b > a:
-                total += w
-        return total
+
+def _atoms_below(atoms, y, strict: bool):
+    """Total weight of the sorted (location, weight) atoms at locations < y
+    (``strict``) or <= y."""
+    if not atoms:
+        return np.zeros_like(np.asarray(y, dtype=float))
+    locs = np.array([a[0] for a in atoms])
+    cum = np.cumsum([a[1] for a in atoms])
+    idx = np.searchsorted(locs, np.asarray(y, dtype=float),
+                          side="left" if strict else "right")
+    return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
 
 
 def _exp_rate(fs: FundamentalSolutions) -> float:
@@ -455,7 +459,7 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
         mass_left_boundary=mass_left, mass_right_boundary=mass_right,
         atoms=tuple(atoms), kinks=kinks,
         interval_left=l, interval_right=r,
-        left_tail=left_excl, right_tail=right_excl,
+        left_tail=left_excl, right_tail=right_excl, candidate=candidate,
     )
 
 
@@ -528,31 +532,96 @@ def riesz_from_martin(measure: RepresentingMeasure, spec: DiffusionSpec,
 
     Interior atoms divide by the kernel exactly; masses at excluded
     endpoints stay recorded as boundary masses (they are the harmonic
-    coefficients up to the normalization by phi(x0), psi(x0)); the AC
-    cumulative is exposed relative to x0.
+    coefficients up to the normalization by phi(x0), psi(x0)).
+
+    The AC tails apply the generator identity of the module docstring to
+    the source candidate, subtract the sigma-atoms in the range and divide
+    by u(x0); speed atoms enter exactly as alpha m({z}) u(z).  The integral
+    of u against the AC speed part is a cumulative over 10-point
+    Gauss-Legendre panels between consecutive requested points, x0 and the
+    measure's kinks, cut to widths of at most 2 / (theta + |mu|), the
+    fastest exponential rate of u dm; u and the speed density are each
+    called once on all nodes.  At an endpoint of the state space the inside
+    one-sided derivative is used, so mass at the endpoint is not AC mass.
+    There is no division by G and no convergence loop.
+
+    Raises :class:`ParameterError` for a Martin measure without its
+    candidate, such as one rebuilt by :func:`measure_from_doc`.
     """
     if measure.kind != "martin":
         raise ParameterError("riesz_from_martin requires a Martin measure")
+    cand = measure.candidate
+    if cand is None:
+        raise ParameterError("riesz_from_martin needs the candidate of the "
+                             "Martin measure (build it with martin_measure)")
     fs = fundamental(spec, alpha)
-    x0 = measure.x0
+    x0, u0 = measure.x0, measure.normalization
+    l, r = measure.interval_left, measure.interval_right
     atoms = tuple((z, wt / float(fs.green(x0, z))) for z, wt in measure.atoms)
+    inner_atoms = [(z, wt) for z, wt in atoms if l < z < r]
+    speed_atoms = sorted((z, alpha * m * float(cand.value(z)))
+                         for z, m in spec.speed_atoms if l < z < r)
+    kinks = np.array([k for k in measure.kinks if l < k < r], dtype=float)
+    width = 2.0 / _exp_rate(fs)
 
-    def weight(y):
-        return 1.0 / fs.green(x0, y)
+    def scale_deriv(ys, side):
+        # u+ on the right, u- on the left; at an endpoint, the inside one
+        usual, inside = (cand.ds_right, cand.ds_left) if side == "right" \
+            else (cand.ds_left, cand.ds_right)
+        at_end = (ys >= r) if side == "right" else (ys <= l)
+        d = np.empty_like(ys)
+        for mask, fn in ((~at_end, usual), (at_end, inside)):
+            if mask.any():
+                d[mask] = fn(ys[mask])
+        return d
 
-    def right_cum(y):   # sigma_ac((x0, y]) for y >= x0
-        ys = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.array([_integrate_ac(measure, weight, x0, float(t)) for t in ys])
-        return float(out[0]) if np.ndim(y) == 0 else out
+    def speed_integral(ys, side):
+        # integral of u against the AC speed part between x0 and each y
+        lo, hi = min(ys.min(), x0), max(ys.max(), x0)
+        pts = np.unique(np.concatenate((ys, [x0], kinks[(lo < kinks) & (kinks < hi)])))
+        gaps = np.diff(pts)
+        if not len(gaps):
+            return np.zeros_like(ys)
+        pieces = np.maximum(1, np.ceil(gaps / width)).astype(int)
+        first = np.cumsum(pieces) - pieces
+        step = np.repeat(gaps / pieces, pieces)
+        starts = np.repeat(pts[:-1], pieces) \
+            + step * (np.arange(pieces.sum()) - np.repeat(first, pieces))
+        nodes = (starts + 0.5 * step)[:, None] + (0.5 * step)[:, None] * _GL_NODES
+        f = np.asarray(cand.value(nodes.ravel()), dtype=float) \
+            * np.asarray(spec.speed_density(nodes.ravel()), dtype=float)
+        gap_sums = np.add.reduceat((f.reshape(nodes.shape) @ _GL_WEIGHTS) * (0.5 * step),
+                                   first)
+        # accumulate outward from x0, so tails near x0 keep their digits
+        if side == "right":
+            cum = np.concatenate(([0.0], np.cumsum(gap_sums)))
+        else:
+            cum = np.concatenate((np.cumsum(gap_sums[::-1])[::-1], [0.0]))
+        return cum[np.searchsorted(pts, ys)]
 
-    def left_cum(y):    # sigma_ac([y, x0)) for y <= x0
-        ys = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.array([_integrate_ac(measure, weight, float(t), x0) for t in ys])
-        return float(out[0]) if np.ndim(y) == 0 else out
+    def tail(y, side):
+        # sigma_ac((x0, y]) on the right, sigma_ac([y, x0)) on the left; a
+        # point on the wrong side of x0 carries an empty range
+        shape = np.shape(y)
+        ys = np.asarray(y, dtype=float).ravel()
+        sgn, strict = (1.0, False) if side == "right" else (-1.0, True)
+        ys = np.maximum(ys, x0) if side == "right" else np.minimum(ys, x0)
+        if not ys.size:
+            return ys
+
+        def in_range(atom_list):
+            return sgn * (_atoms_below(atom_list, ys, strict)
+                          - _atoms_below(atom_list, x0, strict))
+
+        d = scale_deriv(np.append(ys, x0), side)
+        out = (sgn * (d[-1] - d[:-1]) + alpha * speed_integral(ys, side)
+               + in_range(speed_atoms)) / u0 - in_range(inner_atoms)
+        return float(out[0]) if not shape else out.reshape(shape)
 
     return replace(
         measure, kind="riesz", atoms=atoms, total_mass=math.nan,
-        left_tail=left_cum, right_tail=right_cum, base=measure,
+        left_tail=lambda y: tail(y, "left"), right_tail=lambda y: tail(y, "right"),
+        base=measure,
     )
 
 
@@ -853,12 +922,10 @@ def measure_to_doc(measure: RepresentingMeasure, tail_points: int = 65) -> dict:
         else x0 + span
     left_xs = np.linspace(lo, x0, tail_points)
     right_xs = np.linspace(x0, hi, tail_points)
-    if measure.kind == "martin":
-        left_vals = [float(measure.ac_cdf(t)) for t in left_xs]
-        right_vals = [float(measure.ac_cdf(t)) for t in right_xs]
-    else:
-        left_vals = [-float(measure.ac_cdf(t)) for t in left_xs]
-        right_vals = [float(measure.ac_cdf(t)) for t in right_xs]
+    left_vals = np.asarray(measure.ac_cdf(left_xs), dtype=float)
+    right_vals = np.asarray(measure.ac_cdf(right_xs), dtype=float)
+    if measure.kind != "martin":
+        left_vals = -left_vals
     return {
         "kind": measure.kind,
         "x0": measure.x0,
@@ -868,8 +935,8 @@ def measure_to_doc(measure: RepresentingMeasure, tail_points: int = 65) -> dict:
         "mass_right_boundary": measure.mass_right_boundary,
         "atoms": [{"location": z, "weight": wt} for z, wt in measure.atoms],
         "tail_samples": {
-            "left": [[float(t), v] for t, v in zip(left_xs, left_vals)],
-            "right": [[float(t), v] for t, v in zip(right_xs, right_vals)],
+            "left": [[float(t), float(v)] for t, v in zip(left_xs, left_vals)],
+            "right": [[float(t), float(v)] for t, v in zip(right_xs, right_vals)],
         },
     }
 
@@ -899,24 +966,14 @@ def measure_from_doc(doc: dict, spec: DiffusionSpec) -> RepresentingMeasure:
     ac_left = interp(left_samples)
     ac_right = interp(right_samples)
 
-    locs = np.array([a[0] for a in atoms]) if atoms else np.empty(0)
-    cums = np.cumsum([a[1] for a in atoms]) if atoms else np.empty(0)
-
-    def atoms_below(y, strict):
-        if len(locs) == 0:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        idx = np.searchsorted(locs, np.asarray(y, dtype=float),
-                              side="left" if strict else "right")
-        return np.where(idx > 0, cums[np.maximum(idx - 1, 0)], 0.0)
-
     if kind == "martin":
         def left_tail(y):   # nu([l, y))
             y = np.asarray(y, dtype=float)
-            return ac_left(y) + atoms_below(y, strict=True) + mass_left
+            return ac_left(y) + _atoms_below(atoms, y, strict=True) + mass_left
 
         def right_tail(y):  # nu((y, r]) = total - nu([l, y])
             y = np.asarray(y, dtype=float)
-            return total - mass_left - ac_right(y) - atoms_below(y, strict=False)
+            return total - mass_left - ac_right(y) - _atoms_below(atoms, y, strict=False)
     else:
         def left_tail(y):
             return ac_left(y)

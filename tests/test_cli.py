@@ -131,6 +131,22 @@ class TestMeasureAndVerify:
         raw = doc["atoms"][0]["weight"] * doc["normalization"]
         assert raw == pytest.approx(1.0, abs=1e-9)   # sigma({0}) at alpha = 1/2
 
+    @pytest.mark.parametrize("argv", [
+        ("--mu", "-0.3", "--candidate", "phi", "--alpha", "0.5"),
+        ("--family", "reflected_killed_bm", "--candidate", "psi", "--alpha", "1",
+         "--x0", "0.2"),
+    ])
+    def test_measure_riesz_harmonic_candidates(self, capsys, argv):
+        # the Riesz measure of psi or phi has no interior mass; its tail
+        # samples are finite rounding-level numbers
+        code, out, _ = run_cli(capsys, "measure", *argv, "--kind", "riesz")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["kind"] == "riesz" and doc["atoms"] == []
+        values = [v for side in ("left", "right") for _, v in doc["tail_samples"][side]]
+        assert len(values) == 130
+        assert all(math.isfinite(v) and abs(v) <= 1e-10 for v in values)
+
     def test_verify_schema(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--alpha", "0.5", "--c", "1",
                                "--window", "-6", "6", "--n", "501")

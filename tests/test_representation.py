@@ -18,6 +18,7 @@ from diffstop.errors import (
 )
 from diffstop.representation import (
     _exp_rate,
+    _integrate_ac,
     candidate_from_callable,
     derivative_jump,
     excessivity_check,
@@ -153,6 +154,123 @@ class TestRieszConversion:
         r = riesz_from_martin(m, STICKY, 0.5)
         with pytest.raises(ParameterError):
             riesz_from_martin(r, STICKY, 0.5)
+
+
+def _doc_samples(doc):
+    """(points, values) of a document's tail samples, left then right."""
+    s = np.array(doc["tail_samples"]["left"] + doc["tail_samples"]["right"])
+    return s[:, 0], s[:, 1]
+
+
+class TestRieszTails:
+    """Riesz AC tails from the generator identity sigma = alpha u dm - d(u+)."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.8])
+    def test_value_function_matches_closed_form(self, alpha):
+        # V = 1 + y above x*, so sigma has density 2 alpha (1 + y) there and
+        # no AC mass below, where V is harmonic
+        x_star = solve_threshold(alpha, 1.0)
+        cand = value_candidate(alpha, 1.0)
+        x0, u0 = cand.x0, 1.0 + cand.x0
+        r = riesz_from_martin(martin_measure(STICKY, alpha, cand), STICKY, alpha)
+
+        def sigma_ac(a, b):
+            lo = max(a, x_star)
+            return alpha * ((1.0 + b) ** 2 - (1.0 + lo) ** 2) if b > lo else 0.0
+
+        doc = measure_to_doc(r)
+        for side in ("left", "right"):
+            for t, v in doc["tail_samples"][side]:
+                want = (sigma_ac(t, x0) if side == "left" else sigma_ac(x0, t)) / u0
+                assert abs(v - want) <= 1e-12 * abs(want) if want else abs(v) <= 1e-14
+        assert r.right_tail(4.0) == pytest.approx(sigma_ac(x0, 4.0) / u0, rel=1e-12)
+        assert isinstance(r.right_tail(4.0), float)
+        # far from x0 the quadrature panels are cut to the exponential rate
+        assert r.left_tail(-30.0) == pytest.approx(sigma_ac(-30.0, x0) / u0, rel=1e-12)
+
+    def test_agrees_with_stieltjes_route(self):
+        # the Romberg-Stieltjes integral of 1 / G(x0, .) against the Martin
+        # measure's AC part is an independent route to the same tails
+        cand = value_candidate(0.5, 1.0)
+        m = martin_measure(STICKY, 0.5, cand)
+        r = riesz_from_martin(m, STICKY, 0.5)
+        fs = fundamental(STICKY, 0.5)
+        x0 = m.x0
+
+        def weight(y):
+            return 1.0 / fs.green(x0, y)
+
+        for t in (1.5, 3.0, 6.0):
+            assert r.right_tail(t) == pytest.approx(_integrate_ac(m, weight, x0, t), rel=1e-10)
+        for t in (-2.0, -0.5, 0.5):
+            assert r.left_tail(t) == pytest.approx(_integrate_ac(m, weight, t, x0),
+                                                   rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("spec, alpha, make", [
+        (STICKY, 0.5, lambda s, a: psi_candidate(s, a)),
+        (STICKY, 0.5, lambda s, a: phi_candidate(s, a)),
+        (make_sticky_bm(-0.3, 1.0), 0.5, lambda s, a: phi_candidate(s, a)),
+        (make_sticky_bm(-0.3, 1.0), 0.5, lambda s, a: psi_candidate(s, a)),
+        (STICKY, 0.5, lambda s, a: green_candidate(s, a, 0.7)),
+        (make_sticky_bm(-0.4, 0.8), 1.2, lambda s, a: green_candidate(s, a, -0.9, x0=0.3)),
+        (make_reflected_killed_bm(), 1.0, lambda s, a: psi_candidate(s, a, x0=0.2)),
+        (make_reflected_killed_bm(), 1.0, lambda s, a: phi_candidate(s, a, x0=0.2)),
+        (make_reflected_killed_bm(), 1.0, lambda s, a: green_candidate(s, a, 0.6, x0=0.2)),
+    ])
+    def test_no_ac_mass_for_harmonic_and_green_candidates(self, spec, alpha, make):
+        r = riesz_from_martin(martin_measure(spec, alpha, make(spec, alpha)), spec, alpha)
+        _, values = _doc_samples(measure_to_doc(r))
+        assert np.all(np.isfinite(values))
+        assert np.max(np.abs(values)) <= 1e-10
+
+    def test_steep_harmonic_tail_is_rounding_level(self):
+        # phi with drift grows fast toward -8: the sample at t is the
+        # difference u-(t) - u-(x0) + alpha * integral of u dm, so rounding
+        # leaves a few ulps of (|u-(t)| + |u-(x0)|) / u(x0), up to 5e5 here
+        spec, alpha = make_sticky_bm(-0.2, 1.71), 0.863
+        cand = phi_candidate(spec, alpha)
+        r = riesz_from_martin(martin_measure(spec, alpha, cand), spec, alpha)
+        samples = np.array(measure_to_doc(r)["tail_samples"]["left"])
+        size = (np.abs(cand.ds_left(samples[:, 0])) + abs(cand.ds_left(0.0))) / cand.value(0.0)
+        assert np.max(size) > 1e5
+        assert np.all(np.abs(samples[:, 1]) <= 16 * np.finfo(float).eps * size)
+
+    def test_reflecting_endpoint_atom_is_not_ac_mass(self):
+        # sigma_phi = w * dirac at the included endpoint 0: the tails there
+        # carry the AC mass only, which is zero
+        rk = make_reflected_killed_bm()
+        r = riesz_from_martin(martin_measure(rk, 0.5, phi_candidate(rk, 0.5)), rk, 0.5)
+        doc = measure_to_doc(r)
+        assert doc["tail_samples"]["left"][0] == [0.0, 0.0]
+        r = riesz_from_martin(martin_measure(rk, 0.5, phi_candidate(rk, 0.5, x0=0.5)),
+                              rk, 0.5)
+        assert r.atom_at(0.0) > 1.0
+        t, v = measure_to_doc(r)["tail_samples"]["left"][0]
+        assert t == 0.0 and abs(v) <= 1e-14
+
+    @pytest.mark.parametrize("spec, alpha, cand", [
+        (STICKY, 0.25, value_candidate(0.25, 1.0)),
+        (STICKY, 0.1, value_candidate(0.1, 1.0)),
+        (STICKY, 0.5, green_candidate(STICKY, 0.5, 0.7)),
+        (make_sticky_bm(-0.3, 1.0), 0.5, phi_candidate(make_sticky_bm(-0.3, 1.0), 0.5)),
+        (make_reflected_killed_bm(), 0.5, phi_candidate(make_reflected_killed_bm(), 0.5,
+                                                        x0=0.5)),
+        (make_reflected_killed_bm(), 1.0, green_candidate(make_reflected_killed_bm(), 1.0,
+                                                          0.6, x0=0.2)),
+    ])
+    def test_martin_samples_match_pointwise_evaluation(self, spec, alpha, cand):
+        # measure_to_doc evaluates ac_cdf on whole arrays; the samples are
+        # bitwise those of one scalar call per point
+        m = martin_measure(spec, alpha, cand)
+        points, values = _doc_samples(measure_to_doc(m))
+        reference = np.array([float(m.ac_cdf(float(t))) for t in points])
+        assert np.array_equal(values, reference)
+
+    def test_measure_from_doc_has_no_candidate(self):
+        m = martin_measure(STICKY, 0.5, value_candidate(0.5, 1.0))
+        back = measure_from_doc(measure_to_doc(m), STICKY)
+        with pytest.raises(ParameterError):
+            riesz_from_martin(back, STICKY, 0.5)
 
 
 class TestReconstruct:
