@@ -416,7 +416,8 @@ def compare(chain: ChainModel, values: np.ndarray, analytic: Callable,
     one-sided finite-difference slopes around that node estimate the
     derivative jump (left minus right).  The stopping boundary estimate is
     the first node after the last one where the value strictly exceeds the
-    reward (tolerance 1e-6).
+    reward; both solvers return the reward exactly on stop nodes, so this
+    is the first node of the stop set's last stretch.
     """
     exact = np.asarray(analytic(chain.nodes), dtype=float)
     if exact.shape != chain.nodes.shape:
@@ -434,7 +435,7 @@ def compare(chain: ChainModel, values: np.ndarray, analytic: Callable,
         left_slope = float((values[i] - values[i - 1]) / (x[i] - x[i - 1]))
         right_slope = float((values[i + 1] - values[i]) / (x[i + 1] - x[i]))
         jump_estimate = left_slope - right_slope
-    strictly_above = np.nonzero(values > chain.reward + 1e-6)[0]
+    strictly_above = np.nonzero(values > chain.reward)[0]
     boundary = None
     if len(strictly_above) and strictly_above.max() + 1 < chain.size:
         boundary = float(chain.nodes[strictly_above.max() + 1])

@@ -38,6 +38,23 @@ so u is scale-differentiable at z iff sigma({z}) = 0 and z is not a speed
 atom.  This module computes the measures, reconstructs functions from them,
 and evaluates that decomposition numerically.
 
+Reconstruction integrates by parts against the tails of nu.  With
+L(y) = nu([l, y)), R(y) = nu((y, r]), masses m_l and m_r at excluded
+endpoints, total mass T, and d(psi/phi) = w dS / phi^2,
+
+    u(x) = m_l phi(x)/phi(x0) + (T - m_l) psi(x)/psi(x0)
+           + (w psi(x)/phi(x0)) * integral over [x, x0] of (L - m_l) dS / psi^2
+
+for x <= x0, and mirrored for x >= x0:
+
+    u(x) = m_r psi(x)/psi(x0) + (T - m_r) phi(x)/phi(x0)
+           + (w phi(x)/psi(x0)) * integral over [x0, x] of (R - m_r) dS / phi^2.
+
+Atoms enter through the tail values and boundary masses in closed form,
+and the one integral runs on fixed Gauss-Legendre panels, with no
+convergence loop.  The integrals of psi and phi against sigma behind the
+derivative jump reduce to the same two integrals plus tail values.
+
 Conventions used throughout:
 
 * evaluating a tail formula with right derivatives yields the
@@ -313,15 +330,20 @@ def _exp_rate(fs: FundamentalSolutions) -> float:
     return fs.theta + abs(fs.spec.mu)
 
 
-def _boundary_limit(tail: Callable, x0: float, endpoint: float,
+def _boundary_limit(tail: Callable, start: float, endpoint: float,
                     cap: float) -> float:
-    """Limit of a monotone tail toward an endpoint, by ladder refinement."""
+    """Limit of a monotone tail toward an endpoint, by ladder refinement.
+
+    The ladder runs from ``start`` toward the endpoint and stops on three
+    equal values, so ``start`` must lie beyond every kink on that side:
+    a plateau before a kink would otherwise pass for the limit.
+    """
     vals = []
     for k in range(60):
         if math.isfinite(endpoint):
-            x = endpoint + (x0 - endpoint) * 2.0 ** (-(k + 1))
+            x = endpoint + (start - endpoint) * 2.0 ** (-(k + 1))
         else:
-            x = x0 + math.copysign(2.0 ** k, endpoint)
+            x = start + math.copysign(2.0 ** k, endpoint)
             if abs(x) > cap:
                 break
         v = float(tail(x))
@@ -331,7 +353,7 @@ def _boundary_limit(tail: Callable, x0: float, endpoint: float,
                 abs(vals[-2] - vals[-3]) <= 1e-13 * (1.0 + abs(vals[-2])):
             return vals[-1]
     if not vals:
-        return float(tail(x0))
+        return float(tail(start))
     if abs(vals[-1] - vals[-2]) > 1e-9 * (1.0 + abs(vals[-1])):
         raise ConvergenceError(
             f"tail limit toward {endpoint} did not stabilize", best=vals[-1])
@@ -401,10 +423,14 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
         return (phi_x0 / w) * (u(x) * fs.psi_ds(x, "right") - fs.psi(x) * ur(x)) / u0
 
     cap = 600.0 / _exp_rate(fs)
+    probe = sorted({*candidate.kinks, *_atom_locations(spec)})
     # mass below x0 does not exist when x0 sits on an included left endpoint;
-    # it surfaces through the x0 defect instead (symmetrically on the right)
-    left_limit = _boundary_limit(left_excl, x0, l, cap) if x0 > l else 0.0
-    right_limit = _boundary_limit(right_excl, x0, r, cap) if x0 < r else 0.0
+    # it surfaces through the x0 defect instead (symmetrically on the right).
+    # Each limit's ladder starts at the outermost kink on its side.
+    left_start = min([z for z in probe if l < z < x0], default=x0)
+    right_start = max([z for z in probe if x0 < z < r], default=x0)
+    left_limit = _boundary_limit(left_excl, left_start, l, cap) if x0 > l else 0.0
+    right_limit = _boundary_limit(right_excl, right_start, r, cap) if x0 < r else 0.0
 
     # tail monotonicity scan over the numerically active range
     scan_left = max(l + 1e-9 * (1 + abs(l)) if math.isfinite(l) else x0 - cap, x0 - cap)
@@ -416,7 +442,6 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
 
     # atoms from tail jumps at declared kink points and speed atoms; kinks
     # at an included endpoint are picked up by the boundary-limit path
-    probe = sorted({*candidate.kinks, *_atom_locations(spec)})
     atoms: list[tuple[float, float]] = []
     for z in probe:
         if z == x0 or not (l < z < r):
@@ -464,62 +489,64 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
 
 
 # ---------------------------------------------------------------------------
-# Stieltjes quadrature against a measure
+# Gauss-Legendre panels
 # ---------------------------------------------------------------------------
 
-def _romberg_stieltjes(f: Callable, cdf: Callable, a: float, b: float,
-                       rtol: float = 1e-12, max_level: int = 12) -> float:
-    """Integral of f against the continuous increments of cdf over [a, b].
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
-    Midpoint Stieltjes sums on dyadic meshes carry an even error expansion
-    for integrands and cumulatives that are smooth inside the panel, so a
-    Richardson table converges fast; panels must be split at kinks first.
+
+def _gl_panels(pts: np.ndarray, width: float):
+    """10-point Gauss-Legendre panels on the gaps of the sorted points pts.
+
+    Each gap is cut into equal panels no wider than ``width``.  Returns the
+    nodes (one row per panel), the panels' half widths, and the index of
+    each gap's first panel, so that ``np.add.reduceat(_panel_sums(...),
+    first)`` gives one integral per gap.
     """
-    if b <= a:
+    gaps = np.diff(pts)
+    pieces = np.maximum(1, np.ceil(gaps / width)).astype(int)
+    first = np.cumsum(pieces) - pieces
+    step = np.repeat(gaps / pieces, pieces)
+    starts = np.repeat(pts[:-1], pieces) \
+        + step * (np.arange(pieces.sum()) - np.repeat(first, pieces))
+    half = 0.5 * step
+    nodes = (starts + half)[:, None] + half[:, None] * _GL_NODES
+    return nodes, half, first
+
+
+def _panel_sums(f, nodes: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Integral over each panel of the function with values f at the nodes."""
+    return (np.asarray(f, dtype=float).reshape(nodes.shape) @ _GL_WEIGHTS) * half
+
+
+def _by_parts_integral(nu: RepresentingMeasure, fs: FundamentalSolutions,
+                       x: float) -> float:
+    """The integral in the by-parts identity of a Martin measure.
+
+    For x <= x0 it is the integral over [x, x0] of (nu([l, y)) - m_l)
+    S'(y) / psi(y)^2, for x >= x0 the integral over [x0, x] of
+    (nu((y, r]) - m_r) S'(y) / phi(y)^2.  Panels split at the measure's kinks
+    and the speed atoms and are cut to widths of at most
+    0.25 / (theta + |mu|).  Toward a killing endpoint, where psi or phi
+    vanishes, they are also split where the distance to it halves, so that
+    no panel is closer to the pole of the integrand than its own width.
+    """
+    x0 = nu.x0
+    a, b = min(x, x0), max(x, x0)
+    if a == b:
         return 0.0
-    prev: list[float] | None = None
-    achieved = math.inf
-    for k in range(max_level + 1):
-        n = 2 ** k
-        xs = np.linspace(a, b, n + 1)
-        mids = 0.5 * (xs[1:] + xs[:-1])
-        increments = np.diff(np.asarray(cdf(xs), dtype=float))
-        s = float(np.dot(np.asarray(f(mids), dtype=float), increments))
-        row = [s]
-        if prev is not None:
-            for j in range(len(prev)):
-                fac = 4.0 ** (j + 1)
-                row.append((fac * row[j] - prev[j]) / (fac - 1.0))
-            achieved = abs(row[-1] - prev[-1])
-            if achieved <= rtol * (1.0 + abs(row[-1])):
-                return row[-1]
-        prev = row
-    raise ConvergenceError(
-        f"measure quadrature on [{a}, {b}] stalled at error {achieved:.3g}",
-        best=prev[-1], achieved=achieved)
-
-
-def _integrate_ac(measure: RepresentingMeasure, f: Callable, a: float, b: float,
-                  extra_kinks: tuple[float, ...] = (), rtol: float = 1e-12) -> float:
-    """Integral of f against the AC part of the measure over [a, b]."""
-    if b <= a:
-        return 0.0
-    pts = sorted({a, b, *(p for p in (*measure.kinks, *extra_kinks) if a < p < b)})
-    return sum(_romberg_stieltjes(f, measure.ac_cdf, lo, hi, rtol=rtol)
-               for lo, hi in zip(pts[:-1], pts[1:]))
-
-
-def _integrate_interior(measure: RepresentingMeasure, f: Callable,
-                        a: float, b: float, include_a: bool, include_b: bool,
-                        extra_kinks: tuple[float, ...] = ()) -> float:
-    """Integral of f over the interval from a to b: atoms exact + AC panels."""
-    total = _integrate_ac(measure, f, a, b, extra_kinks)
-    for loc, wt in measure.atoms:
-        inside = (a < loc < b) or (loc == a and include_a) or \
-            (loc == b and include_b and b > a) or (a == b == loc and include_a and include_b)
-        if inside:
-            total += float(f(loc)) * wt
-    return total
+    end = nu.interval_left if x < x0 else nu.interval_right
+    splits = [*nu.kinks, *_atom_locations(fs.spec)]
+    if math.isfinite(end) and not fs.spec.interval.contains(end):
+        splits += (end + (x0 - end) * 0.5 ** np.arange(1, 60)).tolist()
+    pts = np.array(sorted({a, b, *(p for p in splits if a < p < b)}))
+    nodes, half, _ = _gl_panels(pts, 0.25 / _exp_rate(fs))
+    y = nodes.ravel()
+    if x < x0:
+        f = (nu.left_tail(y) - nu.mass_left_boundary) / fs.psi(y) ** 2
+    else:
+        f = (nu.right_tail(y) - nu.mass_right_boundary) / fs.phi(y) ** 2
+    return float(_panel_sums(f * fs.spec.scale_deriv(y), nodes, half).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -579,19 +606,12 @@ def riesz_from_martin(measure: RepresentingMeasure, spec: DiffusionSpec,
         # integral of u against the AC speed part between x0 and each y
         lo, hi = min(ys.min(), x0), max(ys.max(), x0)
         pts = np.unique(np.concatenate((ys, [x0], kinks[(lo < kinks) & (kinks < hi)])))
-        gaps = np.diff(pts)
-        if not len(gaps):
+        if len(pts) < 2:
             return np.zeros_like(ys)
-        pieces = np.maximum(1, np.ceil(gaps / width)).astype(int)
-        first = np.cumsum(pieces) - pieces
-        step = np.repeat(gaps / pieces, pieces)
-        starts = np.repeat(pts[:-1], pieces) \
-            + step * (np.arange(pieces.sum()) - np.repeat(first, pieces))
-        nodes = (starts + 0.5 * step)[:, None] + (0.5 * step)[:, None] * _GL_NODES
+        nodes, half, first = _gl_panels(pts, width)
         f = np.asarray(cand.value(nodes.ravel()), dtype=float) \
             * np.asarray(spec.speed_density(nodes.ravel()), dtype=float)
-        gap_sums = np.add.reduceat((f.reshape(nodes.shape) @ _GL_WEIGHTS) * (0.5 * step),
-                                   first)
+        gap_sums = np.add.reduceat(_panel_sums(f, nodes, half), first)
         # accumulate outward from x0, so tails near x0 keep their digits
         if side == "right":
             cum = np.concatenate(([0.0], np.cumsum(gap_sums)))
@@ -637,45 +657,50 @@ def reconstruct(measure: RepresentingMeasure, spec: DiffusionSpec,
                 alpha: float, x: float) -> float:
     """Evaluate the representation integral at x (normalized scale).
 
-    For a Martin measure of u this returns u(x) / u(x0).  The kernel
-    G(x, .) / G(x0, .) is constant outside the segment between x and x0, so
-    only that segment needs quadrature; atoms and boundary masses enter
+    For a Martin measure of u (or a Riesz measure built from one) this
+    returns u(x) / u(x0) by the by-parts identity of the module docstring:
+    boundary masses and the total mass enter in closed form, atoms through
+    the tail values, and the one remaining integral runs over the segment
+    between x and x0 on 10-point Gauss-Legendre panels, split at the
+    measure's kinks and the speed atoms, cut to widths of at most
+    0.25 / (theta + |mu|) and split again where the distance to a killing
+    endpoint halves.
+
+    A Riesz measure rebuilt by :func:`measure_from_doc` integrates G(x, .)
+    with the same rule and cap, on panels split at x, the speed atoms and
+    its sample points, against the constant density of its piecewise-linear
+    cumulative between sample points; its atoms and harmonic part enter
     exactly.
     """
     fs = fundamental(spec, alpha)
     if not spec.interval.contains(x):
         raise DomainError(f"evaluation point {x} outside the state space")
-    base = measure.base if (measure.kind == "riesz" and measure.base is not None) \
-        else measure
-    x0 = measure.x0
+    nu = measure.base if measure.base is not None else measure
+    if nu.kind == "riesz":
+        return _reconstruct_riesz(nu, fs, x)
+    x0, w = nu.x0, fs.wronskian
     psi_x, phi_x = float(fs.psi(x)), float(fs.phi(x))
+    m_l, m_r = nu.mass_left_boundary, nu.mass_right_boundary
     psi_x0, phi_x0 = float(fs.psi(x0)), float(fs.phi(x0))
+    part = w * _by_parts_integral(nu, fs, x)
+    if x <= x0:
+        return (m_l * phi_x / phi_x0 + (nu.total_mass - m_l) * psi_x / psi_x0
+                + part * psi_x / phi_x0)
+    return (m_r * psi_x / psi_x0 + (nu.total_mass - m_r) * phi_x / phi_x0
+            + part * phi_x / psi_x0)
 
-    def ratio(y):
-        y = np.asarray(y, dtype=float)
-        num = fs.psi(np.minimum(x, y)) * fs.phi(np.maximum(x, y))
-        den = fs.psi(np.minimum(x0, y)) * fs.phi(np.maximum(x0, y))
-        return num / den
 
-    if base.kind == "martin":
-        a, b = min(x, x0), max(x, x0)
-        out = (phi_x / phi_x0) * float(base.left_tail(a))       # nu([l, a))
-        out += (psi_x / psi_x0) * float(base.right_tail(b))     # nu((b, r])
-        out += _integrate_interior(base, ratio, a, b,
-                                   include_a=True, include_b=True,
-                                   extra_kinks=(x,))
-        return out
-
-    # standalone Riesz measure (e.g. deserialized): integrate G directly
-    def kernel(y):
-        y = np.asarray(y, dtype=float)
-        return fs.green(x, y)
-
-    lo = max(measure.interval_left, min(x, x0) - 600.0 / _exp_rate(fs))
-    hi = min(measure.interval_right, max(x, x0) + 600.0 / _exp_rate(fs))
-    out = _integrate_interior(measure, kernel, lo, hi, True, True, extra_kinks=(x,))
-    c1, c2 = harmonic_coefficients(measure, fs)
-    return out + c1 * phi_x + c2 * psi_x
+def _reconstruct_riesz(sigma: RepresentingMeasure, fs: FundamentalSolutions,
+                       x: float) -> float:
+    """The Riesz representation at x of a measure rebuilt from a document."""
+    pts = np.array(sorted({x, *sigma.kinks, *_atom_locations(fs.spec)}))
+    nodes, half, first = _gl_panels(pts, 0.25 / _exp_rate(fs))
+    kernel = np.add.reduceat(_panel_sums(fs.green(x, nodes.ravel()), nodes, half), first)
+    density = np.diff(sigma.ac_cdf(pts)) / np.diff(pts)
+    out = float(kernel @ density)
+    out += sum(wt * float(fs.green(x, z)) for z, wt in sigma.atoms)
+    c1, c2 = harmonic_coefficients(sigma, fs)
+    return out + c1 * float(fs.phi(x)) + c2 * float(fs.psi(x))
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +732,14 @@ def derivative_jump(spec: DiffusionSpec, alpha: float,
     its Riesz measure and decompose their jump into the sigma-atom and
     speed-atom contributions.  Values are on the raw (unnormalized) scale of
     the candidate.
+
+    The derivatives combine the integrals of psi and phi against sigma on
+    either side of z.  These come from the source Martin measure: tail
+    values and boundary masses in closed form, plus the by-parts integral
+    between z and x0 of the module docstring on 10-point Gauss-Legendre
+    panels, split and cut as in :func:`reconstruct` (widths of at most
+    0.25 / (theta + |mu|)).  The candidate itself enters only through the
+    speed term m({z}) alpha u(z).
     """
     if measure.kind != "riesz":
         raise ParameterError("derivative_jump requires the Riesz measure "
@@ -718,37 +751,28 @@ def derivative_jump(spec: DiffusionSpec, alpha: float,
         raise DomainError(f"z = {z} must be an interior point")
     fs = fundamental(spec, alpha)
     nu = measure.base
-    x0 = measure.x0
-    w = fs.wronskian
+    x0, w = measure.x0, fs.wronskian
     psi_x0, phi_x0 = float(fs.psi(x0)), float(fs.phi(x0))
+    psi_z, phi_z = float(fs.psi(z)), float(fs.phi(z))
     scale = measure.normalization
     sigma_z = measure.atom_at(z)
 
-    def psi_weight(y):   # psi(y) / G(x0, y)
-        return fs.psi(np.asarray(y, dtype=float)) / fs.green(x0, y)
-
-    def phi_weight(y):   # phi(y) / G(x0, y)
-        return fs.phi(np.asarray(y, dtype=float)) / fs.green(x0, y)
-
-    # integral of psi dsigma over (l, z]; below min(z, x0) the weight is
-    # constant w / phi(x0), so only [min(z,x0), z] needs quadrature
-    a = min(z, x0)
-    low_mass = float(nu.left_tail(a)) - nu.mass_left_boundary   # nu over (l, a) incl. atoms
-    i1_closed = (w / phi_x0) * low_mass
-    i1_closed += _integrate_interior(nu, psi_weight, a, z,
-                                     include_a=True, include_b=True,
-                                     extra_kinks=(z,))
-    i1_open = i1_closed - float(fs.psi(z)) * sigma_z
-
-    # integral of phi dsigma over [z, r); above max(z, x0) the weight is
-    # constant w / psi(x0)
-    b = max(z, x0)
-    high_mass = float(nu.right_tail(b)) - nu.mass_right_boundary
-    i2_open = (w / psi_x0) * high_mass
-    i2_open += _integrate_interior(nu, phi_weight, z, b,
-                                   include_a=False, include_b=True,
-                                   extra_kinks=(z,))
-    i2_closed = i2_open + float(fs.phi(z)) * sigma_z
+    # i1 = integral of psi dsigma over (l, z], i2 = integral of phi dsigma
+    # over (z, r).  psi / G(x0, .) is w / phi(x0) below x0 and phi / G(x0, .)
+    # is w / psi(x0) above it; on the other side of x0 the by-parts
+    # integral carries the weight, corrected by closed-form tail values.
+    inner = nu.total_mass - nu.mass_left_boundary - nu.mass_right_boundary
+    part = w * _by_parts_integral(nu, fs, z)
+    if z <= x0:
+        below = float(nu.left_tail(z)) + nu.atom_at(z) - nu.mass_left_boundary
+        i1_closed = (w / phi_x0) * below
+        i2_open = (w / psi_x0) * inner + (w / phi_x0) * (part - phi_z / psi_z * below)
+    else:
+        above = float(nu.right_tail(z)) - nu.mass_right_boundary
+        i2_open = (w / psi_x0) * above
+        i1_closed = (w / phi_x0) * inner + (w / psi_x0) * (part - psi_z / phi_z * above)
+    i1_open = i1_closed - psi_z * sigma_z
+    i2_closed = i2_open + phi_z * sigma_z
 
     c1, c2 = harmonic_coefficients(nu, fs)
     phi_r, phi_l = fs.phi_ds(z, "right"), fs.phi_ds(z, "left")
@@ -778,7 +802,6 @@ class ExcessivityReport:
     rows: tuple[tuple[float, float, float, float], ...]   # (x, beta, value, bound)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _MESH_MIN_ULPS = 64
 _MESH_MAX_PANELS = 1000      # panels halved at one level
 

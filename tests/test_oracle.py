@@ -315,6 +315,17 @@ class TestAgreement:
         step = chain.nodes[1] - chain.nodes[0]
         assert abs(rep.stopping_boundary - 0.0) <= step + 1e-12
 
+    @pytest.mark.parametrize("alpha, c", [(0.1, 1.0), (0.15, 1.0), (0.25, 0.5)])
+    def test_boundary_read_from_exact_stop_set(self, alpha, c):
+        # stop nodes carry the reward exactly, so no margin pulls the
+        # boundary below a smooth-fit threshold x* > 0
+        chain = discretize(make_sticky_bm(0.0, c), -6.0, 6.0, 8001)
+        sol = solve_chain_stopping(chain, alpha)
+        rep = compare(chain, sol.values, lambda x: value_function(alpha, c, x))
+        step = chain.nodes[1] - chain.nodes[0]
+        assert solve_threshold(alpha, c) > 0.0
+        assert abs(rep.stopping_boundary - solve_threshold(alpha, c)) <= step
+
     def test_positive_threshold_boundary_with_adequate_window(self):
         # a wider, equally fine window: the transparent edge leaves no
         # truncation bias, so the boundary is found on x* here as on [-6, 6]

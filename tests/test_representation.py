@@ -1,6 +1,7 @@
 """Martin/Riesz measures, reconstruction, derivative jumps, excessivity."""
 
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from diffstop.errors import (
     ParameterError,
 )
 from diffstop.representation import (
+    RepresentingMeasure,
     _exp_rate,
-    _integrate_ac,
     candidate_from_callable,
     derivative_jump,
     excessivity_check,
@@ -160,6 +161,51 @@ def _doc_samples(doc):
     """(points, values) of a document's tail samples, left then right."""
     s = np.array(doc["tail_samples"]["left"] + doc["tail_samples"]["right"])
     return s[:, 0], s[:, 1]
+
+
+# Romberg-Stieltjes quadrature against a measure's AC cumulative: an
+# independent reference route for the Riesz tails
+
+def _romberg_stieltjes(f: Callable, cdf: Callable, a: float, b: float,
+                       rtol: float = 1e-12, max_level: int = 12) -> float:
+    """Integral of f against the continuous increments of cdf over [a, b].
+
+    Midpoint Stieltjes sums on dyadic meshes carry an even error expansion
+    for integrands and cumulatives that are smooth inside the panel, so a
+    Richardson table converges fast; panels must be split at kinks first.
+    """
+    if b <= a:
+        return 0.0
+    prev: list[float] | None = None
+    achieved = math.inf
+    for k in range(max_level + 1):
+        n = 2 ** k
+        xs = np.linspace(a, b, n + 1)
+        mids = 0.5 * (xs[1:] + xs[:-1])
+        increments = np.diff(np.asarray(cdf(xs), dtype=float))
+        s = float(np.dot(np.asarray(f(mids), dtype=float), increments))
+        row = [s]
+        if prev is not None:
+            for j in range(len(prev)):
+                fac = 4.0 ** (j + 1)
+                row.append((fac * row[j] - prev[j]) / (fac - 1.0))
+            achieved = abs(row[-1] - prev[-1])
+            if achieved <= rtol * (1.0 + abs(row[-1])):
+                return row[-1]
+        prev = row
+    raise ConvergenceError(
+        f"measure quadrature on [{a}, {b}] stalled at error {achieved:.3g}",
+        best=prev[-1], achieved=achieved)
+
+
+def _integrate_ac(measure: RepresentingMeasure, f: Callable, a: float, b: float,
+                  extra_kinks: tuple[float, ...] = (), rtol: float = 1e-12) -> float:
+    """Integral of f against the AC part of the measure over [a, b]."""
+    if b <= a:
+        return 0.0
+    pts = sorted({a, b, *(p for p in (*measure.kinks, *extra_kinks) if a < p < b)})
+    return sum(_romberg_stieltjes(f, measure.ac_cdf, lo, hi, rtol=rtol)
+               for lo, hi in zip(pts[:-1], pts[1:]))
 
 
 class TestRieszTails:
@@ -342,6 +388,100 @@ class TestReconstruct:
         m = martin_measure(rk, 0.5, psi_candidate(rk, 0.5, x0=0.5))
         with pytest.raises(DomainError):
             reconstruct(m, rk, 0.5, 1.0)
+
+
+RK = make_reflected_killed_bm()
+
+# one case per candidate family of the benchmark's representation workload
+FAMILIES = [
+    (STICKY, 0.1, value_candidate(0.1, 1.0)),          # x* > 0
+    (STICKY, 0.3, value_candidate(0.3, 1.0)),          # x* = 0
+    (STICKY, 0.8, value_candidate(0.8, 1.0)),          # x* < 0
+    (make_sticky_bm(0.0, 1.7), 0.6, green_candidate(make_sticky_bm(0.0, 1.7), 0.6, -1.2)),
+    (make_sticky_bm(0.0, 0.6), 0.9, green_candidate(make_sticky_bm(0.0, 0.6), 0.9, 1.3)),
+    (STICKY, 0.4, psi_candidate(STICKY, 0.4)),
+    (STICKY, 0.4, phi_candidate(STICKY, 0.4)),
+    (make_sticky_bm(-0.45, 1.4), 0.3, psi_candidate(make_sticky_bm(-0.45, 1.4), 0.3)),
+    (make_sticky_bm(-0.45, 1.4), 0.3, phi_candidate(make_sticky_bm(-0.45, 1.4), 0.3)),
+    (RK, 1.3, psi_candidate(RK, 1.3, x0=0.15)),
+    (RK, 0.7, phi_candidate(RK, 0.7, x0=0.25)),
+] + [(RK, alpha, green_candidate(RK, alpha, y0, x0=x0))
+     for alpha in (0.5, 2.0) for y0 in (0.5, 0.7, 0.85) for x0 in (0.1, 0.3)]
+
+
+def _family_id(case):
+    spec, alpha, cand = case
+    return f"{spec.family.value}-mu{spec.mu}-{cand.label}-a{alpha}-x0{cand.x0}"
+
+
+class TestByPartsRoute:
+    """reconstruct and derivative_jump by integration by parts on panels."""
+
+    @pytest.mark.parametrize("case", FAMILIES, ids=_family_id)
+    def test_reconstruct_matches_closed_form(self, case):
+        spec, alpha, cand = case
+        m = martin_measure(spec, alpha, cand)
+        if spec is RK:
+            grid = [*np.linspace(0.0, 0.95, 9), 0.99]
+        else:
+            grid = np.linspace(-3.0, 3.0, 9)
+        u0 = float(cand.value(cand.x0))
+        for x in grid:
+            want = float(cand.value(float(x))) / u0
+            got = reconstruct(m, spec, alpha, float(x))
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), x
+
+    @pytest.mark.parametrize("case", FAMILIES, ids=_family_id)
+    def test_derivative_jump_at_every_kink(self, case):
+        # the one-sided derivatives integrated from the measure match the
+        # candidate's closed-form ones
+        spec, alpha, cand = case
+        r = riesz_from_martin(martin_measure(spec, alpha, cand), spec, alpha)
+        kinks = [z for z in cand.kinks if spec.interval.left < z < spec.interval.right]
+        assert kinks or spec is RK
+        for z in kinks:
+            dj = derivative_jump(spec, alpha, cand, r, z)
+            for got, want in ((dj.left, cand.ds_left(z)), (dj.right, cand.ds_right(z))):
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), z
+            assert dj.residual <= 1e-9
+
+    def test_no_false_atom_at_reflecting_endpoint(self):
+        # the pole at 0.07 sits next to the included endpoint 0: the tail
+        # limit there must pass the pole before it settles
+        fs = fundamental(RK, 1.0)
+        m = martin_measure(RK, 1.0, green_candidate(RK, 1.0, 0.07, x0=0.85))
+        assert [z for z, _ in m.atoms] == [0.07]
+        want = float(fs.green(0.0, 0.07)) / float(fs.green(0.85, 0.07))
+        assert reconstruct(m, RK, 1.0, 0.0) == pytest.approx(want, abs=1e-10)
+
+    def test_no_false_mass_at_natural_endpoint(self):
+        m = martin_measure(STICKY, 0.5, green_candidate(STICKY, 0.5, -5.0, x0=0.0))
+        assert m.mass_left_boundary == 0.0
+        assert m.total_mass == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("spec, alpha, cand", [
+        (STICKY, 0.5, value_candidate(0.5, 1.0)),
+        (make_sticky_bm(-0.3, 1.0), 0.5, green_candidate(make_sticky_bm(-0.3, 1.0), 0.5, 0.4)),
+        (RK, 0.5, phi_candidate(RK, 0.5, x0=0.5)),
+    ])
+    def test_rebuilt_riesz_measure_matches_stieltjes_route(self, spec, alpha, cand):
+        # a Riesz measure rebuilt from its document: panels against the
+        # interpolated cumulative agree with Romberg-Stieltjes integration
+        r = riesz_from_martin(martin_measure(spec, alpha, cand), spec, alpha)
+        back = measure_from_doc(measure_to_doc(r), spec)
+        fs = fundamental(spec, alpha)
+        lo = max(spec.interval.left, min(back.kinks))
+        hi = min(spec.interval.right, max(back.kinks))
+        for x in (0.0, 0.3, 0.8):
+            def kernel(y):
+                return fs.green(x, np.asarray(y, dtype=float))
+
+            want = _integrate_ac(back, kernel, lo, hi, extra_kinks=(x, 0.0))
+            want += sum(wt * float(fs.green(x, z)) for z, wt in back.atoms)
+            want += back.mass_left_boundary / float(fs.phi(back.x0)) * float(fs.phi(x))
+            want += back.mass_right_boundary / float(fs.psi(back.x0)) * float(fs.psi(x))
+            assert reconstruct(back, spec, alpha, x) == pytest.approx(want, rel=1e-10,
+                                                                       abs=1e-14)
 
 
 class TestDerivativeJump:
