@@ -27,8 +27,8 @@ edge rows read
 
 which uses chain data only and reduces to stopping at the edge wherever the
 edge lies in the stopping region.  Fine grids make the one-step contraction
-factor approach 1, so the solver switches from plain value iteration to
-policy iteration.
+factor approach 1, so the solver uses policy iteration; plain value iteration
+is kept as a cross-check.
 
 Policy iteration rests on the chain's excessive-function geometry (Dayanik &
 Karatzas, Stoch. Proc. Appl. 107, 2003).  Let psi and phi be the chain's
@@ -59,17 +59,17 @@ after its maximum.  The value is therefore phi times the least concave
 majorant of {(0, 0)} and the points (F_i, g_i/phi_i), cut flat after its
 maximum, and the chain stops exactly at the majorant's vertices.  One
 monotone-chain pass finds them; the first round evaluates that policy, and
-the second confirms that it is stable.  Only where F or g/phi overflows a
-float (2 sqrt(2 alpha) times the window's half-width beyond about 700, for
-Brownian motion) does policy iteration start from the policy that continues
-wherever one step of continuation does not lose, and move the boundary about
-one node per round; its policies are evaluated the same way.
+the second confirms that it is stable.  The pass runs in logs, so no window
+is too wide: a hull point lies on or below the chord of two others exactly
+when its reward is at most the harmonic function through them, evaluated as
+above, and the maximum is the argmax of log g - log phi.
 Everything is deterministic: fixed summation order, Jacobi-style sweeps, no
 randomness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -253,39 +253,50 @@ def _harmonic_logs(chain: ChainModel, alpha: float,
 
 def _majorant_policy(chain: ChainModel, alpha: float,
                      ratios: tuple[float, float],
-                     logs: tuple[np.ndarray, np.ndarray] | None = None
-                     ) -> np.ndarray | None:
+                     logs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Continuation mask of the chain's least F-concave majorant of g/phi.
 
     See the module docstring: the chain stops at the vertices of the upper
     hull of {(0, 0)} and the points (F_i, g_i/phi_i), cut flat after its
     maximum, and continues elsewhere.  ``logs`` are the harmonic solutions
-    from :func:`_harmonic_logs`, computed here when not given.  Returns None
-    when F or g/phi does not fit in a float.
+    from :func:`_harmonic_logs`.  A vertex lies strictly above the chord of
+    its neighbours, which is one step of continuation (the edge rows stand
+    for the origin and the flat tail), so only nodes where that step loses
+    enter the hull pass.
     """
-    log_psi, log_phi = logs or _harmonic_logs(chain, alpha, ratios)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = np.exp(log_psi - log_phi)
-        y = chain.reward * np.exp(-log_phi)
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(y))):
-        return None
+    g = chain.reward
+    log_psi, log_phi = logs
+    survivors = np.flatnonzero(g > _continuation(chain, g, alpha, ratios))
+    reward, lpsi, lphi = g.tolist(), log_psi.tolist(), log_phi.tolist()
+    lf, exp, expm1 = (log_psi - log_phi).tolist(), math.exp, math.expm1
     # upper hull by one monotone-chain pass (F increases); index -1 is the
-    # origin, which stands for the left edge row; collinear points are
-    # dropped, so only vertices stop
-    hx, hy, hk = [0.0], [0.0], [-1]
-    for k, (x, z) in enumerate(zip(f.tolist(), y.tolist())):
-        while len(hk) > 1 and ((hx[-1] - hx[-2]) * (z - hy[-2])
-                               >= (hy[-1] - hy[-2]) * (x - hx[-2])):
-            hx.pop()
-            hy.pop()
-            hk.pop()
-        hx.append(x)
-        hy.append(z)
-        hk.append(k)
-    # the flat tail after the maximum stands for the right edge row
-    top = hy.index(max(hy))
+    # origin; points on or below a chord are dropped, so only vertices stop
+    hull = [-1]
+    for k in survivors.tolist():
+        gk = reward[k]
+        while len(hull) > 1:
+            a, b = hull[-2], hull[-1]
+            if a + 1 == b == k - 1:
+                break           # the one-step test already kept b
+            # the harmonic function through a and k, at b, as _policy_values
+            if a < 0:
+                chord = gk * exp(lpsi[b] - lpsi[k])
+            else:
+                chord = (reward[a] * exp(lphi[b] - lphi[a]) * -expm1(lf[b] - lf[k])
+                         + gk * exp(lpsi[b] - lpsi[k]) * -expm1(lf[a] - lf[b])
+                         ) / -expm1(lf[a] - lf[k])
+            if reward[b] > chord:
+                break
+            hull.pop()
+        hull.append(k)
+    # the flat tail after the maximum stands for the right edge row; with no
+    # positive vertex the origin is the maximum and the chain never stops
+    vertices = np.array(hull[1:], dtype=np.intp)
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(np.maximum(g[vertices], 0.0)) - log_phi[vertices]
     continue_mask = np.ones(chain.size, dtype=bool)
-    continue_mask[hk[1:top + 1]] = False
+    if np.any(log_ratio > -np.inf):
+        continue_mask[vertices[:np.argmax(log_ratio) + 1]] = False
     return continue_mask
 
 
@@ -331,37 +342,29 @@ def _solve_policy_iteration(chain: ChainModel, alpha: float, tol: float,
     g = chain.reward
     ratios = _edge_ratios(chain, alpha)
     logs = _harmonic_logs(chain, alpha, ratios)
-    v = g.copy()
-    previous = None
-    for it in range(1, max_iter + 1):
-        # the first policy is the majorant's, or, where F overflows, the one
-        # that continues wherever one step of continuation does not lose;
-        # later ones change a node's action only on strict improvement, so
-        # ties cannot make the policies cycle
-        if previous is None:
-            continue_mask = _majorant_policy(chain, alpha, ratios, logs)
-            if continue_mask is None:
-                continue_mask = _continuation(chain, v, alpha, ratios) >= g
-        else:
-            cont = _continuation(chain, v, alpha, ratios)
-            continue_mask = np.where(cont == g, previous, cont > g)
-            if np.array_equal(continue_mask, previous):
-                return v, it
-        previous = continue_mask
+    # the first policy is the majorant's; later ones change a node's action
+    # only on strict improvement, so ties cannot make the policies cycle
+    continue_mask = _majorant_policy(chain, alpha, ratios, logs)
+    v = _policy_values(g, *logs, continue_mask)
+    for it in range(2, max_iter + 1):
+        cont = _continuation(chain, v, alpha, ratios)
+        improved = np.where(cont == g, continue_mask, cont > g)
+        if np.array_equal(improved, continue_mask):
+            return v, it
+        continue_mask = improved
         v = _policy_values(g, *logs, continue_mask)
     raise ConvergenceError(
         f"policy iteration did not stabilize in {max_iter} rounds",
         achieved=_residual(chain, v, alpha))
 
 
-def solve_chain_stopping(chain: ChainModel, alpha: float, method: str = "auto",
+def solve_chain_stopping(chain: ChainModel, alpha: float, method: str = "policy",
                          tol: float = 1e-11,
                          max_iter: int | None = None) -> ChainSolution:
     """Discounted stopping value of the chain.
 
-    ``method`` is "value", "policy" or "auto"; auto switches to policy
-    iteration when the one-step contraction factor exceeds 0.999, where
-    plain value iteration would need millions of sweeps.
+    ``method`` is "policy" or "value"; value iteration is kept as a
+    cross-check, and fine grids make it slow.
 
     Policy iteration evaluates each policy in closed form: its value is phi
     times the piecewise-linear interpolant, in F = psi/phi, of g/phi through
@@ -372,16 +375,10 @@ def solve_chain_stopping(chain: ChainModel, alpha: float, method: str = "auto",
     edge row becomes the point (0, 0) of that majorant and the right edge row
     its flat tail after the maximum (see the module docstring).  That policy
     is optimal, so ``iterations`` is 2; the policy rounds, the tie rule and
-    the residual check still decide the result.  Where F or g/phi overflows a
-    float, the first policy is the one that continues wherever one step of
-    continuation does not lose.
+    the residual check still decide the result.
     """
     if alpha <= 0:
         raise ParameterError(f"discount rate must be positive, got {alpha}")
-    rates = chain.up_rate + chain.down_rate
-    contraction = float(np.max(rates / (alpha + rates)))
-    if method == "auto":
-        method = "policy" if contraction > 0.999 else "value"
     if method == "value":
         v, it = _solve_value_iteration(chain, alpha, tol,
                                        max_iter or 200_000)

@@ -112,11 +112,19 @@ class TestSolvers:
         b = solve_chain_stopping(chain, 0.5, method="policy")
         assert np.max(np.abs(a.values - b.values)) <= 1e-7
 
-    def test_auto_prefers_policy_on_fine_grids(self):
-        chain = discretize(STICKY, -6.0, 6.0, 2001)
+    def test_default_is_policy_iteration_on_coarse_grids(self):
+        # the contraction factor here is below 0.999, where value iteration
+        # would converge quickly; the default still takes the majorant's pass
+        chain = discretize(STICKY, -6.0, 6.0, 201)
         sol = solve_chain_stopping(chain, 0.5)
         assert sol.method == "policy"
+        assert sol.iterations == 2
         assert sol.residual <= 1e-10
+
+    def test_unknown_method_rejected(self):
+        chain = discretize(STICKY, -6.0, 6.0, 201)
+        with pytest.raises(ParameterError):
+            solve_chain_stopping(chain, 0.5, method="auto")
 
     def test_chain_value_is_superharmonic_majorant(self):
         chain = discretize(STICKY, -6.0, 6.0, 801)
@@ -168,19 +176,41 @@ class TestMajorantSeed:
         assert stop[:len(g) // 2].any() and stop[len(g) // 2:].any()
         assert np.array_equal(v[stop], g[stop])
 
-    def test_overflowing_window_falls_back(self):
-        # F = psi/phi spans exp(+-2 sqrt(2 alpha) * 400), beyond a float, so
-        # the first policy is the one-step one; the coarse grid keeps value
-        # iteration's contraction small enough to serve as the reference
-        chain = discretize(STICKY, -400.0, 400.0, 401)
-        assert _majorant_policy(chain, 1.0, _edge_ratios(chain, 1.0)) is None
-        sol = solve_chain_stopping(chain, 1.0, method="policy")
-        ref = solve_chain_stopping(chain, 1.0, method="value")
+    @pytest.mark.parametrize("half_width, n, alpha, tol", [
+        (400.0, 401, 0.5, 1e-9), (400.0, 401, 1.0, 1e-9),
+        # value iteration's own stopping error is ~1e-9 on this finer grid
+        (200.0, 8001, 2.0, 1e-8),
+    ])
+    @pytest.mark.parametrize("reward", [None, two_sided_reward])
+    def test_overflowing_window_takes_two_rounds(self, half_width, n, alpha,
+                                                 tol, reward):
+        # F = psi/phi grows like exp(2 sqrt(2 alpha) x), so the chord tests
+        # of a float hull overflow here; the hull in logs still finds the
+        # optimal policy
+        chain = discretize(STICKY, -half_width, half_width, n, reward=reward)
+        sol = solve_chain_stopping(chain, alpha, method="policy")
+        ref = solve_chain_stopping(chain, alpha, method="value")
+        assert sol.iterations == 2
         assert sol.residual <= 1e-10
-        assert np.max(np.abs(sol.values - ref.values)) <= 1e-9
+        assert np.max(np.abs(sol.values - ref.values)) <= tol
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25, 0.6, 1.5])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("reward", [None, two_sided_reward])
+    def test_log_hull_matches_float_hull(self, alpha, c, reward):
+        # same mask, so the same policy values bit for bit
+        chain = discretize(make_sticky_bm(0.0, c), -6.0, 6.0, 2001,
+                           reward=reward)
+        ratios = _edge_ratios(chain, alpha)
+        logs = _harmonic_logs(chain, alpha, ratios)
+        assert np.array_equal(_majorant_policy(chain, alpha, ratios, logs),
+                              float_majorant_policy(chain, logs))
 
     @settings(max_examples=40, deadline=None)
-    @given(knots=st.lists(st.floats(0.0, 4.0), min_size=2, max_size=12),
+    @given(knots=st.one_of(
+               st.lists(st.floats(0.0, 4.0), min_size=2, max_size=12),
+               # signed rewards: vertices with g <= 0 never top the hull
+               st.lists(st.floats(-2.0, 4.0), min_size=2, max_size=12)),
            noise=st.lists(st.floats(0.0, 1.0), min_size=201, max_size=201),
            noisy=st.booleans(),
            alpha=st.floats(0.05, 2.0),
@@ -196,6 +226,40 @@ class TestMajorantSeed:
         b = solve_chain_stopping(chain, alpha, method="policy")
         assert b.residual <= 1e-10
         assert np.max(np.abs(a.values - b.values)) <= 1e-7
+        # subnormal rewards lose their digits in one step of continuation
+        # and in g/phi alike, so neither hull is exact there (the later
+        # policy rounds still find the value)
+        g = chain.reward
+        if np.all((g == 0.0) | (np.abs(g) >= np.finfo(float).tiny)):
+            ratios = _edge_ratios(chain, alpha)
+            logs = _harmonic_logs(chain, alpha, ratios)
+            assert np.array_equal(_majorant_policy(chain, alpha, ratios, logs),
+                                  float_majorant_policy(chain, logs))
+
+
+def float_majorant_policy(chain, logs):
+    """Reference: the majorant's continuation mask from F and g/phi as floats.
+
+    One monotone-chain pass over the origin and the points (F_i, g_i/phi_i),
+    cut after the first maximum; valid only where its products fit a float.
+    """
+    log_psi, log_phi = logs
+    f = np.exp(log_psi - log_phi)
+    y = chain.reward * np.exp(-log_phi)
+    hx, hy, hk = [0.0], [0.0], [-1]
+    for k, (x, z) in enumerate(zip(f.tolist(), y.tolist())):
+        while len(hk) > 1 and ((hx[-1] - hx[-2]) * (z - hy[-2])
+                               >= (hy[-1] - hy[-2]) * (x - hx[-2])):
+            hx.pop()
+            hy.pop()
+            hk.pop()
+        hx.append(x)
+        hy.append(z)
+        hk.append(k)
+    top = hy.index(max(hy))
+    continue_mask = np.ones(chain.size, dtype=bool)
+    continue_mask[hk[1:top + 1]] = False
+    return continue_mask
 
 
 def banded_policy_values(chain, alpha, continue_mask):
