@@ -262,9 +262,15 @@ def _majorant_policy(chain: ChainModel, alpha: float,
     from :func:`_harmonic_logs`.  A vertex lies strictly above the chord of
     its neighbours, which is one step of continuation (the edge rows stand
     for the origin and the flat tail), so only nodes where that step loses
-    enter the hull pass.
+    enter the hull pass.  When every reward is below the smallest normal
+    float, g is scaled by an exact power of two first (its values <= 0,
+    which never stop, are set to 0 so that none overflows), since one step
+    of continuation and the chords would round subnormal values back to g.
     """
     g = chain.reward
+    top = g.max()
+    if 0.0 < top < np.finfo(float).tiny:
+        g = np.ldexp(np.maximum(g, 0.0), -np.frexp(top)[1])
     log_psi, log_phi = logs
     survivors = np.flatnonzero(g > _continuation(chain, g, alpha, ratios))
     reward, lpsi, lphi = g.tolist(), log_psi.tolist(), log_phi.tolist()

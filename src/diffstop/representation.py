@@ -806,6 +806,19 @@ _MESH_MIN_ULPS = 64
 _MESH_MAX_PANELS = 1000      # panels halved at one level
 
 
+def _values(u: Callable, ys: np.ndarray) -> np.ndarray:
+    """u on the 1-D float64 array ys, a scalar result broadcast to its shape."""
+    f = np.asarray(u(ys), dtype=float)
+    if f.ndim == 0:
+        return np.full(ys.shape, float(f))
+    if f.shape != ys.shape:
+        raise ParameterError(
+            f"u returned shape {f.shape} for an array of shape {ys.shape}; u "
+            "must take a 1-D float array and return an array of that shape "
+            "or a scalar")
+    return f
+
+
 def _resolvent_integrals(spec: DiffusionSpec, fsb: FundamentalSolutions,
                          u: Callable, xs: np.ndarray, lo: np.ndarray,
                          hi: np.ndarray, split_points) -> np.ndarray:
@@ -815,7 +828,8 @@ def _resolvent_integrals(spec: DiffusionSpec, fsb: FundamentalSolutions,
     rows' endpoints and the split points; each holds a 10-point
     Gauss-Legendre rule.  A panel is halved while halving it changes some
     row's sum by more than that row's share, in proportion to the panel's
-    length, of max(1e-13, 1e-11 |I_x|).  u is called once per mesh node.
+    length, of max(1e-13, 1e-11 |I_x|).  u is called once per refinement
+    level, on the array of that level's nodes.
     """
     edges = np.array(sorted({*lo, *hi, *(p for p in split_points
                                           if lo.min() < p < hi.max())}))
@@ -824,8 +838,7 @@ def _resolvent_integrals(spec: DiffusionSpec, fsb: FundamentalSolutions,
     def panel_sums(a, b):
         half = 0.5 * (b - a)
         ys = ((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES).ravel()
-        f = np.array([float(u(y)) for y in ys.tolist()])
-        f *= np.asarray(spec.speed_density(ys), dtype=float)
+        f = _values(u, ys) * np.asarray(spec.speed_density(ys), dtype=float)
         f *= (half[:, None] * _GL_WEIGHTS).ravel()
         kern = fsb.green(xs[:, None], ys[None, :])
         sums = (kern * f).reshape(len(xs), len(a), -1).sum(axis=2)
@@ -880,21 +893,27 @@ def excessivity_check(spec: DiffusionSpec, alpha: float, u: Callable,
     to the panel's length, of max(1e-13, 1e-11 |I_x|), where I_x is the
     row's integral; these are the absolute and relative tolerances of an
     adaptive quadrature, so kinks of u missing from ``kinks`` are found by
-    halving.  G is evaluated as one (rows, nodes) matrix; u is called with
-    one float at a time, once per mesh node and once per grid point and
-    speed atom.  Raises :class:`ConvergenceError` (``achieved`` is the
-    largest row change still unresolved) when a panel that still changes has
-    shrunk to a few ulps, as at a jump of u off the mesh, or when more than
-    1000 panels need halving at one level, as for an endless oscillation.
+    halving.  G is evaluated as one (rows, nodes) matrix.  u is called on
+    1-D float64 arrays and must return an array of the same shape (a scalar
+    is broadcast): once on the grid points and speed atoms together, then
+    once per refinement level on that level's mesh nodes.  Any other result
+    shape raises :class:`ParameterError`.  Raises :class:`ConvergenceError`
+    (``achieved`` is the largest row change still unresolved) when a panel
+    that still changes has shrunk to a few ulps, as at a jump of u off the
+    mesh, or when more than 1000 panels need halving at one level, as for an
+    endless oscillation.
     """
     grid = [float(x) for x in grid]
     betas = sorted(float(b) for b in betas)
     if any(b <= 0 for b in betas):
         raise ParameterError("betas must be positive")
     xs = np.array(grid)
-    bounds = [float(u(x)) for x in grid]
-    atoms = [(loc, wt, float(u(loc))) for loc, wt in spec.speed_atoms]
-    split_points = sorted({*kinks, *(loc for loc, _ in spec.speed_atoms), *grid})
+    locs = _atom_locations(spec)
+    at = _values(u, np.concatenate((xs, locs)))
+    bounds = at[:len(grid)].tolist()
+    atoms = [(loc, wt, u_loc) for (loc, wt), u_loc
+             in zip(spec.speed_atoms, at[len(grid):].tolist())]
+    split_points = sorted({*kinks, *locs, *grid})
     vals = {}
     for beta in betas:
         fsb = fundamental(spec, alpha + beta)

@@ -337,7 +337,12 @@ def smooth_fit_report(alpha: float, c: float) -> SmoothFitReport:
     xs = solve_threshold(alpha, c)
     fs = fundamental(make_sticky_bm(0.0, c), alpha)
     v_at = (1.0 + xs)
-    left = v_at * float(fs.psi_dx_left(xs)) / float(fs.psi(xs))
+    # psi'(x*-)/psi(x*) branch by branch: psi = exp((theta - mu) x) on x <= 0
+    # underflows at large alpha, and psi >= 1 on x > 0
+    if xs <= 0.0:
+        left = v_at * (fs.theta - fs.spec.mu)
+    else:
+        left = v_at * float(fs.psi_dx_left(xs)) / float(fs.psi(xs))
     right = 1.0                               # reward side, g'(x) = 1 above -1
     jump = left - right
     speed_term = 2.0 * c * alpha * v_at if xs == 0.0 else 0.0

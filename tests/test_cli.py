@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +35,19 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["verdict"] == "Fails"
         assert doc["jump"] == pytest.approx(math.sqrt(0.5) - 1.0, abs=1e-12)
+
+    def test_large_alpha_exits_cleanly(self):
+        # a separate process, so an uncaught error would show as a traceback
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "diffstop.cli", "solve", "--alpha", "1e6",
+             "--c", "1"], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        doc = json.loads(proc.stdout)
+        assert math.isfinite(doc["jump"]) and doc["verdict"] == "SmoothFit"
 
     def test_samples_file(self, capsys, tmp_path):
         samples = tmp_path / "v.csv"

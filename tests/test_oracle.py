@@ -194,6 +194,20 @@ class TestMajorantSeed:
         assert sol.residual <= 1e-10
         assert np.max(np.abs(sol.values - ref.values)) <= tol
 
+    @pytest.mark.parametrize("knots", [[5e-324, 0.0], [5e-324, -2.0]])
+    def test_subnormal_reward_takes_two_rounds(self, knots):
+        # one step of continuation rounds a subnormal reward back to itself,
+        # so the pass scales g by a power of two first; found by the
+        # hypothesis test below
+        def reward(x):
+            return np.interp(x, np.linspace(x[0], x[-1], len(knots)), knots)
+        chain = discretize(STICKY, -10.0, 10.0, 201, reward=reward)
+        sol = solve_chain_stopping(chain, 1.0)
+        assert sol.iterations == 2
+        assert sol.residual <= 1e-10
+        ref = solve_chain_stopping(chain, 1.0, method="value")
+        assert np.max(np.abs(sol.values - ref.values)) <= 1e-7
+
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25, 0.6, 1.5])
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("reward", [None, two_sided_reward])
@@ -226,9 +240,8 @@ class TestMajorantSeed:
         b = solve_chain_stopping(chain, alpha, method="policy")
         assert b.residual <= 1e-10
         assert np.max(np.abs(a.values - b.values)) <= 1e-7
-        # subnormal rewards lose their digits in one step of continuation
-        # and in g/phi alike, so neither hull is exact there (the later
-        # policy rounds still find the value)
+        # the float reference hull loses subnormal rewards' digits in g/phi,
+        # so it is inexact there (the log hull scales them first)
         g = chain.reward
         if np.all((g == 0.0) | (np.abs(g) >= np.finfo(float).tiny)):
             ratios = _edge_ratios(chain, alpha)

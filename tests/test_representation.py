@@ -646,7 +646,7 @@ class TestExcessivity:
     def test_green_kernel_is_excessive(self):
         fs = fundamental(STICKY, 0.5)
         for y in (-0.6, 0.0, 0.9):
-            u = lambda x, y=y: float(fs.green(x, y))
+            u = lambda x, y=y: fs.green(x, y)
             rep = excessivity_check(STICKY, 0.5, u, np.linspace(-2, 2, 9),
                                     (1.0, 10.0), kinks=(0.0, y))
             assert rep.passed, (y, rep.max_violation)
@@ -687,22 +687,41 @@ class TestExcessivity:
             assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12, kinks
 
     def test_calls_u_once_per_node(self):
-        # u is called with one float at a time, once per mesh node; only the
-        # bounds u(x) and the atom's u(0) repeat a point
-        seen = []
+        # u is called on 1-D float64 arrays, once per refinement level, and
+        # evaluates each mesh node once; only the bounds u(x) and the atom's
+        # u(0) repeat a point
+        calls = []
 
         def u(y):
-            assert isinstance(y, float)
-            seen.append(y)
-            return 1.0
+            assert isinstance(y, np.ndarray)
+            assert y.ndim == 1 and y.dtype == np.float64
+            calls.append(y.copy())
+            return np.ones_like(y)
 
         excessivity_check(STICKY, 0.3, u, self.GRID, (10.0,))
+        seen = np.concatenate(calls).tolist()
         nodes = [y for y in seen if y not in set(self.GRID)]
         assert len(nodes) == len(set(nodes)) > 100
+        # one call for the bounds, then one per refinement level
+        assert len(calls) <= 6 and len(seen) > 2000
 
     @pytest.mark.parametrize("u", [
-        lambda y: float(y > 0.31),                          # jump off the mesh
-        lambda y: math.sin(1.0 / (y - 0.31)),              # endless oscillation
+        lambda y: [1.0, 2.0],                               # fixed length
+        lambda y: np.ones((len(y), 1)),                     # one column
+    ])
+    def test_wrong_result_shape_rejected(self, u):
+        with pytest.raises(ParameterError, match="shape"):
+            excessivity_check(STICKY, 0.5, u, self.GRID, (1.0,))
+
+    def test_exception_in_u_propagates(self):
+        def u(y):
+            raise KeyError("from u")
+        with pytest.raises(KeyError, match="from u"):
+            excessivity_check(STICKY, 0.5, u, self.GRID, (1.0,))
+
+    @pytest.mark.parametrize("u", [
+        lambda y: (y > 0.31).astype(float),                # jump off the mesh
+        lambda y: np.sin(1.0 / (y - 0.31)),                # endless oscillation
     ])
     def test_unresolved_integrand_raises(self, u):
         with pytest.raises(ConvergenceError) as err:

@@ -214,6 +214,14 @@ class TestSmoothFitReport:
         assert rep.speed_term == 0.0
         assert rep.verdict == "SmoothFit"
 
+    def test_large_alpha_is_finite(self):
+        # psi(x*) underflows to 0 at x* = 1/sqrt(2e6) - 1
+        rep = smooth_fit_report(1e6, 1.0)
+        assert rep.x_star == pytest.approx(1.0 / math.sqrt(2e6) - 1.0, abs=1e-15)
+        assert math.isfinite(rep.jump) and math.isfinite(rep.sigma_atom)
+        assert rep.jump == pytest.approx(0.0, abs=1e-12)
+        assert rep.verdict == "SmoothFit"
+
     def test_decomposition_identity(self):
         for alpha in (0.05, 0.190983, 0.25, 0.5, 0.55, 0.6):
             rep = smooth_fit_report(alpha, 1.0)
