@@ -57,12 +57,15 @@ The right edge row u_{n-1} >= r_right u_{n-2} reads u_{n-1}/phi_{n-1} >=
 u_{n-2}/phi_{n-2}: the function does not decrease at the end, so it is flat
 after its maximum.  The value is therefore phi times the least concave
 majorant of {(0, 0)} and the points (F_i, g_i/phi_i), cut flat after its
-maximum, and the chain stops exactly at the majorant's vertices.  One
-monotone-chain pass finds them; the first round evaluates that policy, and
-the second confirms that it is stable.  The pass runs in logs, so no window
-is too wide: a hull point lies on or below the chord of two others exactly
-when its reward is at most the harmonic function through them, evaluated as
-above, and the maximum is the argmax of log g - log phi.
+maximum, and the chain stops exactly at the majorant's vertices.  A
+hull pass over runs of nodes finds them; the first round evaluates that
+policy, and the second confirms that it is stable.  The pass runs in logs,
+so no window is too wide: a hull point lies on or below the chord of two
+others exactly when its reward is at most the harmonic function through
+them, evaluated as above, and the maximum is the argmax of log g - log phi.
+log psi and log phi themselves come from one vectorised scan of the ratio
+complements, whose recurrences are Moebius maps with positive coefficients,
+so nothing cancels.
 Everything is deterministic: fixed summation order, Jacobi-style sweeps, no
 randomness.
 """
@@ -220,32 +223,87 @@ def _solve_value_iteration(chain: ChainModel, alpha: float, tol: float,
         achieved=delta)
 
 
+def _mobius_scan(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                 start: np.ndarray) -> np.ndarray:
+    """Orbit ``x_i = (a_i x_{i-1} + b_i) / (c_i x_{i-1} + 1)`` of ``x_0 = start``.
+
+    The maps run along the last axis; each row is its own orbit, and
+    ``x_1, x_2, ...`` are returned.  Adjacent maps are composed in pairs and
+    renormalised to a bottom-right coefficient of 1, the same scan at half
+    the length gives every second point, and one more map fills in the
+    points between: O(n) work in log2(n) array steps.  With positive
+    coefficients nothing is subtracted, so no step cancels.
+    """
+    m = a.shape[-1]
+    if m == 1:
+        return (a * start + b) / (c * start + 1.0)
+    a1, b1, c1 = a[..., :m - 1:2], b[..., :m - 1:2], c[..., :m - 1:2]
+    a2, b2, c2 = a[..., 1::2], b[..., 1::2], c[..., 1::2]
+    norm = 1.0 / (c2 * b1 + 1.0)
+    out = np.empty(a.shape)
+    out[..., 1::2] = _mobius_scan((a2 * a1 + b2 * c1) * norm,
+                                  (a2 * b1 + b2) * norm,
+                                  (c2 * a1 + c1) * norm, start)
+    prev = np.concatenate((start, out[..., 1:m - 1:2]), axis=-1)
+    out[..., ::2] = (a[..., ::2] * prev + b[..., ::2]) / (c[..., ::2] * prev + 1.0)
+    return out
+
+
 def _harmonic_logs(chain: ChainModel, alpha: float,
                    ratios: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """``(log psi, log phi)`` of the chain's harmonic solutions.
 
     psi satisfies every interior row and the left edge row with equality,
-    phi every interior row and the right edge row.  Both come from ratio
-    recurrences that start at their edge row, ``psi_i / psi_{i+1}`` from the
-    left and ``phi_{i+1} / phi_i`` from the right, summed in logs and
-    normalised to 0 at the middle node.  The logs stay finite where psi and
-    phi themselves would overflow.
+    phi every interior row and the right edge row.  Their steps come from
+    the complements ``q_i = 1 - psi_i / psi_{i+1}`` and
+    ``p_i = 1 - phi_{i+1} / phi_i``.  The interior row at node i makes each
+    a Moebius map of its neighbour,
+
+        q_i     = (down q_{i-1} + alpha) / (down q_{i-1} + alpha + up),
+        p_{i-1} = (up p_i + alpha) / (up p_i + alpha + down),
+
+    starting from the edge rows' ``1 - r_left`` and ``1 - r_right``.  Every
+    coefficient is positive, so :func:`_mobius_scan` evaluates both orbits
+    at once without cancellation, and ``log1p(-q)`` keeps the digits of
+    ratios near 1.  Ratios below 1/2 (large alpha against the rates) take
+    ``log`` of the ratio itself, ``1 - q_i = (up / (alpha + up)) /
+    (down q_{i-1} / (alpha + up) + 1)``, which cancels nothing either; the
+    edge ratios are ``ratios``.  The logs are summed and normalised to 0 at
+    the middle node; they stay finite where psi and phi themselves would
+    overflow.
     """
-    n = chain.size
-    up = chain.up_rate.tolist()
-    down = chain.down_rate.tolist()
-    psi_ratio = [ratios[0]] * (n - 1)
-    for i in range(1, n - 1):
-        u, d = up[i - 1], down[i - 1]
-        psi_ratio[i] = u / (alpha + u + d - d * psi_ratio[i - 1])
-    phi_ratio = [ratios[1]] * (n - 1)
-    for i in range(n - 2, 0, -1):
-        u, d = up[i - 1], down[i - 1]
-        phi_ratio[i - 1] = d / (alpha + u + d - u * phi_ratio[i])
-    mid = n // 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_psi = np.concatenate(([0.0], -np.cumsum(np.log(psi_ratio))))
-        log_phi = np.concatenate(([0.0], np.cumsum(np.log(phi_ratio))))
+    up, down = chain.up_rate, chain.down_rate
+
+    def edge_complement(lead, other):
+        # 1 - 2 lead / (alpha + lead + other + D), D^2 = (lead - other)^2 + rad
+        # (see _edge_ratios); D + other - lead is formed without cancellation
+        rad = alpha * (alpha + 2.0 * (lead + other))
+        disc = math.sqrt((lead - other) ** 2 + rad)
+        excess = (disc + other - lead if other >= lead
+                  else rad / (disc + lead - other))
+        return (alpha + excess) / (alpha + lead + other + disc)
+
+    start = np.array([[edge_complement(up[0], down[0])],
+                      [edge_complement(down[-1], up[-1])]])
+    # psi's maps run left to right, phi's right to left, each divided by
+    # alpha + up (alpha + down for phi) so its bottom-right coefficient is 1
+    lead = np.stack((up, down[::-1]))
+    scale = 1.0 / (alpha + lead)
+    slope = np.stack((down, up[::-1])) * scale
+    comp = np.empty((2, chain.size - 1))
+    comp[:, :1] = start
+    comp[:, 1:] = _mobius_scan(slope, alpha * scale, slope, start)
+    with np.errstate(divide="ignore"):     # q = 1 only where far is set
+        steps = -np.log1p(-comp)
+    far = comp > 0.5
+    if far.any():
+        ratio = np.empty_like(comp)
+        ratio[:, 0] = ratios
+        ratio[:, 1:] = lead * scale / (slope * comp[:, :-1] + 1.0)
+        steps[far] = -np.log(ratio[far])
+    mid = chain.size // 2
+    log_psi = np.concatenate(([0.0], np.cumsum(steps[0])))
+    log_phi = np.concatenate(([0.0], np.cumsum(steps[1])))[::-1]
     log_psi -= log_psi[mid]
     log_phi -= log_phi[mid]
     return log_psi, log_phi
@@ -266,6 +324,15 @@ def _majorant_policy(chain: ChainModel, alpha: float,
     float, g is scaled by an exact power of two first (its values <= 0,
     which never stop, are set to 0 so that none overflows), since one step
     of continuation and the chords would round subnormal values back to g.
+
+    The pass walks runs of consecutive surviving nodes.  A run is concave
+    already, since every node of it passed the one-step test, so the hull
+    keeps a suffix of it.  That suffix starts at the first node that lies
+    strictly above the chord from the hull to its successor; the test is
+    monotone along the run, so galloping and bisection find it, and the
+    rest of the run joins the hull in one slice.  Every vertex a probe
+    pops lies under a chord of two points, so no probe pops a vertex of the
+    final hull, and the pops stay amortised over the whole pass.
     """
     g = chain.reward
     top = g.max()
@@ -273,28 +340,74 @@ def _majorant_policy(chain: ChainModel, alpha: float,
         g = np.ldexp(np.maximum(g, 0.0), -np.frexp(top)[1])
     log_psi, log_phi = logs
     survivors = np.flatnonzero(g > _continuation(chain, g, alpha, ratios))
-    reward, lpsi, lphi = g.tolist(), log_psi.tolist(), log_phi.tolist()
-    lf, exp, expm1 = (log_psi - log_phi).tolist(), math.exp, math.expm1
-    # upper hull by one monotone-chain pass (F increases); index -1 is the
-    # origin; points on or below a chord are dropped, so only vertices stop
+    gaps = np.flatnonzero(np.diff(survivors) > 1)
+    starts = np.concatenate((survivors[:1], survivors[gaps + 1])).tolist()
+    ends = np.concatenate((survivors[gaps], survivors[-1:])).tolist()
+    # a few long runs touch few nodes, and memoryviews read those one float
+    # at a time; many short runs touch most survivors, and lists read faster
+    read = memoryview if 8 * len(starts) < len(g) else np.ndarray.tolist
+    reward, lpsi, lphi, lf = map(read, (g, log_psi, log_phi, log_psi - log_phi))
+    exp, expm1 = math.exp, math.expm1
+
+    def above(a, b, k):
+        # b against the harmonic function through a and k, as _policy_values
+        if a < 0:
+            return reward[b] > reward[k] * exp(lpsi[b] - lpsi[k])
+        return reward[b] > (
+            reward[a] * exp(lphi[b] - lphi[a]) * -expm1(lf[b] - lf[k])
+            + reward[k] * exp(lpsi[b] - lpsi[k]) * -expm1(lf[a] - lf[b])
+        ) / -expm1(lf[a] - lf[k])
+
+    # upper hull, F increasing; index -1 is the origin; points on or below a
+    # chord are dropped, so only vertices stop
     hull = [-1]
-    for k in survivors.tolist():
-        gk = reward[k]
-        while len(hull) > 1:
-            a, b = hull[-2], hull[-1]
-            if a + 1 == b == k - 1:
-                break           # the one-step test already kept b
-            # the harmonic function through a and k, at b, as _policy_values
-            if a < 0:
-                chord = gk * exp(lpsi[b] - lpsi[k])
+
+    def settle(k):
+        # pop the vertices that the chord to k covers; a vertex survives
+        # up to the tangent from k and fails after it, so gallop back from
+        # the end and bisect, then drop the failed tail in one slice
+        bad = len(hull) - 1
+        if bad < 1 or above(hull[-2], hull[-1], k):
+            return
+        good, step = bad - 1, 1
+        while good > 0 and not above(hull[good - 1], hull[good], k):
+            bad, step = good, 2 * step
+            good = max(bad - step, 0)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            if above(hull[mid - 1], hull[mid], k):
+                good = mid
             else:
-                chord = (reward[a] * exp(lphi[b] - lphi[a]) * -expm1(lf[b] - lf[k])
-                         + gk * exp(lpsi[b] - lpsi[k]) * -expm1(lf[a] - lf[b])
-                         ) / -expm1(lf[a] - lf[k])
-            if reward[b] > chord:
-                break
-            hull.pop()
-        hull.append(k)
+                bad = mid
+        del hull[bad:]
+
+    def keeps(t):
+        # whether run node t is a vertex of the hull with its whole run
+        settle(t)
+        return above(hull[-1], t, t + 1)
+
+    for s, e in zip(starts, ends):
+        if s == e:              # one node: the plain node step
+            while len(hull) > 1 and not above(hull[-2], hull[-1], s):
+                hull.pop()
+            hull.append(s)
+            continue
+        if s == 0:              # the left edge row already kept node 0
+            hull.extend(range(e + 1))
+            continue
+        # the first kept node lies in (lo, hi]; the last node e is kept
+        lo, hi, step = s - 1, s, 1
+        while hi < e and not keeps(hi):
+            lo, step = hi, 2 * step
+            hi = min(hi + step, e)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if keeps(mid):
+                hi = mid
+            else:
+                lo = mid
+        settle(hi)
+        hull.extend(range(hi, e + 1))
     # the flat tail after the maximum stands for the right edge row; with no
     # positive vertex the origin is the maximum and the chain never stops
     vertices = np.array(hull[1:], dtype=np.intp)

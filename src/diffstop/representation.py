@@ -492,7 +492,18 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
 # Gauss-Legendre panels
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# numpy.polynomial.legendre.leggauss(10), written out so that no process
+# imports numpy.polynomial at start-up (a test checks them bit for bit)
+_GL_NODES = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+    0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+    0.9739065285171717])
+_GL_WEIGHTS = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+    0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+    0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+    0.06667134430868814])
 
 
 def _gl_panels(pts: np.ndarray, width: float):

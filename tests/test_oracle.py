@@ -1,5 +1,6 @@
 """Birth-death chain construction, solvers, and agreement with closed forms."""
 
+import decimal
 import math
 import pickle
 
@@ -10,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from diffstop.diffusion import (Family, make_drift_bm,
                                 make_reflected_killed_bm, make_sticky_bm)
 from diffstop.errors import ConvergenceError, DomainError, ParameterError
-from diffstop.oracle import (_edge_ratios, _harmonic_logs, _majorant_policy,
-                             _policy_values, compare, discretize,
-                             solve_chain_stopping)
+from diffstop.oracle import (_continuation, _edge_ratios, _harmonic_logs,
+                             _majorant_policy, _policy_values, compare,
+                             discretize, solve_chain_stopping)
 from diffstop.stopping import solve_threshold, value_function
 
 STICKY = make_sticky_bm(0.0, 1.0)
@@ -20,6 +21,19 @@ STICKY = make_sticky_bm(0.0, 1.0)
 
 def two_sided_reward(x):
     return np.maximum(np.abs(np.asarray(x, dtype=float)) - 1.0, 0.0)
+
+
+def sawtooth_reward(x):
+    # every other node carries a 5% bump, so the one-step test keeps each
+    # bump alone: thousands of one-node runs
+    x = np.asarray(x, dtype=float)
+    return np.maximum(1.0 + x, 0.0) * (1.0 + 0.05 * (np.arange(len(x)) % 2))
+
+
+def knots_reward(knots):
+    def reward(x):
+        return np.interp(x, np.linspace(x[0], x[-1], len(knots)), knots)
+    return reward
 
 
 def cell_masses_by_loop(spec, nodes):
@@ -199,9 +213,7 @@ class TestMajorantSeed:
         # one step of continuation rounds a subnormal reward back to itself,
         # so the pass scales g by a power of two first; found by the
         # hypothesis test below
-        def reward(x):
-            return np.interp(x, np.linspace(x[0], x[-1], len(knots)), knots)
-        chain = discretize(STICKY, -10.0, 10.0, 201, reward=reward)
+        chain = discretize(STICKY, -10.0, 10.0, 201, reward=knots_reward(knots))
         sol = solve_chain_stopping(chain, 1.0)
         assert sol.iterations == 2
         assert sol.residual <= 1e-10
@@ -217,8 +229,30 @@ class TestMajorantSeed:
                            reward=reward)
         ratios = _edge_ratios(chain, alpha)
         logs = _harmonic_logs(chain, alpha, ratios)
+        mask = _majorant_policy(chain, alpha, ratios, logs)
+        assert np.array_equal(mask, float_majorant_policy(chain, logs))
+        assert np.array_equal(mask, node_majorant_policy(chain, alpha, ratios,
+                                                         logs))
+
+    @pytest.mark.parametrize("lo, hi, n, alpha, reward", [
+        (-6.0, 6.0, 8001, 0.3, sawtooth_reward),
+        # F overflows a float here
+        (-200.0, 200.0, 8001, 2.0, None),
+        (-200.0, 200.0, 8001, 2.0, two_sided_reward),
+        (-10.0, 10.0, 201, 1.0, knots_reward([5e-324, 0.0])),
+    ], ids=["sawtooth", "wide", "wide-two-sided", "subnormal"])
+    def test_run_pass_matches_node_pass(self, lo, hi, n, alpha, reward):
+        chain = discretize(STICKY, lo, hi, n, reward=reward)
+        ratios = _edge_ratios(chain, alpha)
+        logs = _harmonic_logs(chain, alpha, ratios)
         assert np.array_equal(_majorant_policy(chain, alpha, ratios, logs),
-                              float_majorant_policy(chain, logs))
+                              node_majorant_policy(chain, alpha, ratios, logs))
+        assert solve_chain_stopping(chain, alpha).iterations == 2
+        if reward is sawtooth_reward:
+            g = chain.reward
+            survivors = np.flatnonzero(g > _continuation(chain, g, alpha, ratios))
+            assert len(survivors) > 2000
+            assert np.all(np.diff(survivors) > 1)
 
     @settings(max_examples=40, deadline=None)
     @given(knots=st.one_of(
@@ -240,14 +274,16 @@ class TestMajorantSeed:
         b = solve_chain_stopping(chain, alpha, method="policy")
         assert b.residual <= 1e-10
         assert np.max(np.abs(a.values - b.values)) <= 1e-7
+        ratios = _edge_ratios(chain, alpha)
+        logs = _harmonic_logs(chain, alpha, ratios)
+        mask = _majorant_policy(chain, alpha, ratios, logs)
+        assert np.array_equal(mask, node_majorant_policy(chain, alpha, ratios,
+                                                         logs))
         # the float reference hull loses subnormal rewards' digits in g/phi,
         # so it is inexact there (the log hull scales them first)
         g = chain.reward
         if np.all((g == 0.0) | (np.abs(g) >= np.finfo(float).tiny)):
-            ratios = _edge_ratios(chain, alpha)
-            logs = _harmonic_logs(chain, alpha, ratios)
-            assert np.array_equal(_majorant_policy(chain, alpha, ratios, logs),
-                                  float_majorant_policy(chain, logs))
+            assert np.array_equal(mask, float_majorant_policy(chain, logs))
 
 
 def float_majorant_policy(chain, logs):
@@ -273,6 +309,97 @@ def float_majorant_policy(chain, logs):
     continue_mask = np.ones(chain.size, dtype=bool)
     continue_mask[hk[1:top + 1]] = False
     return continue_mask
+
+
+def node_majorant_policy(chain, alpha, ratios, logs):
+    """Reference: the majorant's continuation mask by one pass node by node.
+
+    The same log-form chord test as the solver's run pass, applied to every
+    surviving node in turn by a monotone-chain pass; a node whose
+    predecessor and the one before it are its neighbours is kept by the
+    one-step test alone.
+    """
+    g = chain.reward
+    top = g.max()
+    if 0.0 < top < np.finfo(float).tiny:
+        g = np.ldexp(np.maximum(g, 0.0), -np.frexp(top)[1])
+    log_psi, log_phi = logs
+    survivors = np.flatnonzero(g > _continuation(chain, g, alpha, ratios))
+    reward, lpsi, lphi = g.tolist(), log_psi.tolist(), log_phi.tolist()
+    lf, exp, expm1 = (log_psi - log_phi).tolist(), math.exp, math.expm1
+    hull = [-1]     # index -1 is the origin
+    for k in survivors.tolist():
+        gk = reward[k]
+        while len(hull) > 1:
+            a, b = hull[-2], hull[-1]
+            if a + 1 == b == k - 1:
+                break
+            if a < 0:
+                chord = gk * exp(lpsi[b] - lpsi[k])
+            else:
+                chord = (reward[a] * exp(lphi[b] - lphi[a]) * -expm1(lf[b] - lf[k])
+                         + gk * exp(lpsi[b] - lpsi[k]) * -expm1(lf[a] - lf[b])
+                         ) / -expm1(lf[a] - lf[k])
+            if reward[b] > chord:
+                break
+            hull.pop()
+        hull.append(k)
+    vertices = np.array(hull[1:], dtype=np.intp)
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(np.maximum(g[vertices], 0.0)) - log_phi[vertices]
+    continue_mask = np.ones(chain.size, dtype=bool)
+    if np.any(log_ratio > -np.inf):
+        continue_mask[vertices[:np.argmax(log_ratio) + 1]] = False
+    return continue_mask
+
+
+def decimal_log_ratios(chain, alpha, digits=40):
+    """Reference: ``log(psi_{i+1}/psi_i)`` and ``log(phi_i/phi_{i+1})``.
+
+    The ratio recurrences from the edge rows, run in ``digits``-digit
+    decimal arithmetic.  A ratio below 1/2 takes its decimal log; above,
+    the complement 1 - ratio is rounded to a float once, and ``-log1p`` of
+    it adds a few ulps.
+    """
+    ctx = decimal.Context(prec=digits)
+    dec = ctx.create_decimal_from_float
+    a = dec(alpha)
+    up = [dec(v) for v in chain.up_rate.tolist()]
+    down = [dec(v) for v in chain.down_rate.tolist()]
+
+    def root_pair(u, d):
+        disc = ctx.sqrt((u - d) ** 2 + a * (a + 2 * (u + d)))
+        return 2 * u / (a + u + d + disc), 2 * d / (a + u + d + disc)
+
+    psi = [root_pair(up[0], down[0])[0]]
+    for u, d in zip(up, down):
+        psi.append(u / (a + u + d - d * psi[-1]))
+    phi = [root_pair(up[-1], down[-1])[1]]
+    for u, d in zip(reversed(up), reversed(down)):
+        phi.append(d / (a + u + d - u * phi[-1]))
+    def step(r):
+        return float(-r.ln(ctx)) if r < 0.5 else -math.log1p(-float(1 - r))
+
+    return (np.array([step(r) for r in psi]),
+            np.array([step(r) for r in phi[::-1]]))
+
+
+class TestHarmonicLogs:
+    """log psi and log phi from the Moebius scan of the ratio complements."""
+
+    @pytest.mark.parametrize("mu, alpha, n", [
+        (0.0, 0.1, 8001), (0.0, 1.5, 8001), (-0.3, 0.1, 8001),
+        (0.0, 0.1, 8000),
+        # ratios far below 1, where the complements lose the digits
+        (0.0, 1e8, 201), (0.0, 1e20, 201),
+    ])
+    def test_log_ratios_match_decimal_recurrence(self, mu, alpha, n):
+        # the recurrences in ratios near 1 lose ~1e-10 relative at alpha = 0.1
+        chain = discretize(make_sticky_bm(mu, 1.0), -6.0, 6.0, n)
+        log_psi, log_phi = _harmonic_logs(chain, alpha, _edge_ratios(chain, alpha))
+        ref_psi, ref_phi = decimal_log_ratios(chain, alpha)
+        assert np.max(np.abs(np.diff(log_psi) / ref_psi - 1.0)) <= 1e-12
+        assert np.max(np.abs(-np.diff(log_phi) / ref_phi - 1.0)) <= 1e-12
 
 
 def banded_policy_values(chain, alpha, continue_mask):

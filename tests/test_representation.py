@@ -19,6 +19,8 @@ from diffstop.errors import (
 )
 from diffstop.representation import (
     RepresentingMeasure,
+    _GL_NODES,
+    _GL_WEIGHTS,
     _exp_rate,
     candidate_from_callable,
     derivative_jump,
@@ -416,6 +418,13 @@ def _family_id(case):
 
 class TestByPartsRoute:
     """reconstruct and derivative_jump by integration by parts on panels."""
+
+    def test_panel_rule_is_leggauss_bit_for_bit(self):
+        # the literals stand in for leggauss(10), so every quadrature result
+        # is what the computed rule gives
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        assert _GL_NODES.tobytes() == nodes.tobytes()
+        assert _GL_WEIGHTS.tobytes() == weights.tobytes()
 
     @pytest.mark.parametrize("case", FAMILIES, ids=_family_id)
     def test_reconstruct_matches_closed_form(self, case):

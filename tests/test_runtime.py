@@ -37,6 +37,15 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_numpy_polynomial():
+    # the panel rule is written out, so no start-up pays for this package
+    proc = run_python("import sys, diffstop.cli; "
+                      "print(sorted(m for m in sys.modules "
+                      "if m.startswith('numpy.polynomial')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_runs_with_scipy_blocked():
     proc = run_python(BLOCK_SCIPY + "import runpy\n"
                       "sys.argv = ['diffstop', *sys.argv[1:]]\n"
