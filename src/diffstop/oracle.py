@@ -173,22 +173,36 @@ class ChainSolution:
     method: str
 
 
-def _edge_ratios(chain: ChainModel, alpha: float) -> tuple[float, float]:
-    """Decay ratios ``(r_left, r_right)`` of the transparent truncation edges.
+def _edge_roots(chain: ChainModel, alpha: float
+                ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Edge ratios ``(r_left, r_right)`` and their complements ``1 - r``.
 
-    Both lie in (0, 1) and come from the characteristic quadratic at the
-    neighbouring interior node: ``1/rho_+ = 2 up / (s + D)`` on the left and
-    ``rho_- = 2 down / (s + D)`` on the right, with ``s = alpha + up + down``
-    and ``D = sqrt(s^2 - 4 up down)`` written without cancellation.
+    Both ratios lie in (0, 1) and come from the characteristic quadratic at
+    the neighbouring interior node: ``1/rho_+ = 2 up / (s + D)`` on the left
+    and ``rho_- = 2 down / (s + D)`` on the right, with ``s = alpha + up +
+    down`` and ``D = sqrt(s^2 - 4 up down)`` written without cancellation.
+    The complements ``1 - 2 up / (s + D) = (alpha + down - up + D) / (s + D)``
+    and its mirror take ``D - |up - down|`` as ``rad / (D + |up - down|)``,
+    with ``rad = D^2 - (up - down)^2``, so they cancel nothing either.
     """
-    def root_pair(up, down):
-        disc = np.sqrt((up - down) ** 2 + alpha * (alpha + 2.0 * (up + down)))
+    def roots(up, down):
+        rad = alpha * (alpha + 2.0 * (up + down))
+        disc = math.sqrt((up - down) ** 2 + rad)
         denom = alpha + up + down + disc
-        return 2.0 * up / denom, 2.0 * down / denom
+        gap = abs(up - down)
+        near, far = alpha + rad / (disc + gap), alpha + disc + gap
+        comp_up, comp_down = (near, far) if up >= down else (far, near)
+        return (2.0 * up / denom, 2.0 * down / denom,
+                comp_up / denom, comp_down / denom)
 
-    r_left, _ = root_pair(chain.up_rate[0], chain.down_rate[0])
-    _, r_right = root_pair(chain.up_rate[-1], chain.down_rate[-1])
-    return float(r_left), float(r_right)
+    r_left, _, c_left, _ = roots(chain.up_rate[0], chain.down_rate[0])
+    _, r_right, _, c_right = roots(chain.up_rate[-1], chain.down_rate[-1])
+    return ((float(r_left), float(r_right)), (float(c_left), float(c_right)))
+
+
+def _edge_ratios(chain: ChainModel, alpha: float) -> tuple[float, float]:
+    """Decay ratios ``(r_left, r_right)`` of the transparent truncation edges."""
+    return _edge_roots(chain, alpha)[0]
 
 
 def _continuation(chain: ChainModel, v: np.ndarray, alpha: float,
@@ -249,8 +263,8 @@ def _mobius_scan(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     return out
 
 
-def _harmonic_logs(chain: ChainModel, alpha: float,
-                   ratios: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+def _harmonic_logs(chain: ChainModel,
+                   alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """``(log psi, log phi)`` of the chain's harmonic solutions.
 
     psi satisfies every interior row and the left edge row with equality,
@@ -262,29 +276,19 @@ def _harmonic_logs(chain: ChainModel, alpha: float,
         q_i     = (down q_{i-1} + alpha) / (down q_{i-1} + alpha + up),
         p_{i-1} = (up p_i + alpha) / (up p_i + alpha + down),
 
-    starting from the edge rows' ``1 - r_left`` and ``1 - r_right``.  Every
-    coefficient is positive, so :func:`_mobius_scan` evaluates both orbits
-    at once without cancellation, and ``log1p(-q)`` keeps the digits of
-    ratios near 1.  Ratios below 1/2 (large alpha against the rates) take
-    ``log`` of the ratio itself, ``1 - q_i = (up / (alpha + up)) /
-    (down q_{i-1} / (alpha + up) + 1)``, which cancels nothing either; the
-    edge ratios are ``ratios``.  The logs are summed and normalised to 0 at
-    the middle node; they stay finite where psi and phi themselves would
+    starting from the edge rows' ``1 - r_left`` and ``1 - r_right`` (see
+    :func:`_edge_roots`).  Every coefficient is positive, so
+    :func:`_mobius_scan` evaluates both orbits at once without cancellation,
+    and ``log1p(-q)`` keeps the digits of ratios near 1.  Ratios below 1/2
+    (large alpha against the rates) take ``log`` of the ratio itself,
+    ``1 - q_i = (up / (alpha + up)) / (down q_{i-1} / (alpha + up) + 1)``,
+    which cancels nothing either.  The logs are summed and normalised to 0
+    at the middle node; they stay finite where psi and phi themselves would
     overflow.
     """
     up, down = chain.up_rate, chain.down_rate
-
-    def edge_complement(lead, other):
-        # 1 - 2 lead / (alpha + lead + other + D), D^2 = (lead - other)^2 + rad
-        # (see _edge_ratios); D + other - lead is formed without cancellation
-        rad = alpha * (alpha + 2.0 * (lead + other))
-        disc = math.sqrt((lead - other) ** 2 + rad)
-        excess = (disc + other - lead if other >= lead
-                  else rad / (disc + lead - other))
-        return (alpha + excess) / (alpha + lead + other + disc)
-
-    start = np.array([[edge_complement(up[0], down[0])],
-                      [edge_complement(down[-1], up[-1])]])
+    ratios, comps = _edge_roots(chain, alpha)
+    start = np.array(comps)[:, None]
     # psi's maps run left to right, phi's right to left, each divided by
     # alpha + up (alpha + down for phi) so its bottom-right coefficient is 1
     lead = np.stack((up, down[::-1]))
@@ -343,10 +347,9 @@ def _majorant_policy(chain: ChainModel, alpha: float,
     gaps = np.flatnonzero(np.diff(survivors) > 1)
     starts = np.concatenate((survivors[:1], survivors[gaps + 1])).tolist()
     ends = np.concatenate((survivors[gaps], survivors[-1:])).tolist()
-    # a few long runs touch few nodes, and memoryviews read those one float
-    # at a time; many short runs touch most survivors, and lists read faster
-    read = memoryview if 8 * len(starts) < len(g) else np.ndarray.tolist
-    reward, lpsi, lphi, lf = map(read, (g, log_psi, log_phi, log_psi - log_phi))
+    # memoryviews read only the floats the pass touches
+    reward, lpsi, lphi, lf = map(memoryview,
+                                 (g, log_psi, log_phi, log_psi - log_phi))
     exp, expm1 = math.exp, math.expm1
 
     def above(a, b, k):
@@ -387,7 +390,9 @@ def _majorant_policy(chain: ChainModel, alpha: float,
         return above(hull[-1], t, t + 1)
 
     for s, e in zip(starts, ends):
-        if s == e:              # one node: the plain node step
+        # one node: the plain node step, which costs less than settle's
+        # gallop on rewards with many short runs
+        if s == e:
             while len(hull) > 1 and not above(hull[-2], hull[-1], s):
                 hull.pop()
             hull.append(s)
@@ -460,7 +465,7 @@ def _solve_policy_iteration(chain: ChainModel, alpha: float, tol: float,
                             max_iter: int) -> tuple[np.ndarray, int]:
     g = chain.reward
     ratios = _edge_ratios(chain, alpha)
-    logs = _harmonic_logs(chain, alpha, ratios)
+    logs = _harmonic_logs(chain, alpha)
     # the first policy is the majorant's; later ones change a node's action
     # only on strict improvement, so ties cannot make the policies cycle
     continue_mask = _majorant_policy(chain, alpha, ratios, logs)

@@ -228,7 +228,7 @@ class TestMajorantSeed:
         chain = discretize(make_sticky_bm(0.0, c), -6.0, 6.0, 2001,
                            reward=reward)
         ratios = _edge_ratios(chain, alpha)
-        logs = _harmonic_logs(chain, alpha, ratios)
+        logs = _harmonic_logs(chain, alpha)
         mask = _majorant_policy(chain, alpha, ratios, logs)
         assert np.array_equal(mask, float_majorant_policy(chain, logs))
         assert np.array_equal(mask, node_majorant_policy(chain, alpha, ratios,
@@ -244,7 +244,7 @@ class TestMajorantSeed:
     def test_run_pass_matches_node_pass(self, lo, hi, n, alpha, reward):
         chain = discretize(STICKY, lo, hi, n, reward=reward)
         ratios = _edge_ratios(chain, alpha)
-        logs = _harmonic_logs(chain, alpha, ratios)
+        logs = _harmonic_logs(chain, alpha)
         assert np.array_equal(_majorant_policy(chain, alpha, ratios, logs),
                               node_majorant_policy(chain, alpha, ratios, logs))
         assert solve_chain_stopping(chain, alpha).iterations == 2
@@ -275,7 +275,7 @@ class TestMajorantSeed:
         assert b.residual <= 1e-10
         assert np.max(np.abs(a.values - b.values)) <= 1e-7
         ratios = _edge_ratios(chain, alpha)
-        logs = _harmonic_logs(chain, alpha, ratios)
+        logs = _harmonic_logs(chain, alpha)
         mask = _majorant_policy(chain, alpha, ratios, logs)
         assert np.array_equal(mask, node_majorant_policy(chain, alpha, ratios,
                                                          logs))
@@ -396,7 +396,7 @@ class TestHarmonicLogs:
     def test_log_ratios_match_decimal_recurrence(self, mu, alpha, n):
         # the recurrences in ratios near 1 lose ~1e-10 relative at alpha = 0.1
         chain = discretize(make_sticky_bm(mu, 1.0), -6.0, 6.0, n)
-        log_psi, log_phi = _harmonic_logs(chain, alpha, _edge_ratios(chain, alpha))
+        log_psi, log_phi = _harmonic_logs(chain, alpha)
         ref_psi, ref_phi = decimal_log_ratios(chain, alpha)
         assert np.max(np.abs(np.diff(log_psi) / ref_psi - 1.0)) <= 1e-12
         assert np.max(np.abs(-np.diff(log_phi) / ref_phi - 1.0)) <= 1e-12
@@ -441,7 +441,7 @@ class TestPolicyValues:
         continue_mask[0] = edges in ("left", "both")
         continue_mask[-1] = edges in ("right", "both")
         ratios = _edge_ratios(chain, alpha)
-        v = _policy_values(chain.reward, *_harmonic_logs(chain, alpha, ratios),
+        v = _policy_values(chain.reward, *_harmonic_logs(chain, alpha),
                            continue_mask)
         ref = banded_policy_values(chain, alpha, continue_mask)
         assert np.max(np.abs(v - ref)) <= 1e-9
@@ -449,7 +449,7 @@ class TestPolicyValues:
 
     def test_policy_that_never_stops_is_worth_nothing(self):
         chain = discretize(STICKY, -6.0, 6.0, 801)
-        logs = _harmonic_logs(chain, 0.5, _edge_ratios(chain, 0.5))
+        logs = _harmonic_logs(chain, 0.5)
         v = _policy_values(chain.reward, *logs, np.ones(chain.size, dtype=bool))
         assert np.array_equal(v, np.zeros(chain.size))
 
