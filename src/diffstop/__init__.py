@@ -55,7 +55,6 @@ from .stopping import (
     AlphaZeroSolution,
     Reward,
     SmoothFitReport,
-    StoppingProblem,
     alpha_thresholds,
     default_reward,
     general_smooth_fit_check,
@@ -64,7 +63,6 @@ from .stopping import (
     solve_threshold,
     st_functions,
     st_table,
-    sticky_problem,
     value_candidate,
     value_function,
 )

@@ -105,6 +105,21 @@ class Interval:
         return False
 
 
+def _scalar_aware(fn):
+    """The package's scalar convention: a scalar gives a float, an array an array.
+
+    The wrapped function receives its positional arguments as float64 arrays,
+    except the ``self`` of a method, and a 0-d result comes back as a Python
+    float.  Every closed-form evaluator goes through here.
+    """
+    skip = 1 if fn.__code__.co_varnames[:1] == ("self",) else 0
+
+    def wrapped(*args):
+        out = fn(*args[:skip], *[np.asarray(a, dtype=float) for a in args[skip:]])
+        return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+    return wrapped
+
+
 @dataclass(frozen=True)
 class DiffusionSpec:
     """Closed-form description of one diffusion family instance.
@@ -121,48 +136,33 @@ class DiffusionSpec:
     speed_atoms: tuple[tuple[float, float], ...] = ()
 
     # -- scale ------------------------------------------------------------
+    @_scalar_aware
     def scale(self, x):
         if self.family is Family.REFLECTED_KILLED_BM or self.mu == 0.0:
-            return np.asarray(x, dtype=float) if not np.isscalar(x) else float(x)
-        x = np.asarray(x, dtype=float)
-        out = (1.0 - np.exp(-2.0 * self.mu * x)) / (2.0 * self.mu)
-        return float(out) if out.ndim == 0 else out
+            return x
+        return (1.0 - np.exp(-2.0 * self.mu * x)) / (2.0 * self.mu)
 
+    @_scalar_aware
     def scale_deriv(self, x):
         if self.family is Family.REFLECTED_KILLED_BM or self.mu == 0.0:
-            return np.ones_like(np.asarray(x, dtype=float)) if not np.isscalar(x) else 1.0
-        x = np.asarray(x, dtype=float)
-        out = np.exp(-2.0 * self.mu * x)
-        return float(out) if out.ndim == 0 else out
-
-    def scale_left_limit(self) -> float:
-        """lim of S at the left endpoint (finite for transient drift)."""
-        if self.family is Family.REFLECTED_KILLED_BM:
-            return 0.0
-        if self.mu < 0.0:
-            return 1.0 / (2.0 * self.mu)
-        return -math.inf
+            return np.ones_like(x)
+        return np.exp(-2.0 * self.mu * x)
 
     # -- speed ------------------------------------------------------------
+    @_scalar_aware
     def speed_density(self, x):
-        x = np.asarray(x, dtype=float)
         if self.family is Family.REFLECTED_KILLED_BM:
-            out = np.full_like(x, 2.0)
-        else:
-            out = 2.0 * np.exp(2.0 * self.mu * x)
-        return float(out) if out.ndim == 0 else out
+            return np.full_like(x, 2.0)
+        return 2.0 * np.exp(2.0 * self.mu * x)
 
+    @_scalar_aware
     def speed_density_integral(self, a, b):
         """Exact integral of the speed density over [a, b], elementwise."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
         if np.any(b < a):
             raise ParameterError("integration bounds out of order")
         if self.family is Family.REFLECTED_KILLED_BM or self.mu == 0.0:
-            out = 2.0 * (b - a)
-        else:
-            out = (np.exp(2.0 * self.mu * b) - np.exp(2.0 * self.mu * a)) / self.mu
-        return float(out) if out.ndim == 0 else out
+            return 2.0 * (b - a)
+        return (np.exp(2.0 * self.mu * b) - np.exp(2.0 * self.mu * a)) / self.mu
 
     def speed_atom_at(self, z: float) -> float:
         for loc, w in self.speed_atoms:
@@ -301,27 +301,15 @@ class FundamentalSolutions:
         dx = self.phi_dx_right(x) if side == "right" else self.phi_dx_left(x)
         return dx / self.spec.scale_deriv(x)
 
+    @_scalar_aware
     def green(self, x, y):
         """Resolvent kernel w.r.t. the speed measure; symmetric, positive."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = self.psi(np.minimum(x, y)) * self.phi(np.maximum(x, y)) / self.wronskian
-        return float(out) if np.ndim(out) == 0 else out
+        return self.psi(np.minimum(x, y)) * self.phi(np.maximum(x, y)) / self.wronskian
 
+    @_scalar_aware
     def hitting_laplace(self, x, y):
         """E_x[exp(-alpha * hitting time of y)]; in (0, 1], and 1 iff x == y."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.where(x <= y, self.psi(x) / self.psi(y), self.phi(x) / self.phi(y))
-        return float(out) if np.ndim(out) == 0 else out
-
-
-def _scalar_aware(fn):
-    def wrapped(x):
-        arr = np.asarray(x, dtype=float)
-        out = fn(arr)
-        return float(out) if np.ndim(x) == 0 and np.ndim(out) == 0 else out
-    return wrapped
+        return np.where(x <= y, self.psi(x) / self.psi(y), self.phi(x) / self.phi(y))
 
 
 def _sticky_solutions(spec: DiffusionSpec, alpha: float) -> FundamentalSolutions:

@@ -125,7 +125,8 @@ def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
     """Uniform-in-x grid of n nodes, snapped so every speed atom is a node.
 
     Node masses integrate the speed density exactly over the surrounding
-    half-cells and add the atom weight at the atom's node.
+    half-cells and add the atom weight at the atom's node.  A reward that is
+    not finite at every node raises :class:`ParameterError`.
     """
     if n < 50:
         raise ParameterError(f"need at least 50 nodes, got {n}")
@@ -161,6 +162,8 @@ def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
         def reward(x):
             return np.maximum(1.0 + np.asarray(x, dtype=float), 0.0)
     g = np.asarray(reward(nodes), dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise ParameterError("the reward must be finite at every node")
     return ChainModel(spec=spec, nodes=nodes, node_mass=mass, up_rate=up,
                       down_rate=down, reward=g, window=(lower, upper))
 
@@ -200,11 +203,6 @@ def _edge_roots(chain: ChainModel, alpha: float
     return ((float(r_left), float(r_right)), (float(c_left), float(c_right)))
 
 
-def _edge_ratios(chain: ChainModel, alpha: float) -> tuple[float, float]:
-    """Decay ratios ``(r_left, r_right)`` of the transparent truncation edges."""
-    return _edge_roots(chain, alpha)[0]
-
-
 def _continuation(chain: ChainModel, v: np.ndarray, alpha: float,
                   ratios: tuple[float, float]) -> np.ndarray:
     """Value of continuing one step from every node, edges included."""
@@ -217,14 +215,14 @@ def _continuation(chain: ChainModel, v: np.ndarray, alpha: float,
 
 
 def _residual(chain: ChainModel, v: np.ndarray, alpha: float) -> float:
-    cont = _continuation(chain, v, alpha, _edge_ratios(chain, alpha))
+    cont = _continuation(chain, v, alpha, _edge_roots(chain, alpha)[0])
     return float(np.max(np.abs(v - np.maximum(chain.reward, cont))))
 
 
 def _solve_value_iteration(chain: ChainModel, alpha: float, tol: float,
                            max_iter: int) -> tuple[np.ndarray, int]:
     g = chain.reward
-    ratios = _edge_ratios(chain, alpha)
+    ratios = _edge_roots(chain, alpha)[0]
     v = g.copy()
     for it in range(1, max_iter + 1):
         new = np.maximum(g, _continuation(chain, v, alpha, ratios))
@@ -464,7 +462,7 @@ def _policy_values(g: np.ndarray, log_psi: np.ndarray, log_phi: np.ndarray,
 def _solve_policy_iteration(chain: ChainModel, alpha: float, tol: float,
                             max_iter: int) -> tuple[np.ndarray, int]:
     g = chain.reward
-    ratios = _edge_ratios(chain, alpha)
+    ratios = _edge_roots(chain, alpha)[0]
     logs = _harmonic_logs(chain, alpha)
     # the first policy is the majorant's; later ones change a node's action
     # only on strict improvement, so ties cannot make the policies cycle
@@ -512,7 +510,7 @@ def solve_chain_stopping(chain: ChainModel, alpha: float, method: str = "policy"
     else:
         raise ParameterError(f"unknown method {method!r}")
     res = _residual(chain, v, alpha)
-    if res > max(tol, 1e-10):
+    if not res <= max(tol, 1e-10):       # a NaN residual fails too
         raise ConvergenceError(f"solver left residual {res:g}", achieved=res)
     return ChainSolution(values=v, iterations=it, residual=res, method=method)
 

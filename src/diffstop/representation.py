@@ -76,7 +76,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diffusion import DiffusionSpec, FundamentalSolutions, fundamental
+from .diffusion import DiffusionSpec, FundamentalSolutions, _scalar_aware, fundamental
 from .errors import ConvergenceError, DomainError, NotExcessiveError, ParameterError
 
 __all__ = [
@@ -138,17 +138,15 @@ def green_candidate(spec: DiffusionSpec, alpha: float, y0: float,
     def value(x):
         return fs.green(x, y0)
 
+    @_scalar_aware
     def ds_right(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < y0, fs.psi_ds(x, "right") * fs.phi(y0),
-                       fs.psi(y0) * fs.phi_ds(x, "right")) / w
-        return float(out) if out.ndim == 0 else out
+        return np.where(x < y0, fs.psi_ds(x, "right") * fs.phi(y0),
+                        fs.psi(y0) * fs.phi_ds(x, "right")) / w
 
+    @_scalar_aware
     def ds_left(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x <= y0, fs.psi_ds(x, "left") * fs.phi(y0),
-                       fs.psi(y0) * fs.phi_ds(x, "left")) / w
-        return float(out) if out.ndim == 0 else out
+        return np.where(x <= y0, fs.psi_ds(x, "left") * fs.phi(y0),
+                        fs.psi(y0) * fs.phi_ds(x, "left")) / w
 
     kinks = tuple(sorted({y0, *_atom_locations(spec)}))
     return ExcessiveCandidate(value, ds_right, ds_left, x0, kinks,
@@ -182,14 +180,13 @@ def candidate_from_callable(spec: DiffusionSpec, fn: Callable, x0: float,
     all_kinks = tuple(sorted({*kinks, *_atom_locations(spec)}))
 
     def ds_side(x, side):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([f_derivative(fn, spec.scale, float(z), side) for z in xs])
-        return float(out[0]) if np.ndim(x) == 0 else out
+        return np.reshape([f_derivative(fn, spec.scale, z, side)
+                           for z in x.ravel().tolist()], x.shape)
 
     return ExcessiveCandidate(
         fn,
-        lambda x: ds_side(x, "right"),
-        lambda x: ds_side(x, "left"),
+        _scalar_aware(lambda x: ds_side(x, "right")),
+        _scalar_aware(lambda x: ds_side(x, "left")),
         x0, all_kinks, label=label or getattr(fn, "__name__", "candidate"),
     )
 
@@ -292,6 +289,7 @@ class RepresentingMeasure:
                 return w
         return 0.0
 
+    @_scalar_aware
     def ac_cdf(self, y):
         """Continuous cumulative of the absolutely continuous part.
 
@@ -299,7 +297,6 @@ class RepresentingMeasure:
         sigma_ac relative to x0.  Only differences of this function are ever
         used, so the additive origin is immaterial.
         """
-        y = np.asarray(y, dtype=float)
         if self.kind == "martin":
             below = self.left_tail(y) - _atoms_below(self.atoms, y, strict=True) \
                 - self.mass_left_boundary
@@ -308,10 +305,8 @@ class RepresentingMeasure:
             out = np.where(y <= self.x0, below, above)
             # the tail formulas are only meaningful strictly inside the
             # interval; at an included endpoint the AC mass so far is zero
-            out = np.where(y <= self.interval_left, 0.0, out)
-        else:
-            out = np.where(y >= self.x0, self.right_tail(y), -self.left_tail(y))
-        return float(out) if out.ndim == 0 else out
+            return np.where(y <= self.interval_left, 0.0, out)
+        return np.where(y >= self.x0, self.right_tail(y), -self.left_tail(y))
 
 
 def _atoms_below(atoms, y, strict: bool):
@@ -404,20 +399,18 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
     # included endpoint they report the one-sided limit (which carries any
     # endpoint atom), while the set being measured is empty there, so the
     # exposed tails clamp to zero at the endpoints.
+    @_scalar_aware
     def right_excl(x):   # nu((x, r]) for x >= x0
-        x = np.asarray(x, dtype=float)
         raw = (psi_x0 / w) * (fs.phi(x) * ur(x) - u(x) * fs.phi_ds(x, "right")) / u0
-        out = np.where(x >= r, 0.0, raw)
-        return float(out) if out.ndim == 0 else out
+        return np.where(x >= r, 0.0, raw)
 
     def right_incl(x):   # nu([x, r])
         return (psi_x0 / w) * (fs.phi(x) * ul(x) - u(x) * fs.phi_ds(x, "left")) / u0
 
+    @_scalar_aware
     def left_excl(x):    # nu([l, x)) for x <= x0
-        x = np.asarray(x, dtype=float)
         raw = (phi_x0 / w) * (u(x) * fs.psi_ds(x, "left") - fs.psi(x) * ul(x)) / u0
-        out = np.where(x <= l, 0.0, raw)
-        return float(out) if out.ndim == 0 else out
+        return np.where(x <= l, 0.0, raw)
 
     def left_incl(x):    # nu([l, x])
         return (phi_x0 / w) * (u(x) * fs.psi_ds(x, "right") - fs.psi(x) * ur(x)) / u0
@@ -633,12 +626,10 @@ def riesz_from_martin(measure: RepresentingMeasure, spec: DiffusionSpec,
     def tail(y, side):
         # sigma_ac((x0, y]) on the right, sigma_ac([y, x0)) on the left; a
         # point on the wrong side of x0 carries an empty range
-        shape = np.shape(y)
-        ys = np.asarray(y, dtype=float).ravel()
+        if not y.size:
+            return y
         sgn, strict = (1.0, False) if side == "right" else (-1.0, True)
-        ys = np.maximum(ys, x0) if side == "right" else np.minimum(ys, x0)
-        if not ys.size:
-            return ys
+        ys = np.maximum(y, x0).ravel() if side == "right" else np.minimum(y, x0).ravel()
 
         def in_range(atom_list):
             return sgn * (_atoms_below(atom_list, ys, strict)
@@ -647,11 +638,12 @@ def riesz_from_martin(measure: RepresentingMeasure, spec: DiffusionSpec,
         d = scale_deriv(np.append(ys, x0), side)
         out = (sgn * (d[-1] - d[:-1]) + alpha * speed_integral(ys, side)
                + in_range(speed_atoms)) / u0 - in_range(inner_atoms)
-        return float(out[0]) if not shape else out.reshape(shape)
+        return out.reshape(y.shape)
 
     return replace(
         measure, kind="riesz", atoms=atoms, total_mass=math.nan,
-        left_tail=lambda y: tail(y, "left"), right_tail=lambda y: tail(y, "right"),
+        left_tail=_scalar_aware(lambda y: tail(y, "left")),
+        right_tail=_scalar_aware(lambda y: tail(y, "right")),
         base=measure,
     )
 
@@ -998,48 +990,53 @@ def measure_from_doc(doc: dict, spec: DiffusionSpec) -> RepresentingMeasure:
     """Rebuild a measure from its document.
 
     Atoms are restored exactly; the absolutely continuous part becomes a
-    piecewise-linear interpolant of the stored samples.
+    piecewise-linear interpolant of the stored samples.  A document with a
+    missing field, or with a ``kind`` other than "martin" and "riesz",
+    raises :class:`ParameterError` naming the field.
     """
-    kind = doc["kind"]
-    x0 = float(doc["x0"])
-    atoms = tuple((float(a["location"]), float(a["weight"])) for a in doc["atoms"])
-    mass_left = float(doc["mass_left_boundary"])
-    mass_right = float(doc["mass_right_boundary"])
-    total = doc.get("total_mass")
-    total = math.nan if total is None else float(total)
-    left_samples = np.array(doc["tail_samples"]["left"], dtype=float).reshape(-1, 2)
-    right_samples = np.array(doc["tail_samples"]["right"], dtype=float).reshape(-1, 2)
+    try:
+        kind = doc["kind"]
+        x0 = float(doc["x0"])
+        normalization = float(doc["normalization"])
+        atoms = tuple((float(a["location"]), float(a["weight"])) for a in doc["atoms"])
+        mass_left = float(doc["mass_left_boundary"])
+        mass_right = float(doc["mass_right_boundary"])
+        total = doc.get("total_mass")
+        total = math.nan if total is None else float(total)
+        left_samples = np.array(doc["tail_samples"]["left"], dtype=float).reshape(-1, 2)
+        right_samples = np.array(doc["tail_samples"]["right"], dtype=float).reshape(-1, 2)
+    except KeyError as err:
+        raise ParameterError(
+            f"measure document is missing the field {err.args[0]!r}") from None
+    except (TypeError, ValueError) as err:
+        raise ParameterError(f"malformed measure document: {err}") from None
+    if kind not in ("martin", "riesz"):
+        raise ParameterError(f"measure document field 'kind' is {kind!r}; "
+                             "expected 'martin' or 'riesz'")
 
-    def interp(samples):
-        xs, vs = samples[:, 0], samples[:, 1]
-        def fn(y):
-            return np.interp(np.asarray(y, dtype=float), xs, vs)
-        return fn
+    def ac_left(y):
+        return np.interp(y, left_samples[:, 0], left_samples[:, 1])
 
-    ac_left = interp(left_samples)
-    ac_right = interp(right_samples)
+    def ac_right(y):
+        return np.interp(y, right_samples[:, 0], right_samples[:, 1])
 
     if kind == "martin":
+        @_scalar_aware
         def left_tail(y):   # nu([l, y))
-            y = np.asarray(y, dtype=float)
             return ac_left(y) + _atoms_below(atoms, y, strict=True) + mass_left
 
+        @_scalar_aware
         def right_tail(y):  # nu((y, r]) = total - nu([l, y])
-            y = np.asarray(y, dtype=float)
             return total - mass_left - ac_right(y) - _atoms_below(atoms, y, strict=False)
     else:
-        def left_tail(y):
-            return ac_left(y)
-
-        def right_tail(y):
-            return ac_right(y)
+        left_tail, right_tail = _scalar_aware(ac_left), _scalar_aware(ac_right)
 
     # the interpolated cumulative is piecewise linear, so quadrature panels
     # must split at every sample point
     kinks = tuple(sorted({x0, *(a[0] for a in atoms),
                           *left_samples[:, 0], *right_samples[:, 0]}))
     return RepresentingMeasure(
-        kind=kind, x0=x0, normalization=float(doc["normalization"]),
+        kind=kind, x0=x0, normalization=normalization,
         total_mass=total, mass_left_boundary=mass_left,
         mass_right_boundary=mass_right, atoms=atoms, kinks=kinks,
         interval_left=spec.interval.left, interval_right=spec.interval.right,

@@ -44,17 +44,16 @@ from typing import Callable
 
 import numpy as np
 
-from .diffusion import DiffusionSpec, FundamentalSolutions, fundamental, make_sticky_bm
+from .diffusion import (DiffusionSpec, FundamentalSolutions, _scalar_aware,
+                        fundamental, make_sticky_bm)
 from .errors import ConvergenceError, DomainError, ParameterError
 from .representation import ExcessiveCandidate, f_derivative
 
 __all__ = [
     "Reward",
-    "StoppingProblem",
     "SmoothFitReport",
     "AlphaZeroSolution",
     "default_reward",
-    "sticky_problem",
     "alpha_thresholds",
     "st_functions",
     "st_table",
@@ -80,49 +79,19 @@ class Reward:
 
 
 def default_reward() -> Reward:
+    @_scalar_aware
     def value(x):
-        x = np.asarray(x, dtype=float)
-        out = np.maximum(1.0 + x, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.maximum(1.0 + x, 0.0)
 
+    @_scalar_aware
     def dx_left(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x > -1.0, 1.0, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.where(x > -1.0, 1.0, 0.0)
 
+    @_scalar_aware
     def dx_right(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= -1.0, 1.0, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.where(x >= -1.0, 1.0, 0.0)
 
     return Reward(value, dx_left, dx_right)
-
-
-@dataclass(frozen=True)
-class StoppingProblem:
-    """A diffusion, a discount rate and a reward.
-
-    Construction checks the value-finiteness guard g / psi bounded toward
-    the right boundary on a sample ray.
-    """
-
-    spec: DiffusionSpec
-    alpha: float
-    reward: Reward
-
-
-def sticky_problem(alpha: float, c: float, reward: Reward | None = None) -> StoppingProblem:
-    if alpha <= 0:
-        raise ParameterError(f"discount rate must be positive, got {alpha}")
-    spec = make_sticky_bm(0.0, c)
-    reward = reward or default_reward()
-    fs = fundamental(spec, alpha)
-    ray = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
-    ratios = np.asarray(reward.value(ray), dtype=float) / np.asarray(fs.psi(ray), dtype=float)
-    if not np.all(np.isfinite(ratios)) or np.any(np.diff(ratios) > 1e-12):
-        raise ParameterError("reward grows too fast: g/psi must stay bounded "
-                             "toward the right boundary")
-    return StoppingProblem(spec=spec, alpha=alpha, reward=reward)
 
 
 def alpha_thresholds(c: float) -> tuple[float, float]:
@@ -245,19 +214,23 @@ def solve_threshold(alpha: float, c: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _value_setup(alpha: float, c: float) -> tuple[float, float, FundamentalSolutions]:
-    """(x*, g(x*) / psi(x*), fundamental solutions) of the stopping value."""
+def _value_setup(alpha: float, c: float) -> tuple[float, float, FundamentalSolutions, Callable]:
+    """(x*, g(x*) / psi(x*), fundamental solutions, the value) of the stopping
+    problem; the value is g(x*) psi(x) / psi(x*) below the threshold, g above."""
     xs = solve_threshold(alpha, c)
     fs = fundamental(make_sticky_bm(0.0, c), alpha)
-    return xs, (1.0 + xs) / float(fs.psi(xs)), fs
+    coef = (1.0 + xs) / fs.psi(xs)
+
+    @_scalar_aware
+    def value(x):
+        return np.where(x <= xs, coef * fs.psi(x), np.maximum(1.0 + x, 0.0))
+
+    return xs, coef, fs, value
 
 
 def value_function(alpha: float, c: float, x) -> float | np.ndarray:
     """Stopping value: g(x*) psi(x) / psi(x*) below the threshold, g above."""
-    xs, coef, fs = _value_setup(alpha, c)
-    x = np.asarray(x, dtype=float)
-    out = np.where(x <= xs, coef * fs.psi(x), np.maximum(1.0 + x, 0.0))
-    return float(out) if out.ndim == 0 else out
+    return _value_setup(alpha, c)[3](x)
 
 
 def value_candidate(alpha: float, c: float, x0: float | None = None) -> ExcessiveCandidate:
@@ -266,22 +239,17 @@ def value_candidate(alpha: float, c: float, x0: float | None = None) -> Excessiv
     The default normalization point sits strictly above both the threshold
     and the sticky point, max(0, x*) + 1.
     """
-    xs, coef, fs = _value_setup(alpha, c)
+    xs, coef, fs, value = _value_setup(alpha, c)
     if x0 is None:
         x0 = max(0.0, xs) + 1.0
 
-    def value(x):
-        return value_function(alpha, c, x)
-
+    @_scalar_aware
     def ds_right(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < xs, coef * fs.psi_ds(x, "right"), 1.0)
-        return float(out) if out.ndim == 0 else out
+        return np.where(x < xs, coef * fs.psi_ds(x, "right"), 1.0)
 
+    @_scalar_aware
     def ds_left(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x <= xs, coef * fs.psi_ds(x, "left"), 1.0)
-        return float(out) if out.ndim == 0 else out
+        return np.where(x <= xs, coef * fs.psi_ds(x, "left"), 1.0)
 
     kinks = tuple(sorted({0.0, xs}))
     return ExcessiveCandidate(value, ds_right, ds_left, float(x0), kinks,
@@ -293,19 +261,16 @@ class SmoothFitReport:
     """One-sided derivatives of the stopping value at the threshold.
 
     ``jump = left_deriv - right_deriv`` decomposes exactly as
-    ``sigma_atom - speed_term``.  The scale-derivative variants coincide
-    with the x-derivatives here because the driftless process is in natural
-    scale.  Verdict is "SmoothFit" iff the jump vanishes (within 1e-9).
+    ``sigma_atom - speed_term``.  The x-derivatives are also the scale
+    derivatives, because the driftless process is in natural scale.
+    Verdict is "SmoothFit" iff the jump vanishes (within 1e-9).
     """
 
     alpha: float
     c: float
     x_star: float
-    z: float
     left_deriv: float
     right_deriv: float
-    left_deriv_scale: float
-    right_deriv_scale: float
     jump: float
     sigma_atom: float
     speed_term: float
@@ -349,9 +314,8 @@ def smooth_fit_report(alpha: float, c: float) -> SmoothFitReport:
     sigma_atom = jump + speed_term
     a1, a2 = alpha_thresholds(c)
     return SmoothFitReport(
-        alpha=alpha, c=c, x_star=xs, z=xs,
+        alpha=alpha, c=c, x_star=xs,
         left_deriv=left, right_deriv=right,
-        left_deriv_scale=left, right_deriv_scale=right,
         jump=jump, sigma_atom=sigma_atom, speed_term=speed_term,
         alpha1=a1, alpha2=a2,
         verdict="SmoothFit" if abs(jump) <= _JUMP_TOL else "Fails",
@@ -412,11 +376,10 @@ def solve_alpha_zero(mu: float, c: float = 1.0) -> AlphaZeroSolution:
     g_at = 1.0 + threshold
     psi_at = math.exp(rate * threshold)
 
+    @_scalar_aware
     def value(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x <= threshold,
-                       g_at * np.exp(rate * x) / psi_at,
-                       np.maximum(1.0 + x, 0.0))
-        return float(out) if out.ndim == 0 else out
+        return np.where(x <= threshold,
+                        g_at * np.exp(rate * x) / psi_at,
+                        np.maximum(1.0 + x, 0.0))
 
     return AlphaZeroSolution(mu=mu, threshold=threshold, value=value)

@@ -1,5 +1,6 @@
 """Birth-death chain construction, solvers, and agreement with closed forms."""
 
+import dataclasses
 import decimal
 import math
 import pickle
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from diffstop.diffusion import (Family, make_drift_bm,
                                 make_reflected_killed_bm, make_sticky_bm)
 from diffstop.errors import ConvergenceError, DomainError, ParameterError
-from diffstop.oracle import (_continuation, _edge_ratios, _harmonic_logs,
+from diffstop.oracle import (_continuation, _edge_roots, _harmonic_logs,
                              _majorant_policy, _policy_values, compare,
                              discretize, solve_chain_stopping)
 from diffstop.stopping import solve_threshold, value_function
@@ -105,6 +106,15 @@ class TestDiscretize:
         with pytest.raises(DomainError):
             discretize(rk, -1.0, 0.9, 101)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reward_rejected(self, bad):
+        def reward(x):
+            g = np.maximum(1.0 + x, 0.0)
+            g[100] = bad
+            return g
+        with pytest.raises(ParameterError):
+            discretize(STICKY, -6.0, 6.0, 201, reward=reward)
+
 
 class TestSolvers:
     def test_zero_reward(self):
@@ -154,6 +164,18 @@ class TestSolvers:
         with pytest.raises(ConvergenceError) as err:
             solve_chain_stopping(chain, 0.25, method="value", max_iter=5)
         assert err.value.achieved is not None
+
+    def test_non_finite_residual_raises(self):
+        # chains built around discretize's check: a NaN node, and +inf for
+        # x > 0, leave a NaN residual, which must not pass the gate
+        chain = discretize(STICKY, -6.0, 6.0, 201)
+        nan_node = chain.reward.copy()
+        nan_node[100] = np.nan
+        inf_right = np.where(chain.nodes > 0.0, np.inf, chain.reward)
+        for g in (nan_node, inf_right):
+            bad = dataclasses.replace(chain, reward=g)
+            with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError):
+                solve_chain_stopping(bad, 0.5)
 
     def test_deterministic_across_runs(self):
         chain = discretize(STICKY, -6.0, 6.0, 501)
@@ -227,7 +249,7 @@ class TestMajorantSeed:
         # same mask, so the same policy values bit for bit
         chain = discretize(make_sticky_bm(0.0, c), -6.0, 6.0, 2001,
                            reward=reward)
-        ratios = _edge_ratios(chain, alpha)
+        ratios = _edge_roots(chain, alpha)[0]
         logs = _harmonic_logs(chain, alpha)
         mask = _majorant_policy(chain, alpha, ratios, logs)
         assert np.array_equal(mask, float_majorant_policy(chain, logs))
@@ -243,7 +265,7 @@ class TestMajorantSeed:
     ], ids=["sawtooth", "wide", "wide-two-sided", "subnormal"])
     def test_run_pass_matches_node_pass(self, lo, hi, n, alpha, reward):
         chain = discretize(STICKY, lo, hi, n, reward=reward)
-        ratios = _edge_ratios(chain, alpha)
+        ratios = _edge_roots(chain, alpha)[0]
         logs = _harmonic_logs(chain, alpha)
         assert np.array_equal(_majorant_policy(chain, alpha, ratios, logs),
                               node_majorant_policy(chain, alpha, ratios, logs))
@@ -274,7 +296,7 @@ class TestMajorantSeed:
         b = solve_chain_stopping(chain, alpha, method="policy")
         assert b.residual <= 1e-10
         assert np.max(np.abs(a.values - b.values)) <= 1e-7
-        ratios = _edge_ratios(chain, alpha)
+        ratios = _edge_roots(chain, alpha)[0]
         logs = _harmonic_logs(chain, alpha)
         mask = _majorant_policy(chain, alpha, ratios, logs)
         assert np.array_equal(mask, node_majorant_policy(chain, alpha, ratios,
@@ -411,7 +433,7 @@ def banded_policy_values(chain, alpha, continue_mask):
     """
     solve_banded = pytest.importorskip("scipy.linalg").solve_banded
     n = chain.size
-    r_left, r_right = _edge_ratios(chain, alpha)
+    r_left, r_right = _edge_roots(chain, alpha)[0]
     banded = np.zeros((3, n))
     banded[1, :] = 1.0
     rhs = np.where(continue_mask, 0.0, chain.reward)
@@ -440,7 +462,7 @@ class TestPolicyValues:
         continue_mask = rng.random(chain.size) < 0.9
         continue_mask[0] = edges in ("left", "both")
         continue_mask[-1] = edges in ("right", "both")
-        ratios = _edge_ratios(chain, alpha)
+        ratios = _edge_roots(chain, alpha)[0]
         v = _policy_values(chain.reward, *_harmonic_logs(chain, alpha),
                            continue_mask)
         ref = banded_policy_values(chain, alpha, continue_mask)

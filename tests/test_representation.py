@@ -803,6 +803,28 @@ class TestSerialization:
             got = reconstruct(back, STICKY, 0.5, x)
             assert got == pytest.approx(cand.value(x) / u0, abs=5e-4)
 
+    def test_unknown_kind_rejected(self):
+        doc = measure_to_doc(martin_measure(STICKY, 0.5, value_candidate(0.5, 1.0)))
+        doc["kind"] = "foo"
+        with pytest.raises(ParameterError, match="'kind'"):
+            measure_from_doc(doc, STICKY)
+
+    @pytest.mark.parametrize("key", ["x0", "total_mass"])
+    def test_malformed_value_rejected(self, key):
+        doc = measure_to_doc(martin_measure(STICKY, 0.5, value_candidate(0.5, 1.0)))
+        doc[key] = "one"
+        with pytest.raises(ParameterError):
+            measure_from_doc(doc, STICKY)
+
+    @pytest.mark.parametrize("key", ["kind", "x0", "normalization", "atoms",
+                                     "mass_left_boundary", "mass_right_boundary",
+                                     "tail_samples"])
+    def test_missing_field_rejected(self, key):
+        doc = measure_to_doc(martin_measure(STICKY, 0.5, value_candidate(0.5, 1.0)))
+        del doc[key]
+        with pytest.raises(ParameterError, match=f"'{key}'"):
+            measure_from_doc(doc, STICKY)
+
     def test_riesz_doc_round_trip_pure_atom(self):
         rk = make_reflected_killed_bm()
         m = martin_measure(rk, 0.5, phi_candidate(rk, 0.5, x0=0.5))
@@ -814,3 +836,77 @@ class TestSerialization:
         for x in (0.0, 0.3, 0.8):
             assert reconstruct(back, rk, 0.5, x) == \
                 pytest.approx(cand.value(x) / u0, abs=1e-8)
+
+
+def _scalar_convention_cases():
+    """(id, callable, arity, base point) over the public evaluators."""
+    cases = []
+    for mu in (0.0, -0.3):
+        spec = make_sticky_bm(mu, 1.0)
+        for name in ("scale", "scale_deriv", "speed_density"):
+            cases.append((f"{name}[mu={mu}]", getattr(spec, name), 1, 0.5))
+        cases.append((f"speed_density_integral[mu={mu}]",
+                      spec.speed_density_integral, 2, 0.5))
+    rk = make_reflected_killed_bm()
+    for label, spec, x in (("sticky", make_sticky_bm(-0.3, 1.0), 0.5),
+                           ("reflected_killed", rk, 0.4)):
+        fs = fundamental(spec, 0.5)
+        for name in ("psi", "phi", "psi_dx_right", "psi_dx_left",
+                     "phi_dx_right", "phi_dx_left", "psi_ds", "phi_ds"):
+            cases.append((f"{name}[{label}]", getattr(fs, name), 1, x))
+        cases.append((f"green[{label}]", fs.green, 2, x))
+        cases.append((f"hitting_laplace[{label}]", fs.hitting_laplace, 2, x))
+    cases.append(("value_function", lambda x: value_function(0.5, 1.0, x), 1, -0.5))
+    reward = default_reward()
+    for name in ("value", "dx_left", "dx_right"):
+        cases.append((f"reward.{name}", getattr(reward, name), 1, 0.5))
+    cands = {
+        "value": value_candidate(0.5, 1.0),
+        "green": green_candidate(STICKY, 0.5, 0.7),
+        "psi": psi_candidate(STICKY, 0.5),
+        "phi": phi_candidate(STICKY, 0.5),
+    }
+    for label, cand in cands.items():
+        for name in ("ds_right", "ds_left"):
+            cases.append((f"{label}.{name}", getattr(cand, name), 1, -0.5))
+    martin = martin_measure(STICKY, 0.5, cands["value"])
+    measures = {
+        "martin": martin,
+        "riesz": riesz_from_martin(martin, STICKY, 0.5),
+        "martin_doc": measure_from_doc(measure_to_doc(martin), STICKY),
+    }
+    for label, m in measures.items():
+        for name in ("left_tail", "right_tail", "ac_cdf"):
+            cases.append((f"{label}.{name}", getattr(m, name), 1, 0.5))
+    return cases
+
+
+class TestScalarConvention:
+    """A Python float, an np.float64 or a 0-d array gives a float; a 1-D
+    array gives an array of its shape, elementwise equal to the scalar calls
+    (to rounding for the Riesz tails, whose panels run between the requested
+    points)."""
+
+    CASES = _scalar_convention_cases()
+
+    @pytest.mark.parametrize("fn, arity, x", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_scalar_in_float_out(self, fn, arity, x):
+        points = [x - 0.25 * k for k in range(arity)][::-1]
+        expected = fn(*points)
+        assert type(expected) is float
+        for kind in (np.float64, np.array):
+            got = fn(*(kind(p) for p in points))
+            assert type(got) is float
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+    @pytest.mark.parametrize("fn, arity, x", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_array_in_array_out(self, fn, arity, x):
+        offsets = np.array([0.0, 0.05, 0.1])
+        points = [x - 0.25 * k for k in range(arity)][::-1]
+        got = fn(*(p - offsets for p in points))
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        for i, off in enumerate(offsets):
+            assert got[i] == pytest.approx(fn(*(p - off for p in points)),
+                                           rel=1e-12, abs=1e-15)

@@ -18,7 +18,6 @@ from diffstop.stopping import (
     solve_threshold,
     st_functions,
     st_table,
-    sticky_problem,
     value_candidate,
     value_function,
 )
@@ -232,8 +231,8 @@ class TestSmoothFitReport:
             alpha = float(alpha)
             rep = smooth_fit_report(alpha, 1.0)
             v = lambda x: value_function(alpha, 1.0, x)
-            left = f_derivative(v, lambda x: x, rep.z, "left")
-            right = f_derivative(v, lambda x: x, rep.z, "right")
+            left = f_derivative(v, lambda x: x, rep.x_star, "left")
+            right = f_derivative(v, lambda x: x, rep.x_star, "right")
             assert rep.jump == pytest.approx(left - right, abs=1e-6)
 
     def test_verdict_regimes(self):
@@ -319,18 +318,3 @@ class TestAlphaZero:
             solve_alpha_zero(0.0)
         with pytest.raises(ParameterError):
             solve_alpha_zero(0.3)
-
-
-class TestStoppingProblem:
-    def test_finiteness_guard(self):
-        problem = sticky_problem(0.5, 1.0)
-        assert problem.alpha == 0.5
-        fast = lambda x: np.exp(np.asarray(x, dtype=float) ** 2)
-        from diffstop.stopping import Reward
-        bad = Reward(fast, lambda x: x, lambda x: x)
-        with np.errstate(over="ignore"), pytest.raises(ParameterError):
-            sticky_problem(0.5, 1.0, reward=bad)
-
-    def test_invalid_discount(self):
-        with pytest.raises(ParameterError):
-            sticky_problem(0.0, 1.0)
