@@ -12,9 +12,7 @@ sweep         alpha-grid of threshold / jump / atom / verdict rows
 Numeric output uses 17 significant digits with '.' as the decimal mark and
 no grouping, so identical invocations produce byte-identical files.  Errors
 in numeric domains exit with code 1 and a machine-readable JSON object on
-stderr; flag errors exit with code 2.  The environment variable
-DIFFSTOP_SEED is reserved for future use: every computation here is
-deterministic and ignores it.
+stderr; flag errors exit with code 2.
 """
 
 from __future__ import annotations

@@ -120,6 +120,24 @@ def _scalar_aware(fn):
     return wrapped
 
 
+def _values(u: Callable, ys: np.ndarray) -> np.ndarray:
+    """u on the 1-D float64 array ys, a scalar result broadcast to its shape.
+
+    The package's rule for user callables: u takes a 1-D float array and
+    returns an array of that shape or a scalar.  Any other result shape
+    raises :class:`ParameterError`.
+    """
+    f = np.asarray(u(ys), dtype=float)
+    if f.ndim == 0:
+        return np.full(ys.shape, float(f))
+    if f.shape != ys.shape:
+        raise ParameterError(
+            f"a callable returned shape {f.shape} for an array of shape "
+            f"{ys.shape}; it must take a 1-D float array and return an array "
+            "of that shape or a scalar")
+    return f
+
+
 @dataclass(frozen=True)
 class DiffusionSpec:
     """Closed-form description of one diffusion family instance.

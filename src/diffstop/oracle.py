@@ -28,7 +28,7 @@ edge rows read
 which uses chain data only and reduces to stopping at the edge wherever the
 edge lies in the stopping region.  Fine grids make the one-step contraction
 factor approach 1, so the solver uses policy iteration; plain value iteration
-is kept as a cross-check.
+is the tests' reference, not a solver of the package.
 
 Policy iteration rests on the chain's excessive-function geometry (Dayanik &
 Karatzas, Stoch. Proc. Appl. 107, 2003).  Let psi and phi be the chain's
@@ -66,8 +66,7 @@ them, evaluated as above, and the maximum is the argmax of log g - log phi.
 log psi and log phi themselves come from one vectorised scan of the ratio
 complements, whose recurrences are Moebius maps with positive coefficients,
 so nothing cancels.
-Everything is deterministic: fixed summation order, Jacobi-style sweeps, no
-randomness.
+Everything is deterministic: fixed summation order, no randomness.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diffusion import DiffusionSpec
+from .diffusion import DiffusionSpec, _values
 from .errors import ConvergenceError, DomainError, ParameterError
 
 __all__ = [
@@ -125,8 +124,10 @@ def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
     """Uniform-in-x grid of n nodes, snapped so every speed atom is a node.
 
     Node masses integrate the speed density exactly over the surrounding
-    half-cells and add the atom weight at the atom's node.  A reward that is
-    not finite at every node raises :class:`ParameterError`.
+    half-cells and add the atom weight at the atom's node.  The reward is
+    called once on the float64 array of nodes and returns an array of that
+    shape or a scalar, which is broadcast.  Any other result shape, or a
+    reward that is not finite at every node, raises :class:`ParameterError`.
     """
     if n < 50:
         raise ParameterError(f"need at least 50 nodes, got {n}")
@@ -161,7 +162,7 @@ def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
     if reward is None:
         def reward(x):
             return np.maximum(1.0 + np.asarray(x, dtype=float), 0.0)
-    g = np.asarray(reward(nodes), dtype=float)
+    g = _values(reward, nodes)
     if not np.all(np.isfinite(g)):
         raise ParameterError("the reward must be finite at every node")
     return ChainModel(spec=spec, nodes=nodes, node_mass=mass, up_rate=up,
@@ -173,7 +174,6 @@ class ChainSolution:
     values: np.ndarray
     iterations: int
     residual: float
-    method: str
 
 
 def _edge_roots(chain: ChainModel, alpha: float
@@ -217,22 +217,6 @@ def _continuation(chain: ChainModel, v: np.ndarray, alpha: float,
 def _residual(chain: ChainModel, v: np.ndarray, alpha: float) -> float:
     cont = _continuation(chain, v, alpha, _edge_roots(chain, alpha)[0])
     return float(np.max(np.abs(v - np.maximum(chain.reward, cont))))
-
-
-def _solve_value_iteration(chain: ChainModel, alpha: float, tol: float,
-                           max_iter: int) -> tuple[np.ndarray, int]:
-    g = chain.reward
-    ratios = _edge_roots(chain, alpha)[0]
-    v = g.copy()
-    for it in range(1, max_iter + 1):
-        new = np.maximum(g, _continuation(chain, v, alpha, ratios))
-        delta = float(np.max(np.abs(new - v)))
-        v = new
-        if delta <= tol:
-            return v, it
-    raise ConvergenceError(
-        f"value iteration did not reach {tol:g} in {max_iter} sweeps",
-        achieved=delta)
 
 
 def _mobius_scan(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -388,13 +372,6 @@ def _majorant_policy(chain: ChainModel, alpha: float,
         return above(hull[-1], t, t + 1)
 
     for s, e in zip(starts, ends):
-        # one node: the plain node step, which costs less than settle's
-        # gallop on rewards with many short runs
-        if s == e:
-            while len(hull) > 1 and not above(hull[-2], hull[-1], s):
-                hull.pop()
-            hull.append(s)
-            continue
         if s == 0:              # the left edge row already kept node 0
             hull.extend(range(e + 1))
             continue
@@ -459,8 +436,24 @@ def _policy_values(g: np.ndarray, log_psi: np.ndarray, log_phi: np.ndarray,
     return v
 
 
-def _solve_policy_iteration(chain: ChainModel, alpha: float, tol: float,
-                            max_iter: int) -> tuple[np.ndarray, int]:
+def solve_chain_stopping(chain: ChainModel, alpha: float) -> ChainSolution:
+    """Discounted stopping value of the chain, by policy iteration.
+
+    Each policy is evaluated in closed form: its value is phi times the
+    piecewise-linear interpolant, in F = psi/phi, of g/phi through the
+    policy's stop nodes, so no linear system is solved and stop nodes
+    return the reward exactly.  The first policy is the stopping set of the
+    chain's least concave majorant of g/phi in F, since a chain function is
+    alpha-excessive exactly when its ratio to phi is concave in F.  The left
+    edge row becomes the point (0, 0) of that majorant and the right edge row
+    its flat tail after the maximum (see the module docstring).  That policy
+    is optimal, so ``iterations`` is 2; the policy rounds, the tie rule and
+    the residual check still decide the result.  More than
+    ``max(200, 20 n)`` rounds, or a fixed-point residual above 1e-10 (or
+    NaN), raises :class:`ConvergenceError`.
+    """
+    if alpha <= 0:
+        raise ParameterError(f"discount rate must be positive, got {alpha}")
     g = chain.reward
     ratios = _edge_roots(chain, alpha)[0]
     logs = _harmonic_logs(chain, alpha)
@@ -468,51 +461,22 @@ def _solve_policy_iteration(chain: ChainModel, alpha: float, tol: float,
     # only on strict improvement, so ties cannot make the policies cycle
     continue_mask = _majorant_policy(chain, alpha, ratios, logs)
     v = _policy_values(g, *logs, continue_mask)
-    for it in range(2, max_iter + 1):
+    max_rounds = max(200, 20 * chain.size)
+    for it in range(2, max_rounds + 1):
         cont = _continuation(chain, v, alpha, ratios)
         improved = np.where(cont == g, continue_mask, cont > g)
         if np.array_equal(improved, continue_mask):
-            return v, it
+            break
         continue_mask = improved
         v = _policy_values(g, *logs, continue_mask)
-    raise ConvergenceError(
-        f"policy iteration did not stabilize in {max_iter} rounds",
-        achieved=_residual(chain, v, alpha))
-
-
-def solve_chain_stopping(chain: ChainModel, alpha: float, method: str = "policy",
-                         tol: float = 1e-11,
-                         max_iter: int | None = None) -> ChainSolution:
-    """Discounted stopping value of the chain.
-
-    ``method`` is "policy" or "value"; value iteration is kept as a
-    cross-check, and fine grids make it slow.
-
-    Policy iteration evaluates each policy in closed form: its value is phi
-    times the piecewise-linear interpolant, in F = psi/phi, of g/phi through
-    the policy's stop nodes, so no linear system is solved and stop nodes
-    return the reward exactly.  The first policy is the stopping set of the
-    chain's least concave majorant of g/phi in F, since a chain function is
-    alpha-excessive exactly when its ratio to phi is concave in F.  The left
-    edge row becomes the point (0, 0) of that majorant and the right edge row
-    its flat tail after the maximum (see the module docstring).  That policy
-    is optimal, so ``iterations`` is 2; the policy rounds, the tie rule and
-    the residual check still decide the result.
-    """
-    if alpha <= 0:
-        raise ParameterError(f"discount rate must be positive, got {alpha}")
-    if method == "value":
-        v, it = _solve_value_iteration(chain, alpha, tol,
-                                       max_iter or 200_000)
-    elif method == "policy":
-        v, it = _solve_policy_iteration(chain, alpha, tol,
-                                        max_iter or max(200, 20 * chain.size))
     else:
-        raise ParameterError(f"unknown method {method!r}")
+        raise ConvergenceError(
+            f"policy iteration did not stabilize in {max_rounds} rounds",
+            achieved=_residual(chain, v, alpha))
     res = _residual(chain, v, alpha)
-    if not res <= max(tol, 1e-10):       # a NaN residual fails too
+    if not res <= 1e-10:       # a NaN residual fails too
         raise ConvergenceError(f"solver left residual {res:g}", achieved=res)
-    return ChainSolution(values=v, iterations=it, residual=res, method=method)
+    return ChainSolution(values=v, iterations=it, residual=res)
 
 
 @dataclass(frozen=True)
@@ -535,7 +499,7 @@ def compare(chain: ChainModel, values: np.ndarray, analytic: Callable,
     one-sided finite-difference slopes around that node estimate the
     derivative jump (left minus right).  The stopping boundary estimate is
     the first node after the last one where the value strictly exceeds the
-    reward; both solvers return the reward exactly on stop nodes, so this
+    reward; the solver returns the reward exactly on stop nodes, so this
     is the first node of the stop set's last stretch.
     """
     exact = np.asarray(analytic(chain.nodes), dtype=float)

@@ -76,7 +76,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diffusion import DiffusionSpec, FundamentalSolutions, _scalar_aware, fundamental
+from .diffusion import (DiffusionSpec, FundamentalSolutions, _scalar_aware,
+                        _values, fundamental)
 from .errors import ConvergenceError, DomainError, NotExcessiveError, ParameterError
 
 __all__ = [
@@ -195,15 +196,19 @@ def candidate_from_callable(spec: DiffusionSpec, fn: Callable, x0: float,
 # one-sided derivatives with respect to an arbitrary increasing function
 # ---------------------------------------------------------------------------
 
-def f_derivative(u: Callable, F: Callable, z: float, side: str,
-                 rtol: float = 1e-9, max_steps: int = 30) -> float:
+_DERIV_RTOL = 1e-9
+_DERIV_MAX_STEPS = 30
+
+
+def f_derivative(u: Callable, F: Callable, z: float, side: str) -> float:
     """One-sided derivative of u with respect to F at z.
 
     Evaluates difference quotients on the shrinking-step ladder
-    delta_k = 1e-2 (1 + |z|) 2^{-k}, accelerates them with Richardson
-    extrapolation, and stops when three successive extrapolated values agree
-    to ``rtol`` relative.  Raises :class:`ConvergenceError` (carrying the
-    best estimate and the achieved agreement) if the ladder is exhausted.
+    delta_k = 1e-2 (1 + |z|) 2^{-k}, k < 30, accelerates them with
+    Richardson extrapolation, and stops when three successive extrapolated
+    values agree to 1e-9 relative (to max(1, |value|)).  Raises
+    :class:`ConvergenceError` (carrying the best estimate and the achieved
+    agreement) if the 30 steps are exhausted.
     """
     if side not in ("left", "right"):
         raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
@@ -216,7 +221,7 @@ def f_derivative(u: Callable, F: Callable, z: float, side: str,
     rows: list[list[float]] = []
     best = math.nan
     achieved = math.inf
-    for k in range(max_steps):
+    for k in range(_DERIV_MAX_STEPS):
         d = delta0 * 2.0 ** (-k)
         xk = z + sgn * d
         dF = float(F(xk)) - Fz
@@ -237,10 +242,10 @@ def f_derivative(u: Callable, F: Callable, z: float, side: str,
             err = max(abs(c - b), abs(b - a))
             if err < achieved:
                 achieved, best = err, c
-            if err <= rtol * scale:
+            if err <= _DERIV_RTOL * scale:
                 return c
     raise ConvergenceError(
-        f"one-sided derivative at {z} did not stabilize to {rtol:g} "
+        f"one-sided derivative at {z} did not stabilize to {_DERIV_RTOL:g} "
         f"(achieved {achieved:.3g})", best=best, achieved=achieved)
 
 
@@ -807,19 +812,6 @@ class ExcessivityReport:
 
 _MESH_MIN_ULPS = 64
 _MESH_MAX_PANELS = 1000      # panels halved at one level
-
-
-def _values(u: Callable, ys: np.ndarray) -> np.ndarray:
-    """u on the 1-D float64 array ys, a scalar result broadcast to its shape."""
-    f = np.asarray(u(ys), dtype=float)
-    if f.ndim == 0:
-        return np.full(ys.shape, float(f))
-    if f.shape != ys.shape:
-        raise ParameterError(
-            f"u returned shape {f.shape} for an array of shape {ys.shape}; u "
-            "must take a 1-D float array and return an array of that shape "
-            "or a scalar")
-    return f
 
 
 def _resolvent_integrals(spec: DiffusionSpec, fsb: FundamentalSolutions,

@@ -67,6 +67,7 @@ __all__ = [
 
 _JUMP_TOL = 1e-9      # |jump| below this counts as smooth fit
 _BRANCH_TOL = 1e-12   # one-sided t-limits within this of 0 count as 0
+_SMOOTH_FIT_RTOL = 1e-6   # relative gap of one-sided F-derivatives that agree
 
 
 @dataclass(frozen=True)
@@ -323,12 +324,12 @@ def smooth_fit_report(alpha: float, c: float) -> SmoothFitReport:
 
 
 def general_smooth_fit_check(spec: DiffusionSpec, alpha: float, g: Callable,
-                             z: float, F: Callable,
-                             rtol: float = 1e-6) -> str:
+                             z: float, F: Callable) -> str:
     """One-directional smooth-fit criterion at a stopping-region boundary z.
 
-    Verifies numerically that g, psi and phi are all F-differentiable at z;
-    when they are, smooth fit with respect to F holds and the verdict is
+    Verifies numerically that g, psi and phi are all F-differentiable at z,
+    that is, that their one-sided F-derivatives agree to 1e-6 relative; when
+    they are, smooth fit with respect to F holds and the verdict is
     "SmoothFit".  When any hypothesis fails the criterion is silent, so the
     verdict is "Inconclusive", never "Fails".
     """
@@ -342,7 +343,7 @@ def general_smooth_fit_check(spec: DiffusionSpec, alpha: float, g: Callable,
             right = f_derivative(fn, F, z, "right")
         except ConvergenceError:
             return "Inconclusive"
-        if abs(left - right) > rtol * max(1.0, abs(left), abs(right)):
+        if abs(left - right) > _SMOOTH_FIT_RTOL * max(1.0, abs(left), abs(right)):
             return "Inconclusive"
     return "SmoothFit"
 

@@ -13,8 +13,8 @@ from diffstop.diffusion import (Family, make_drift_bm,
                                 make_reflected_killed_bm, make_sticky_bm)
 from diffstop.errors import ConvergenceError, DomainError, ParameterError
 from diffstop.oracle import (_continuation, _edge_roots, _harmonic_logs,
-                             _majorant_policy, _policy_values, compare,
-                             discretize, solve_chain_stopping)
+                             _majorant_policy, _policy_values, _residual,
+                             compare, discretize, solve_chain_stopping)
 from diffstop.stopping import solve_threshold, value_function
 
 STICKY = make_sticky_bm(0.0, 1.0)
@@ -35,6 +35,27 @@ def knots_reward(knots):
     def reward(x):
         return np.interp(x, np.linspace(x[0], x[-1], len(knots)), knots)
     return reward
+
+
+def value_iteration(chain, alpha):
+    """Reference: the chain's value by plain value iteration from the reward.
+
+    Sweeps V <- max(g, one step of continuation), at most 200,000 times,
+    until the sup-change is at most 1e-11, which leaves roughly
+    change / (1 - contraction) distance to the fixed point; the result must
+    pass the solver's 1e-10 residual gate as well.
+    """
+    g = chain.reward
+    ratios = _edge_roots(chain, alpha)[0]
+    v = g.copy()
+    for _ in range(200_000):
+        new = np.maximum(g, _continuation(chain, v, alpha, ratios))
+        delta = float(np.max(np.abs(new - v)))
+        v = new
+        if delta <= 1e-11:
+            assert _residual(chain, v, alpha) <= 1e-10
+            return v
+    raise AssertionError("value iteration did not converge in 200,000 sweeps")
 
 
 def cell_masses_by_loop(spec, nodes):
@@ -106,6 +127,17 @@ class TestDiscretize:
         with pytest.raises(DomainError):
             discretize(rk, -1.0, 0.9, 101)
 
+    def test_scalar_reward_broadcast(self):
+        # a reward that returns a scalar is one value on every node
+        chain = discretize(STICKY, -6.0, 6.0, 201, reward=lambda x: 1.0)
+        assert chain.reward.shape == chain.nodes.shape
+        assert np.all(chain.reward == 1.0)
+        assert np.all(solve_chain_stopping(chain, 0.5).values == 1.0)
+
+    def test_wrong_reward_shape_rejected(self):
+        with pytest.raises(ParameterError, match="shape"):
+            discretize(STICKY, -6.0, 6.0, 201, reward=lambda x: x[:5])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_reward_rejected(self, bad):
         def reward(x):
@@ -129,26 +161,18 @@ class TestSolvers:
         assert np.all(sol.values == 1.0)
 
     def test_value_and_policy_iteration_agree(self):
-        # value iteration stops on the sup-change, leaving roughly
-        # change/(1 - contraction) distance to the fixed point
         chain = discretize(STICKY, -6.0, 6.0, 201)
-        a = solve_chain_stopping(chain, 0.5, method="value")
-        b = solve_chain_stopping(chain, 0.5, method="policy")
-        assert np.max(np.abs(a.values - b.values)) <= 1e-7
+        ref = value_iteration(chain, 0.5)
+        b = solve_chain_stopping(chain, 0.5)
+        assert np.max(np.abs(ref - b.values)) <= 1e-7
 
-    def test_default_is_policy_iteration_on_coarse_grids(self):
+    def test_policy_iteration_on_coarse_grids(self):
         # the contraction factor here is below 0.999, where value iteration
-        # would converge quickly; the default still takes the majorant's pass
+        # would converge quickly; the solver still takes the majorant's pass
         chain = discretize(STICKY, -6.0, 6.0, 201)
         sol = solve_chain_stopping(chain, 0.5)
-        assert sol.method == "policy"
         assert sol.iterations == 2
         assert sol.residual <= 1e-10
-
-    def test_unknown_method_rejected(self):
-        chain = discretize(STICKY, -6.0, 6.0, 201)
-        with pytest.raises(ParameterError):
-            solve_chain_stopping(chain, 0.5, method="auto")
 
     def test_chain_value_is_superharmonic_majorant(self):
         chain = discretize(STICKY, -6.0, 6.0, 801)
@@ -158,12 +182,6 @@ class TestSolvers:
         denom = 0.25 + chain.up_rate + chain.down_rate
         cont = (chain.up_rate * v[2:] + chain.down_rate * v[:-2]) / denom
         assert np.all(cont <= v[1:-1] + 1e-11)
-
-    def test_nonconvergence_reported_with_residual(self):
-        chain = discretize(STICKY, -6.0, 6.0, 801)
-        with pytest.raises(ConvergenceError) as err:
-            solve_chain_stopping(chain, 0.25, method="value", max_iter=5)
-        assert err.value.achieved is not None
 
     def test_non_finite_residual_raises(self):
         # chains built around discretize's check: a NaN node, and +inf for
@@ -194,7 +212,7 @@ class TestMajorantSeed:
     def test_first_policy_is_optimal(self, reward, alpha):
         # one banded solve gives the value, the second round confirms it
         chain = discretize(STICKY, -6.0, 6.0, 4001, reward=reward)
-        sol = solve_chain_stopping(chain, alpha, method="policy")
+        sol = solve_chain_stopping(chain, alpha)
         assert sol.iterations == 2
         assert sol.residual <= 1e-10
 
@@ -204,7 +222,7 @@ class TestMajorantSeed:
         # banded solve's pivoting; they must still return the reward exactly
         # (both edges, at |x| = 6, lie in the stopping set)
         chain = discretize(STICKY, -6.0, 6.0, 4001, reward=two_sided_reward)
-        v = solve_chain_stopping(chain, alpha, method="policy").values
+        v = solve_chain_stopping(chain, alpha).values
         g = chain.reward
         denom = alpha + chain.up_rate + chain.down_rate
         cont = (chain.up_rate * v[2:] + chain.down_rate * v[:-2]) / denom
@@ -224,11 +242,11 @@ class TestMajorantSeed:
         # of a float hull overflow here; the hull in logs still finds the
         # optimal policy
         chain = discretize(STICKY, -half_width, half_width, n, reward=reward)
-        sol = solve_chain_stopping(chain, alpha, method="policy")
-        ref = solve_chain_stopping(chain, alpha, method="value")
+        sol = solve_chain_stopping(chain, alpha)
+        ref = value_iteration(chain, alpha)
         assert sol.iterations == 2
         assert sol.residual <= 1e-10
-        assert np.max(np.abs(sol.values - ref.values)) <= tol
+        assert np.max(np.abs(sol.values - ref)) <= tol
 
     @pytest.mark.parametrize("knots", [[5e-324, 0.0], [5e-324, -2.0]])
     def test_subnormal_reward_takes_two_rounds(self, knots):
@@ -239,8 +257,8 @@ class TestMajorantSeed:
         sol = solve_chain_stopping(chain, 1.0)
         assert sol.iterations == 2
         assert sol.residual <= 1e-10
-        ref = solve_chain_stopping(chain, 1.0, method="value")
-        assert np.max(np.abs(sol.values - ref.values)) <= 1e-7
+        ref = value_iteration(chain, 1.0)
+        assert np.max(np.abs(sol.values - ref)) <= 1e-7
 
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25, 0.6, 1.5])
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
@@ -292,10 +310,10 @@ class TestMajorantSeed:
             return g + np.asarray(noise) if noisy else g
         chain = discretize(make_sticky_bm(0.0, c), -10.0, 10.0, 201,
                            reward=reward)
-        a = solve_chain_stopping(chain, alpha, method="value")
-        b = solve_chain_stopping(chain, alpha, method="policy")
+        ref = value_iteration(chain, alpha)
+        b = solve_chain_stopping(chain, alpha)
         assert b.residual <= 1e-10
-        assert np.max(np.abs(a.values - b.values)) <= 1e-7
+        assert np.max(np.abs(ref - b.values)) <= 1e-7
         ratios = _edge_roots(chain, alpha)[0]
         logs = _harmonic_logs(chain, alpha)
         mask = _majorant_policy(chain, alpha, ratios, logs)
@@ -481,7 +499,6 @@ class TestPolicyValues:
         # digits, so the fixed-point residual is a few ulps
         chain = discretize(STICKY, -6.0, 6.0, 4001)
         sol = solve_chain_stopping(chain, alpha)
-        assert sol.method == "policy"
         assert sol.residual <= 1e-14
 
 
