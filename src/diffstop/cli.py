@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,8 +44,8 @@ from .stopping import (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(x: float | str) -> str:
+    return x if isinstance(x, str) else format(float(x), ".17g")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -70,8 +71,8 @@ def _cmd_fundamental(args) -> int:
     spec = _spec_from_args(args)
     fs = fundamental(spec, args.alpha)
     xs = np.linspace(args.range_from, args.range_to, args.points)
-    rows = [(x, float(fs.psi(x)), float(fs.phi(x)), float(fs.green(args.x0, x)))
-            for x in xs]
+    rows = list(zip(xs.tolist(), fs.psi(xs).tolist(), fs.phi(xs).tolist(),
+                    fs.green(args.x0, xs).tolist()))
     if args.format == "json":
         doc = {
             "alpha": args.alpha,
@@ -93,8 +94,7 @@ def _cmd_solve(args) -> int:
     if args.samples_out:
         xs = np.linspace(args.range_from, args.range_to, args.points)
         g = default_reward().value
-        rows = [(x, float(value_function(args.alpha, args.c, x)), float(g(x)))
-                for x in xs]
+        rows = zip(xs, value_function(args.alpha, args.c, xs), g(xs))
         with open(args.samples_out, "w") as fh:
             fh.write(_csv(["x", "value", "reward"], rows))
     return 0
@@ -155,14 +155,15 @@ def _cmd_plot_data(args) -> int:
         xs = np.linspace(args.range_from, args.range_to, args.points)
         s, t = st_table(alpha, args.c, xs)
         v = value_function(alpha, args.c, xs)
-        rows = list(zip(xs, t, s, np.atleast_1d(v), np.atleast_1d(g(xs))))
-        text = _csv(["x", "t", "s", "value", "reward"], rows)
+        text = _csv(["x", "t", "s", "value", "reward"], zip(xs, t, s, v, g(xs)))
         out = args.out.format(alpha=_fmt(alpha)) if args.out else None
         _write(text, out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    if not all(map(math.isfinite, (args.alpha_from, args.alpha_to, args.step))):
+        raise DiffstopError("sweep bounds and step must be finite")
     if args.step <= 0:
         raise DiffstopError("sweep step must be positive")
     alphas = []
@@ -174,11 +175,8 @@ def _cmd_sweep(args) -> int:
     if args.format == "json":
         _write(json.dumps(entries, indent=2) + "\n", args.out)
     else:
-        rows = [(e["alpha"], e["x_star"], e["jump"], e["sigma_atom"]) for e in entries]
-        lines = ["alpha,x_star,jump,sigma_atom,verdict"]
-        lines.extend(",".join(_fmt(v) for v in row) + "," + e["verdict"]
-                     for row, e in zip(rows, entries))
-        _write("\n".join(lines) + "\n", args.out)
+        header = ["alpha", "x_star", "jump", "sigma_atom", "verdict"]
+        _write(_csv(header, ([e[k] for k in header] for e in entries)), args.out)
     return 0
 
 
@@ -189,11 +187,22 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", type=float, default=1.0, help="stickiness (> 0)")
 
 
+def _count(text: str) -> int:
+    """argparse type of a point count: a nonnegative int."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
 def _add_range_flags(p: argparse.ArgumentParser, lo: float, hi: float,
                      points: int) -> None:
     p.add_argument("--from", dest="range_from", type=float, default=lo)
     p.add_argument("--to", dest="range_to", type=float, default=hi)
-    p.add_argument("--points", type=int, default=points)
+    p.add_argument("--points", type=_count, default=points)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -124,17 +124,19 @@ def _values(u: Callable, ys: np.ndarray) -> np.ndarray:
     """u on the 1-D float64 array ys, a scalar result broadcast to its shape.
 
     The package's rule for user callables: u takes a 1-D float array and
-    returns an array of that shape or a scalar.  Any other result shape
-    raises :class:`ParameterError`.
+    returns a finite array of that shape or a finite scalar.  Any other
+    result shape, or a NaN or infinite value, raises :class:`ParameterError`.
     """
     f = np.asarray(u(ys), dtype=float)
     if f.ndim == 0:
-        return np.full(ys.shape, float(f))
+        f = np.full(ys.shape, float(f))
     if f.shape != ys.shape:
         raise ParameterError(
             f"a callable returned shape {f.shape} for an array of shape "
             f"{ys.shape}; it must take a 1-D float array and return an array "
             "of that shape or a scalar")
+    if not np.all(np.isfinite(f)):
+        raise ParameterError("a callable returned a non-finite value")
     return f
 
 
@@ -312,11 +314,15 @@ class FundamentalSolutions:
 
     # scale derivatives: d/dS = (d/dx) / S'(x)
     def psi_ds(self, x, side: str = "right"):
-        dx = self.psi_dx_right(x) if side == "right" else self.psi_dx_left(x)
-        return dx / self.spec.scale_deriv(x)
+        return self._ds(self.psi_dx_right, self.psi_dx_left, x, side)
 
     def phi_ds(self, x, side: str = "right"):
-        dx = self.phi_dx_right(x) if side == "right" else self.phi_dx_left(x)
+        return self._ds(self.phi_dx_right, self.phi_dx_left, x, side)
+
+    def _ds(self, right, left, x, side):
+        if side not in ("left", "right"):
+            raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
+        dx = right(x) if side == "right" else left(x)
         return dx / self.spec.scale_deriv(x)
 
     @_scalar_aware

@@ -27,10 +27,10 @@ edge rows read
 
 which uses chain data only and reduces to stopping at the edge wherever the
 edge lies in the stopping region.  Fine grids make the one-step contraction
-factor approach 1, so the solver uses policy iteration; plain value iteration
-is the tests' reference, not a solver of the package.
+factor approach 1, so value iteration is only the tests' reference; the
+solver finds the optimal policy in one pass, as follows.
 
-Policy iteration rests on the chain's excessive-function geometry (Dayanik &
+The pass rests on the chain's excessive-function geometry (Dayanik &
 Karatzas, Stoch. Proc. Appl. 107, 2003).  Let psi and phi be the chain's
 increasing and decreasing alpha-harmonic solutions, psi satisfying the left
 edge row with equality (psi_0 = r_left psi_1) and phi the right one
@@ -47,25 +47,25 @@ through its stop nodes.  It is evaluated from log psi and log phi with every
 exponent nonpositive, so nothing overflows, and stop nodes carry the reward
 exactly.
 
-The first policy is the optimal one.  At an interior node u_i >= (up u_{i+1}
-+ down u_{i-1}) / (alpha + up + down) says that u_i lies above the harmonic
-function through u_{i-1} and u_{i+1}, so u is excessive there exactly when
-u/phi is concave in F.  The left edge row u_0 >= r_left u_1 reads
-(u_0/phi_0)/F_0 >= (u_1/phi_1)/F_1: the chord from the origin does not
+The majorant's policy is the optimal one.  At an interior node u_i >=
+(up u_{i+1} + down u_{i-1}) / (alpha + up + down) says that u_i lies above
+the harmonic function through u_{i-1} and u_{i+1}, so u is excessive there
+exactly when u/phi is concave in F.  The left edge row u_0 >= r_left u_1
+reads (u_0/phi_0)/F_0 >= (u_1/phi_1)/F_1: the chord from the origin does not
 steepen, so the origin (0, 0) is one more point of the concave function.
 The right edge row u_{n-1} >= r_right u_{n-2} reads u_{n-1}/phi_{n-1} >=
 u_{n-2}/phi_{n-2}: the function does not decrease at the end, so it is flat
 after its maximum.  The value is therefore phi times the least concave
 majorant of {(0, 0)} and the points (F_i, g_i/phi_i), cut flat after its
-maximum, and the chain stops exactly at the majorant's vertices.  A
-hull pass over runs of nodes finds them; the first round evaluates that
-policy, and the second confirms that it is stable.  The pass runs in logs,
-so no window is too wide: a hull point lies on or below the chord of two
-others exactly when its reward is at most the harmonic function through
-them, evaluated as above, and the maximum is the argmax of log g - log phi.
-log psi and log phi themselves come from one vectorised scan of the ratio
-complements, whose recurrences are Moebius maps with positive coefficients,
-so nothing cancels.
+maximum, and the chain stops exactly at the majorant's vertices.  A hull
+pass over runs of nodes finds them, the closed form above evaluates that
+policy, and one round of policy improvement confirms that no node would
+change its action.  The pass runs in logs, so no window is too wide: a hull
+point lies on or below the chord of two others exactly when its reward is at
+most the harmonic function through them, evaluated as above, and the maximum
+is the argmax of log g - log phi.  log psi and log phi themselves come from
+one vectorised scan of the ratio complements, whose recurrences are Moebius
+maps with positive coefficients, so nothing cancels.
 Everything is deterministic: fixed summation order, no randomness.
 """
 
@@ -163,8 +163,6 @@ def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
         def reward(x):
             return np.maximum(1.0 + np.asarray(x, dtype=float), 0.0)
     g = _values(reward, nodes)
-    if not np.all(np.isfinite(g)):
-        raise ParameterError("the reward must be finite at every node")
     return ChainModel(spec=spec, nodes=nodes, node_mass=mass, up_rate=up,
                       down_rate=down, reward=g, window=(lower, upper))
 
@@ -212,11 +210,6 @@ def _continuation(chain: ChainModel, v: np.ndarray, alpha: float,
     cont[0] = ratios[0] * v[1]
     cont[-1] = ratios[1] * v[-2]
     return cont
-
-
-def _residual(chain: ChainModel, v: np.ndarray, alpha: float) -> float:
-    cont = _continuation(chain, v, alpha, _edge_roots(chain, alpha)[0])
-    return float(np.max(np.abs(v - np.maximum(chain.reward, cont))))
 
 
 def _mobius_scan(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -437,46 +430,39 @@ def _policy_values(g: np.ndarray, log_psi: np.ndarray, log_phi: np.ndarray,
 
 
 def solve_chain_stopping(chain: ChainModel, alpha: float) -> ChainSolution:
-    """Discounted stopping value of the chain, by policy iteration.
+    """Discounted stopping value of the chain, in one pass.
 
-    Each policy is evaluated in closed form: its value is phi times the
-    piecewise-linear interpolant, in F = psi/phi, of g/phi through the
-    policy's stop nodes, so no linear system is solved and stop nodes
-    return the reward exactly.  The first policy is the stopping set of the
-    chain's least concave majorant of g/phi in F, since a chain function is
-    alpha-excessive exactly when its ratio to phi is concave in F.  The left
-    edge row becomes the point (0, 0) of that majorant and the right edge row
-    its flat tail after the maximum (see the module docstring).  That policy
-    is optimal, so ``iterations`` is 2; the policy rounds, the tie rule and
-    the residual check still decide the result.  More than
-    ``max(200, 20 n)`` rounds, or a fixed-point residual above 1e-10 (or
-    NaN), raises :class:`ConvergenceError`.
+    The policy is the stopping set of the chain's least concave majorant of
+    g/phi in F = psi/phi, since a chain function is alpha-excessive exactly
+    when its ratio to phi is concave in F.  The left edge row becomes the
+    point (0, 0) of that majorant and the right edge row its flat tail after
+    the maximum (see the module docstring).  Its value is phi times the
+    piecewise-linear interpolant, in F, of g/phi through the stop nodes, so
+    no linear system is solved and stop nodes return the reward exactly.
+    One round of policy improvement confirms the policy: a node stops where
+    continuing one step is worth less than its reward, and keeps its action
+    on a tie.  ``iterations`` counts the evaluation and that round, so it is
+    2.  A round that would change any node, or a fixed-point residual above
+    1e-10 (or NaN), raises :class:`ConvergenceError`.
     """
     if alpha <= 0:
         raise ParameterError(f"discount rate must be positive, got {alpha}")
     g = chain.reward
     ratios = _edge_roots(chain, alpha)[0]
     logs = _harmonic_logs(chain, alpha)
-    # the first policy is the majorant's; later ones change a node's action
-    # only on strict improvement, so ties cannot make the policies cycle
     continue_mask = _majorant_policy(chain, alpha, ratios, logs)
     v = _policy_values(g, *logs, continue_mask)
-    max_rounds = max(200, 20 * chain.size)
-    for it in range(2, max_rounds + 1):
-        cont = _continuation(chain, v, alpha, ratios)
-        improved = np.where(cont == g, continue_mask, cont > g)
-        if np.array_equal(improved, continue_mask):
-            break
-        continue_mask = improved
-        v = _policy_values(g, *logs, continue_mask)
-    else:
+    cont = _continuation(chain, v, alpha, ratios)
+    res = float(np.max(np.abs(v - np.maximum(g, cont))))
+    improved = np.where(cont == g, continue_mask, cont > g)
+    changed = np.count_nonzero(improved != continue_mask)
+    if changed:
         raise ConvergenceError(
-            f"policy iteration did not stabilize in {max_rounds} rounds",
-            achieved=_residual(chain, v, alpha))
-    res = _residual(chain, v, alpha)
+            f"the majorant's policy is not stable: policy improvement "
+            f"changes {changed} nodes", achieved=res)
     if not res <= 1e-10:       # a NaN residual fails too
         raise ConvergenceError(f"solver left residual {res:g}", achieved=res)
-    return ChainSolution(values=v, iterations=it, residual=res)
+    return ChainSolution(values=v, iterations=2, residual=res)
 
 
 @dataclass(frozen=True)
@@ -484,8 +470,6 @@ class ComparisonReport:
     sup_error: float
     inner_sup_error: float
     jump_estimate: float | None
-    left_slope: float | None
-    right_slope: float | None
     stopping_boundary: float | None
 
 
@@ -500,16 +484,15 @@ def compare(chain: ChainModel, values: np.ndarray, analytic: Callable,
     derivative jump (left minus right).  The stopping boundary estimate is
     the first node after the last one where the value strictly exceeds the
     reward; the solver returns the reward exactly on stop nodes, so this
-    is the first node of the stop set's last stretch.
+    is the first node of the stop set's last stretch.  ``analytic`` is
+    called once on the nodes, under the reward's rule (see :func:`discretize`).
     """
-    exact = np.asarray(analytic(chain.nodes), dtype=float)
-    if exact.shape != chain.nodes.shape:
-        raise ParameterError("analytic must evaluate on all nodes")
+    exact = _values(analytic, chain.nodes)
     err = np.abs(values - exact)
     lo, hi = chain.window
     margin = 0.5 * (1.0 - inner_fraction) * (hi - lo)
     inner = (chain.nodes >= lo + margin) & (chain.nodes <= hi - margin)
-    jump_estimate = left_slope = right_slope = None
+    jump_estimate = None
     if jump_at is not None:
         i = chain.node_index(jump_at)
         if i in (0, chain.size - 1):
@@ -526,7 +509,5 @@ def compare(chain: ChainModel, values: np.ndarray, analytic: Callable,
         sup_error=float(err.max()),
         inner_sup_error=float(err[inner].max()),
         jump_estimate=jump_estimate,
-        left_slope=left_slope,
-        right_slope=right_slope,
         stopping_boundary=boundary,
     )

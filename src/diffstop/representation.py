@@ -889,10 +889,11 @@ def excessivity_check(spec: DiffusionSpec, alpha: float, u: Callable,
     row's integral; these are the absolute and relative tolerances of an
     adaptive quadrature, so kinks of u missing from ``kinks`` are found by
     halving.  G is evaluated as one (rows, nodes) matrix.  u is called on
-    1-D float64 arrays and must return an array of the same shape (a scalar
-    is broadcast): once on the grid points and speed atoms together, then
-    once per refinement level on that level's mesh nodes.  Any other result
-    shape raises :class:`ParameterError`.  Raises :class:`ConvergenceError`
+    1-D float64 arrays and must return a finite array of the same shape (a
+    finite scalar is broadcast): once on the grid points and speed atoms
+    together, then once per refinement level on that level's mesh nodes.
+    Any other result shape, or a NaN or infinite value, raises
+    :class:`ParameterError`.  Raises :class:`ConvergenceError`
     (``achieved`` is the largest row change still unresolved) when a panel
     that still changes has shrunk to a few ulps, as at a jump of u off the
     mesh, or when more than 1000 panels need halving at one level, as for an

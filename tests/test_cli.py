@@ -217,6 +217,30 @@ class TestErrorPaths:
             main(["no-such-command"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("fundamental", "--alpha", "0.5"),
+        ("plot-data", "--alpha", "0.5"),
+        ("solve", "--alpha", "0.5", "--samples-out", "unused.csv"),
+    ])
+    def test_negative_points_is_flag_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--points", "-1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--points: must be nonnegative" in err
+
+    @pytest.mark.parametrize("flag", ["--alpha-from", "--alpha-to", "--step"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_sweep_bounds_rejected(self, capsys, flag, bad):
+        # an infinite --alpha-to would make the sweep grow without end
+        bounds = {"--alpha-from": "0.1", "--alpha-to": "0.3", "--step": "0.1",
+                  flag: bad}
+        code, out, err = run_cli(capsys, "sweep", "--c", "1",
+                                 *[f"{k}={v}" for k, v in bounds.items()])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "DiffstopError"
+
     def test_bad_family_is_numeric_error(self, capsys):
         code, _, err = run_cli(capsys, "fundamental", "--alpha", "0.5",
                                "--family", "absorbing_bm")

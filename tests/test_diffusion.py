@@ -174,6 +174,16 @@ class TestFundamentalSticky:
             assert fs.phi_dx_left(x) == pytest.approx(num, rel=1e-6)
 
 
+    @pytest.mark.parametrize("side", ["Right", "up", ""])
+    def test_unknown_side_rejected(self, side):
+        fs = fundamental(make_sticky_bm(0.0, 1.0), 0.5)
+        assert fs.psi_ds(0.0, "left") == 1.0 and fs.psi_ds(0.0, "right") == 2.0
+        with pytest.raises(ParameterError, match="side"):
+            fs.psi_ds(0.0, side)
+        with pytest.raises(ParameterError, match="side"):
+            fs.phi_ds(0.0, side)
+
+
 class TestFundamentalReflectedKilled:
     def test_closed_forms(self):
         fs = fundamental(make_reflected_killed_bm(), 0.5)

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diffstop import oracle
 from diffstop.diffusion import (Family, make_drift_bm,
                                 make_reflected_killed_bm, make_sticky_bm)
 from diffstop.errors import ConvergenceError, DomainError, ParameterError
 from diffstop.oracle import (_continuation, _edge_roots, _harmonic_logs,
-                             _majorant_policy, _policy_values, _residual,
-                             compare, discretize, solve_chain_stopping)
+                             _majorant_policy, _policy_values, compare,
+                             discretize, solve_chain_stopping)
 from diffstop.stopping import solve_threshold, value_function
 
 STICKY = make_sticky_bm(0.0, 1.0)
@@ -37,6 +38,12 @@ def knots_reward(knots):
     return reward
 
 
+def residual(chain, v, alpha):
+    """Sup-distance of v from one step of the fixed-point map."""
+    cont = _continuation(chain, v, alpha, _edge_roots(chain, alpha)[0])
+    return float(np.max(np.abs(v - np.maximum(chain.reward, cont))))
+
+
 def value_iteration(chain, alpha):
     """Reference: the chain's value by plain value iteration from the reward.
 
@@ -53,7 +60,7 @@ def value_iteration(chain, alpha):
         delta = float(np.max(np.abs(new - v)))
         v = new
         if delta <= 1e-11:
-            assert _residual(chain, v, alpha) <= 1e-10
+            assert residual(chain, v, alpha) <= 1e-10
             return v
     raise AssertionError("value iteration did not converge in 200,000 sweeps")
 
@@ -203,18 +210,34 @@ class TestSolvers:
 
 
 class TestMajorantSeed:
-    """Policy iteration starts from the chain's least F-concave majorant."""
+    """The solver's policy is the chain's least F-concave majorant's."""
 
     @pytest.mark.parametrize("reward, alpha", [
         (None, 0.1), (None, 0.25), (None, 0.6),
         (two_sided_reward, 0.1), (two_sided_reward, 0.8),
     ])
     def test_first_policy_is_optimal(self, reward, alpha):
-        # one banded solve gives the value, the second round confirms it
+        # the closed form gives the value, one improvement round confirms it
         chain = discretize(STICKY, -6.0, 6.0, 4001, reward=reward)
         sol = solve_chain_stopping(chain, alpha)
         assert sol.iterations == 2
         assert sol.residual <= 1e-10
+
+    def test_unstable_policy_raises(self, monkeypatch):
+        # one stop node turned to continue: the confirming round would stop
+        # there again, and the solver reports that instead of re-solving
+        exact = oracle._majorant_policy
+
+        def flipped(*args):
+            mask = exact(*args)
+            mask[np.flatnonzero(~mask)[5]] = True
+            return mask
+
+        monkeypatch.setattr(oracle, "_majorant_policy", flipped)
+        chain = discretize(STICKY, -6.0, 6.0, 201)
+        with pytest.raises(ConvergenceError, match="not stable") as err:
+            solve_chain_stopping(chain, 0.5)
+        assert err.value.achieved > 1e-10
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5])
     def test_two_sided_stop_rows_equal_reward(self, alpha):
@@ -543,6 +566,16 @@ class TestAgreement:
                                      chain.nodes, sol.values)
         rep = compare(chain, sol.values, interp)
         assert rep.sup_error == 0.0
+
+    def test_analytic_follows_the_callable_rule(self):
+        chain = discretize(STICKY, -6.0, 6.0, 201)
+        sol = solve_chain_stopping(chain, 0.5)
+        rep = compare(chain, sol.values, lambda x: 1.0)     # broadcast
+        assert rep.sup_error == float(np.max(np.abs(sol.values - 1.0)))
+        with pytest.raises(ParameterError, match="non-finite"):
+            compare(chain, sol.values, lambda x: np.full_like(x, np.nan))
+        with pytest.raises(ParameterError, match="shape"):
+            compare(chain, sol.values, lambda x: x[:-1])
 
     def test_jump_estimate_at_sticky_point(self):
         chain = discretize(STICKY, -6.0, 6.0, 4001)

@@ -722,6 +722,13 @@ class TestExcessivity:
         with pytest.raises(ParameterError, match="shape"):
             excessivity_check(STICKY, 0.5, u, self.GRID, (1.0,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_u_rejected(self, bad):
+        # Python's max skips NaN, so a NaN u used to pass with -inf violation
+        with pytest.raises(ParameterError, match="non-finite"):
+            excessivity_check(STICKY, 0.5, lambda y: np.full_like(y, bad),
+                              np.linspace(-3.0, 3.0, 7), (1.0, 10.0))
+
     def test_exception_in_u_propagates(self):
         def u(y):
             raise KeyError("from u")
