@@ -170,6 +170,9 @@ def _cmd_sweep(args) -> int:
     a = args.alpha_from
     while a <= args.alpha_to + 1e-12:
         alphas.append(round(a, 12))
+        if not a + args.step > a:
+            raise DiffstopError(f"sweep step {args.step!r} does not advance "
+                                f"alpha past {a!r} in floating point")
         a += args.step
     entries = [smooth_fit_report(alpha, args.c).to_doc() for alpha in alphas]
     if args.format == "json":

@@ -32,6 +32,7 @@ differences; the jump at a sticky point must come out exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -156,16 +157,21 @@ class DiffusionSpec:
     speed_atoms: tuple[tuple[float, float], ...] = ()
 
     # -- scale ------------------------------------------------------------
+    @property
+    def identity_scale(self) -> bool:
+        """True when the scale function is S(x) = x."""
+        return self.family is Family.REFLECTED_KILLED_BM or self.mu == 0.0
+
     @_scalar_aware
     def scale(self, x):
-        if self.family is Family.REFLECTED_KILLED_BM or self.mu == 0.0:
+        if self.identity_scale:
             return x
         return (1.0 - np.exp(-2.0 * self.mu * x)) / (2.0 * self.mu)
 
     @_scalar_aware
     def scale_deriv(self, x):
-        if self.family is Family.REFLECTED_KILLED_BM or self.mu == 0.0:
-            return np.ones_like(x)
+        if self.identity_scale:
+            return np.ones(x.shape)
         return np.exp(-2.0 * self.mu * x)
 
     # -- speed ------------------------------------------------------------
@@ -180,7 +186,7 @@ class DiffusionSpec:
         """Exact integral of the speed density over [a, b], elementwise."""
         if np.any(b < a):
             raise ParameterError("integration bounds out of order")
-        if self.family is Family.REFLECTED_KILLED_BM or self.mu == 0.0:
+        if self.identity_scale:
             return 2.0 * (b - a)
         return (np.exp(2.0 * self.mu * b) - np.exp(2.0 * self.mu * a)) / self.mu
 
@@ -323,7 +329,7 @@ class FundamentalSolutions:
         if side not in ("left", "right"):
             raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
         dx = right(x) if side == "right" else left(x)
-        return dx / self.spec.scale_deriv(x)
+        return dx if self.spec.identity_scale else dx / self.spec.scale_deriv(x)
 
     @_scalar_aware
     def green(self, x, y):
@@ -345,23 +351,25 @@ def _sticky_solutions(spec: DiffusionSpec, alpha: float) -> FundamentalSolutions
 
     @_scalar_aware
     def psi(x):
-        return np.where(x <= 0.0, np.exp(up * x),
-                        (1.0 + gamma) * np.exp(up * x) - gamma * np.exp(-dn * x))
+        e = np.exp(up * x)
+        return np.where(x <= 0.0, e, (1.0 + gamma) * e - gamma * np.exp(-dn * x))
 
     @_scalar_aware
     def phi(x):
-        return np.where(x >= 0.0, np.exp(-dn * x),
-                        (1.0 + gamma) * np.exp(-dn * x) - gamma * np.exp(up * x))
+        e = np.exp(-dn * x)
+        return np.where(x >= 0.0, e, (1.0 + gamma) * e - gamma * np.exp(up * x))
 
     def _psi_d(x, left_branch_closed):
-        low = up * np.exp(up * x)
-        high = (1.0 + gamma) * up * np.exp(up * x) + gamma * dn * np.exp(-dn * x)
+        e = np.exp(up * x)
+        low = up * e
+        high = (1.0 + gamma) * up * e + gamma * dn * np.exp(-dn * x)
         cond = x <= 0.0 if left_branch_closed else x < 0.0
         return np.where(cond, low, high)
 
     def _phi_d(x, right_branch_closed):
-        high = -dn * np.exp(-dn * x)
-        low = -(1.0 + gamma) * dn * np.exp(-dn * x) - gamma * up * np.exp(up * x)
+        e = np.exp(-dn * x)
+        high = -dn * e
+        low = -(1.0 + gamma) * dn * e - gamma * up * np.exp(up * x)
         cond = x >= 0.0 if right_branch_closed else x > 0.0
         return np.where(cond, high, low)
 
@@ -458,7 +466,15 @@ def fundamental(spec: DiffusionSpec, alpha: float) -> FundamentalSolutions:
     Positive discount: supported for sticky_bm and reflected_killed_bm.
     Zero discount: supported only for drift_bm (transient); recurrent
     families have no nonconstant 0-excessive functions and are rejected.
+
+    There is one object per (spec, alpha): results are memoised, so callers
+    may ask again rather than pass the pair around.
     """
+    return _fundamental(spec, float(alpha))
+
+
+@functools.lru_cache(maxsize=256)
+def _fundamental(spec: DiffusionSpec, alpha: float) -> FundamentalSolutions:
     if not math.isfinite(alpha) or alpha < 0.0:
         raise ParameterError(f"discount rate must be >= 0, got {alpha}")
     if alpha == 0.0:

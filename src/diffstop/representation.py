@@ -302,16 +302,30 @@ class RepresentingMeasure:
         sigma_ac relative to x0.  Only differences of this function are ever
         used, so the additive origin is immaterial.
         """
+        # each tail is called on the points of its own side only; a point
+        # at x0 takes the left tail for Martin and the right one for Riesz
+        flat = y.ravel()
+        out = np.empty(flat.shape)
         if self.kind == "martin":
-            below = self.left_tail(y) - _atoms_below(self.atoms, y, strict=True) \
-                - self.mass_left_boundary
-            above = self.total_mass - self.right_tail(y) \
-                - _atoms_below(self.atoms, y, strict=False) - self.mass_left_boundary
-            out = np.where(y <= self.x0, below, above)
+            low = flat <= self.x0
+            if low.any():
+                below = flat[low]
+                out[low] = self.left_tail(below) \
+                    - _atoms_below(self.atoms, below, strict=True) - self.mass_left_boundary
+            if not low.all():
+                above = flat[~low]
+                out[~low] = self.total_mass - self.right_tail(above) \
+                    - _atoms_below(self.atoms, above, strict=False) - self.mass_left_boundary
             # the tail formulas are only meaningful strictly inside the
             # interval; at an included endpoint the AC mass so far is zero
-            return np.where(y <= self.interval_left, 0.0, out)
-        return np.where(y >= self.x0, self.right_tail(y), -self.left_tail(y))
+            out[flat <= self.interval_left] = 0.0
+        else:
+            high = flat >= self.x0
+            if high.any():
+                out[high] = self.right_tail(flat[high])
+            if not high.all():
+                out[~high] = -self.left_tail(flat[~high])
+        return out.reshape(y.shape)
 
 
 def _atoms_below(atoms, y, strict: bool):
@@ -334,27 +348,28 @@ def _boundary_limit(tail: Callable, start: float, endpoint: float,
                     cap: float) -> float:
     """Limit of a monotone tail toward an endpoint, by ladder refinement.
 
-    The ladder runs from ``start`` toward the endpoint and stops on three
-    equal values, so ``start`` must lie beyond every kink on that side:
-    a plateau before a kink would otherwise pass for the limit.
+    The ladder runs from ``start`` toward the endpoint, halving the distance
+    to a finite endpoint and doubling the step toward an infinite one until
+    it passes ``cap``.  The tail is evaluated on the whole ladder in one
+    call, and the limit is the first of three equal values in ladder order,
+    so ``start`` must lie beyond every kink on that side: a plateau before
+    a kink would otherwise pass for the limit.
     """
-    vals = []
-    for k in range(60):
-        if math.isfinite(endpoint):
-            x = endpoint + (start - endpoint) * 2.0 ** (-(k + 1))
-        else:
-            x = start + math.copysign(2.0 ** k, endpoint)
-            if abs(x) > cap:
-                break
-        v = float(tail(x))
-        vals.append(v)
-        if len(vals) >= 3 and \
-                abs(vals[-1] - vals[-2]) <= 1e-13 * (1.0 + abs(vals[-1])) and \
-                abs(vals[-2] - vals[-3]) <= 1e-13 * (1.0 + abs(vals[-2])):
-            return vals[-1]
-    if not vals:
+    k = np.arange(60)
+    if math.isfinite(endpoint):
+        xs = endpoint + (start - endpoint) * np.ldexp(1.0, -(k + 1))
+    else:
+        xs = start + math.copysign(1.0, endpoint) * np.ldexp(1.0, k)
+        past = np.flatnonzero(np.abs(xs) > cap)
+        xs = xs[:past[0]] if past.size else xs
+    if not xs.size:
         return float(tail(start))
-    if abs(vals[-1] - vals[-2]) > 1e-9 * (1.0 + abs(vals[-1])):
+    vals = np.asarray(tail(xs), dtype=float).tolist()
+    for i in range(2, len(vals)):
+        if abs(vals[i] - vals[i - 1]) <= 1e-13 * (1.0 + abs(vals[i])) and \
+                abs(vals[i - 1] - vals[i - 2]) <= 1e-13 * (1.0 + abs(vals[i - 1])):
+            return vals[i]
+    if len(vals) < 2 or abs(vals[-1] - vals[-2]) > 1e-9 * (1.0 + abs(vals[-1])):
         raise ConvergenceError(
             f"tail limit toward {endpoint} did not stabilize", best=vals[-1])
     return vals[-1]
@@ -456,7 +471,8 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
             atoms.append((z, jump))
 
     # mass balance at x0: whatever the two open tails miss sits at x0 itself
-    defect = 1.0 - float(left_excl(x0)) - float(right_excl(x0))
+    left_x0, right_x0 = float(left_excl(x0)), float(right_excl(x0))
+    defect = 1.0 - left_x0 - right_x0
     if defect < -1e-9:
         raise NotExcessiveError(
             f"representing measure overshoots unit mass by {-defect:.3g}")
@@ -475,7 +491,7 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
     mass_left = 0.0 if mass_left <= _ATOM_THRESHOLD else mass_left
     mass_right = 0.0 if mass_right <= _ATOM_THRESHOLD else mass_right
 
-    total = float(left_excl(x0)) + float(right_excl(x0)) + max(defect, 0.0)
+    total = left_x0 + right_x0 + max(defect, 0.0)
     kinks = tuple(sorted({*probe, x0, *(a[0] for a in atoms)}))
     return RepresentingMeasure(
         kind="martin", x0=x0, normalization=u0, total_mass=total,
@@ -811,59 +827,112 @@ class ExcessivityReport:
 
 
 _MESH_MIN_ULPS = 64
-_MESH_MAX_PANELS = 1000      # panels halved at one level
+_MESH_MAX_PANELS = 1000      # unresolved panels split at one level
+_MESH_SPLIT = 4              # pieces of an unresolved panel
 
 
-def _resolvent_integrals(spec: DiffusionSpec, fsb: FundamentalSolutions,
-                         u: Callable, xs: np.ndarray, lo: np.ndarray,
-                         hi: np.ndarray, split_points) -> np.ndarray:
+def _reach(fs: FundamentalSolutions) -> float:
+    """Distance past which G(x, .) has decayed by e^{-60}, plus 1."""
+    return 60.0 / _exp_rate(fs) + 1.0
+
+
+def _resolvent_rows(spec: DiffusionSpec, rates: list[FundamentalSolutions],
+                    u: Callable, xs: np.ndarray, split_points) -> np.ndarray:
     """Integral of G(x, y) u(y) over [lo_x, hi_x] against the AC speed part.
 
-    One panel mesh serves every row x.  Its initial panels run between the
-    rows' endpoints and the split points; each holds a 10-point
-    Gauss-Legendre rule.  A panel is halved while halving it changes some
-    row's sum by more than that row's share, in proportion to the panel's
-    length, of max(1e-13, 1e-11 |I_x|).  u is called once per refinement
-    level, on the array of that level's nodes.
+    One row per (rate, x), where ``rates`` holds the fundamental solutions
+    of each resolvent rate and [lo_x, hi_x] is x +- the rate's reach,
+    clipped to the state space; returns an array of shape (rates, xs).  The
+    mesh and its refinement rule are those of :func:`excessivity_check`.
+    The split points hold every x, so each panel lies on one side of each
+    row: per rate and panel the sums P = integral of psi u dm and
+    Q = integral of phi u dm give row x phi(x) P / w for a panel left of x
+    and psi(x) Q / w for one right of it.
     """
+    nb, nx = len(rates), len(xs)
+    reach = np.array([[_reach(fs)] for fs in rates])
+    lo = np.maximum(spec.interval.left, xs - reach).ravel()
+    hi = np.minimum(spec.interval.right, xs + reach).ravel()
+    span = hi - lo
     edges = np.array(sorted({*lo, *hi, *(p for p in split_points
                                           if lo.min() < p < hi.max())}))
-    span = hi - lo
-
-    def panel_sums(a, b):
-        half = 0.5 * (b - a)
-        ys = ((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES).ravel()
-        f = _values(u, ys) * np.asarray(spec.speed_density(ys), dtype=float)
-        f *= (half[:, None] * _GL_WEIGHTS).ravel()
-        kern = fsb.green(xs[:, None], ys[None, :])
-        sums = (kern * f).reshape(len(xs), len(a), -1).sum(axis=2)
-        inside = (lo[:, None] <= a) & (b <= hi[:, None])
-        return np.where(inside, sums, 0.0)
-
     a, b = edges[:-1], edges[1:]
-    whole = panel_sums(a, b)
-    total = np.zeros(len(xs))
+    inside = (lo[:, None] <= a) & (b <= hi[:, None])      # (rows, panels)
+    left = b[None, :] <= np.tile(xs, nb)[:, None]
+    rate = np.repeat(np.arange(nb), nx)
+    by_left = np.concatenate([fs.phi(xs) / fs.wronskian for fs in rates])[:, None]
+    by_right = np.concatenate([fs.psi(xs) / fs.wronskian for fs in rates])[:, None]
+    cut = np.arange(_MESH_SPLIT + 1) / _MESH_SPLIT
+
+    def pieces(a, b):
+        ends = a[:, None] + (b - a)[:, None] * cut
+        ends[:, 0], ends[:, -1] = a, b
+        return ends[:, :-1].ravel(), ends[:, 1:].ravel()
+
+    def sums(a, b, reached):
+        # (P, Q), each of shape (rates, panels); zero where no row reaches
+        half = 0.5 * (b - a)
+        ys = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+        f = (_values(u, ys.ravel()) * spec.speed_density(ys.ravel())).reshape(ys.shape)
+        f *= half[:, None] * _GL_WEIGHTS
+        P, Q = np.zeros((nb, len(a))), np.zeros((nb, len(a)))
+        for i, fs in enumerate(rates):
+            m = reached[i]
+            if m.any():
+                y, fm = ys[m], f[m]
+                P[i, m] = (fs.psi(y.ravel()).reshape(y.shape) * fm).sum(axis=1)
+                Q[i, m] = (fs.phi(y.ravel()).reshape(y.shape) * fm).sum(axis=1)
+        return P, Q
+
+    def row_sums(P, Q):
+        # each row's share of each panel, multiplied only where it is used,
+        # so that an unused product can neither overflow nor add a NaN
+        out = np.zeros(inside.shape)
+        np.multiply(by_left, P[rate], out=out, where=inside & left)
+        np.multiply(by_right, Q[rate], out=out, where=inside & ~left)
+        return out
+
+    def reached(inside):
+        # a rate reaches a panel when the panel is inside some row's window
+        return inside.reshape(nb, nx, -1).any(axis=1)
+
+    # the first level evaluates the initial panels with their pieces
+    n = len(a)
+    ca, cb = pieces(a, b)
+    first = reached(inside)
+    P, Q = sums(np.concatenate((a, ca)), np.concatenate((b, cb)),
+                np.concatenate((first, np.repeat(first, _MESH_SPLIT, axis=1)), axis=1))
+    whole_P, whole_Q, P, Q = P[:, :n], Q[:, :n], P[:, n:], Q[:, n:]
+    total = np.zeros(nb * nx)
     while True:
-        mid = 0.5 * (a + b)
-        halves = panel_sums(np.concatenate((a, mid)), np.concatenate((mid, b)))
-        left, right = halves[:, :len(a)], halves[:, len(a):]
-        refined = left + right
-        change = np.abs(refined - whole)
+        n = len(a)
+        split_P = P.reshape(nb, n, _MESH_SPLIT)
+        split_Q = Q.reshape(nb, n, _MESH_SPLIT)
+        refined = row_sums(split_P.sum(axis=2), split_Q.sum(axis=2))
+        change = np.abs(refined - row_sums(whole_P, whole_Q))
         tol = np.maximum(1e-13, 1e-11 * np.abs(total + refined.sum(axis=1)))
         bad = np.any(change > tol[:, None] * ((b - a) / span[:, None]), axis=0)
         total += refined[:, ~bad].sum(axis=1)
         if not bad.any():
-            return total
-        # a panel a few ulps wide cannot be halved any further
-        tiny = (b - a)[bad] <= _MESH_MIN_ULPS * np.spacing(np.abs(mid[bad]) + 1.0)
+            return total.reshape(nb, nx)
+        # a panel a few ulps wide cannot be split any further
+        mid = 0.5 * (a[bad] + b[bad])
+        tiny = (b - a)[bad] <= _MESH_MIN_ULPS * np.spacing(np.abs(mid) + 1.0)
         if tiny.any() or np.count_nonzero(bad) > _MESH_MAX_PANELS:
             raise ConvergenceError(
-                f"resolvent mesh on [{lo.min()}, {hi.max()}] at rate "
-                f"{fsb.alpha:g} did not converge: {np.count_nonzero(bad)} "
-                "panels still change when halved",
+                f"resolvent mesh on [{lo.min()}, {hi.max()}] at rates "
+                f"{[fs.alpha for fs in rates]} did not converge: "
+                f"{np.count_nonzero(bad)} panels still change when split",
                 achieved=float(np.max(change[:, bad].sum(axis=1))))
-        a, b = np.concatenate((a[bad], mid[bad])), np.concatenate((mid[bad], b[bad]))
-        whole = np.concatenate((left[:, bad], right[:, bad]), axis=1)
+        # the pieces of the unresolved panels are the next level's panels
+        a = ca.reshape(n, _MESH_SPLIT)[bad].ravel()
+        b = cb.reshape(n, _MESH_SPLIT)[bad].ravel()
+        inside = np.repeat(inside[:, bad], _MESH_SPLIT, axis=1)
+        left = np.repeat(left[:, bad], _MESH_SPLIT, axis=1)
+        whole_P = split_P[:, bad].reshape(nb, -1)
+        whole_Q = split_Q[:, bad].reshape(nb, -1)
+        ca, cb = pieces(a, b)
+        P, Q = sums(ca, cb, np.repeat(reached(inside), _MESH_SPLIT, axis=1))
 
 
 def excessivity_check(spec: DiffusionSpec, alpha: float, u: Callable,
@@ -879,25 +948,31 @@ def excessivity_check(spec: DiffusionSpec, alpha: float, u: Callable,
     nondecreasing in beta (it approaches u(x) from below for excessive u).
     Atoms of the speed measure enter the integral exactly.
 
-    Row x integrates over [x - reach, x + reach] (clipped to the state
-    space), where the kernel G_{alpha+beta} has decayed by e^{-60}.  For each
-    beta one panel mesh serves all rows: it is split at the grid points, the
-    given kinks, the speed atoms and every row's integration ends, and each
-    panel carries a 10-point Gauss-Legendre rule.  A panel is halved while
-    halving it changes some row by more than that row's share, in proportion
-    to the panel's length, of max(1e-13, 1e-11 |I_x|), where I_x is the
-    row's integral; these are the absolute and relative tolerances of an
-    adaptive quadrature, so kinks of u missing from ``kinks`` are found by
-    halving.  G is evaluated as one (rows, nodes) matrix.  u is called on
-    1-D float64 arrays and must return a finite array of the same shape (a
-    finite scalar is broadcast): once on the grid points and speed atoms
-    together, then once per refinement level on that level's mesh nodes.
-    Any other result shape, or a NaN or infinite value, raises
-    :class:`ParameterError`.  Raises :class:`ConvergenceError`
-    (``achieved`` is the largest row change still unresolved) when a panel
-    that still changes has shrunk to a few ulps, as at a jump of u off the
-    mesh, or when more than 1000 panels need halving at one level, as for an
-    endless oscillation.
+    Row (beta, x) integrates over [x - reach, x + reach] (clipped to the
+    state space), where the kernel G_{alpha+beta} has decayed by e^{-60}.
+    One panel mesh serves all rows of all betas: it is split at the grid
+    points, the given kinks, the speed atoms and every row's integration
+    ends, and each panel carries a 10-point Gauss-Legendre rule.  The kernel
+    is factored, G(x, y) = psi(min(x, y)) phi(max(x, y)) / w, so a level
+    needs the integrals of psi u dm and phi u dm over each panel per beta,
+    not a (rows, nodes) matrix, and only over panels that some row of that
+    beta reaches.  A panel is split into 4 equal pieces while splitting it
+    changes some row by more than that row's share, in proportion to the
+    panel's length, of max(1e-13, 1e-11 |I_x|), where I_x is the row's
+    integral; these are the absolute and relative tolerances of an adaptive
+    quadrature, so kinks of u missing from ``kinks`` are found by
+    splitting.  The first level evaluates the initial panels and their
+    pieces together.  u is called on 1-D float64 arrays and must return
+    a finite array of the same shape (a finite scalar is broadcast): once
+    on the grid points and speed atoms together, then once per refinement
+    level, for all betas, on that level's mesh nodes.  Any other result
+    shape, or a NaN or infinite value, raises :class:`ParameterError`.
+    Raises :class:`ConvergenceError` (``achieved`` is the largest row change
+    still unresolved) when a panel that still changes has shrunk to a few
+    ulps, as at a jump of u off the mesh, or when more than 1000 panels need
+    splitting at one level, as for an endless oscillation.  Raises
+    :class:`DomainError`, naming beta and x, when a row is not finite, as
+    where psi or phi of rate alpha + beta overflows a float at x.
     """
     grid = [float(x) for x in grid]
     betas = sorted(float(b) for b in betas)
@@ -907,18 +982,13 @@ def excessivity_check(spec: DiffusionSpec, alpha: float, u: Callable,
     locs = _atom_locations(spec)
     at = _values(u, np.concatenate((xs, locs)))
     bounds = at[:len(grid)].tolist()
-    atoms = [(loc, wt, u_loc) for (loc, wt), u_loc
-             in zip(spec.speed_atoms, at[len(grid):].tolist())]
-    split_points = sorted({*kinks, *locs, *grid})
+    rates = [fundamental(spec, alpha + beta) for beta in betas]
+    rows_by_beta = _resolvent_rows(spec, rates, u, xs, sorted({*kinks, *locs, *grid}))
     vals = {}
-    for beta in betas:
-        fsb = fundamental(spec, alpha + beta)
-        reach = 60.0 / _exp_rate(fsb) + 1.0
-        lo = np.maximum(spec.interval.left, xs - reach)
-        hi = np.minimum(spec.interval.right, xs + reach)
-        row = _resolvent_integrals(spec, fsb, u, xs, lo, hi, split_points)
-        for loc, wt, u_loc in atoms:
-            inside = (lo <= loc) & (loc <= hi)
+    for beta, fsb, row in zip(betas, rates, rows_by_beta):
+        reach = _reach(fsb)
+        for (loc, wt), u_loc in zip(spec.speed_atoms, at[len(grid):].tolist()):
+            inside = (xs - reach <= loc) & (loc <= xs + reach)
             row = row + np.where(inside, fsb.green(xs, loc) * u_loc * wt, 0.0)
         vals[beta] = beta * row
     rows = []
@@ -928,6 +998,11 @@ def excessivity_check(spec: DiffusionSpec, alpha: float, u: Callable,
         prev_val = -math.inf
         for beta in betas:
             val = float(vals[beta][k])
+            if not math.isfinite(val):
+                raise DomainError(
+                    f"resolvent row at x = {x}, beta = {beta} is {val}: the "
+                    f"fundamental solutions of rate {alpha + beta:g} overflow "
+                    "a float there")
             rows.append((x, beta, val, bound))
             # violations are judged relative to max(1, u(x)) pointwise
             max_violation = max(max_violation,
@@ -960,8 +1035,8 @@ def measure_to_doc(measure: RepresentingMeasure, tail_points: int = 65) -> dict:
         else x0 + span
     left_xs = np.linspace(lo, x0, tail_points)
     right_xs = np.linspace(x0, hi, tail_points)
-    left_vals = np.asarray(measure.ac_cdf(left_xs), dtype=float)
-    right_vals = np.asarray(measure.ac_cdf(right_xs), dtype=float)
+    vals = measure.ac_cdf(np.concatenate((left_xs, right_xs)))
+    left_vals, right_vals = vals[:tail_points], vals[tail_points:]
     if measure.kind != "martin":
         left_vals = -left_vals
     return {

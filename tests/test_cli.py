@@ -241,6 +241,19 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "DiffstopError"
 
+    def test_sweep_step_that_cannot_advance_rejected(self):
+        # 0.1 + 1e-20 == 0.1 in floats, so the sweep would repeat 0.1 until
+        # memory ran out; a separate process, so that a hang is a timeout
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "diffstop.cli", "sweep", "--c", "1",
+             "--alpha-from", "0.1", "--alpha-to", "0.2", "--step", "1e-20"],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["type"] == "DiffstopError"
+
     def test_bad_family_is_numeric_error(self, capsys):
         code, _, err = run_cli(capsys, "fundamental", "--alpha", "0.5",
                                "--family", "absorbing_bm")

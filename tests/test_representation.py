@@ -6,7 +6,9 @@ from typing import Callable
 import numpy as np
 import pytest
 
+from diffstop import representation
 from diffstop.diffusion import (
+    _values,
     fundamental,
     make_reflected_killed_bm,
     make_sticky_bm,
@@ -21,6 +23,8 @@ from diffstop.representation import (
     RepresentingMeasure,
     _GL_NODES,
     _GL_WEIGHTS,
+    _atoms_below,
+    _boundary_limit,
     _exp_rate,
     candidate_from_callable,
     derivative_jump,
@@ -493,6 +497,56 @@ class TestByPartsRoute:
                                                                        abs=1e-14)
 
 
+def _ladder_limit(tail, start, endpoint, cap):
+    """Reference: the boundary-limit ladder evaluated one point at a time."""
+    vals = []
+    for k in range(60):
+        if math.isfinite(endpoint):
+            x = endpoint + (start - endpoint) * 2.0 ** (-(k + 1))
+        else:
+            x = start + math.copysign(2.0 ** k, endpoint)
+            if abs(x) > cap:
+                break
+        v = float(tail(x))
+        vals.append(v)
+        if len(vals) >= 3 and \
+                abs(vals[-1] - vals[-2]) <= 1e-13 * (1.0 + abs(vals[-1])) and \
+                abs(vals[-2] - vals[-3]) <= 1e-13 * (1.0 + abs(vals[-2])):
+            return vals[-1]
+    if not vals:
+        return float(tail(start))
+    if abs(vals[-1] - vals[-2]) > 1e-9 * (1.0 + abs(vals[-1])):
+        raise ConvergenceError("tail limit did not stabilize", best=vals[-1])
+    return vals[-1]
+
+
+class TestBoundaryLimit:
+    @pytest.mark.parametrize("case", FAMILIES, ids=_family_id)
+    def test_matches_pointwise_ladder(self, case):
+        # one array call of the tail on the whole ladder gives the limit of
+        # the point-by-point ladder exactly, from every start on each side
+        spec, alpha, cand = case
+        m = martin_measure(spec, alpha, cand)
+        cap = 600.0 / _exp_rate(fundamental(spec, alpha))
+        l, r, x0 = spec.interval.left, spec.interval.right, cand.x0
+        probe = {*cand.kinks, *(loc for loc, _ in spec.speed_atoms), x0}
+        for tail, end, starts in (
+                (m.left_tail, l, [z for z in probe if l < z <= x0]),
+                (m.right_tail, r, [z for z in probe if x0 <= z < r])):
+            for start in starts:
+                assert _boundary_limit(tail, start, end, cap) == \
+                    _ladder_limit(tail, start, end, cap), (end, start)
+
+    def test_short_ladder_before_cap(self):
+        # the ladder 6, 7, 9, ... stops where it passes the cap: with no
+        # point left the tail at the start is the limit; one point cannot
+        # show a limit
+        tail = lambda x: 2.0 * np.asarray(x)
+        assert _boundary_limit(tail, 5.0, math.inf, 5.5) == 10.0
+        with pytest.raises(ConvergenceError):
+            _boundary_limit(tail, 5.0, math.inf, 6.5)
+
+
 class TestDerivativeJump:
     def _riesz(self, alpha, cand):
         m = martin_measure(STICKY, alpha, cand)
@@ -745,6 +799,99 @@ class TestExcessivity:
                               (1.0, 10.0))
         assert err.value.achieved > 0.0
 
+    @pytest.mark.parametrize("alpha, most", [(0.5, 4), (0.1, 10)])
+    def test_one_mesh_serves_every_beta(self, alpha, most):
+        # the value function kinks at x* too, which is not given at
+        # alpha = 0.1 (x* = 0.8976); per_beta_rows below calls u 14 and 37
+        # times here
+        calls = []
+
+        def u(y):
+            calls.append(len(y))
+            return value_function(alpha, 1.0, y)
+
+        rep = excessivity_check(STICKY, alpha, u, self.GRID, self.BETAS,
+                                kinks=(-1.0, 0.0))
+        assert rep.passed
+        assert len(calls) <= most, calls
+
+    def test_overflowing_row_raises(self):
+        # at rate 1e5 psi and phi overflow a float beyond |x| = 1.6, so the
+        # rows at x = -3, -2, 2 and 3 are NaN, which Python's max would skip
+        u = value_candidate(0.5, 1.0).value
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(DomainError, match=r"x = -3\.0, beta = 100000\.0"):
+            excessivity_check(STICKY, 0.5, u, np.linspace(-3.0, 3.0, 7), (1e5,))
+
+    @staticmethod
+    def per_beta_rows(spec, rates, u, xs, split_points):
+        """Reference rows: each rate refines its own mesh by halving, with G
+        evaluated as a (rows, nodes) matrix."""
+        out = []
+        for fsb in rates:
+            reach = 60.0 / _exp_rate(fsb) + 1.0
+            lo = np.maximum(spec.interval.left, xs - reach)
+            hi = np.minimum(spec.interval.right, xs + reach)
+            edges = np.array(sorted({*lo, *hi, *(p for p in split_points
+                                                  if lo.min() < p < hi.max())}))
+            span = hi - lo
+
+            def panel_sums(a, b):
+                half = 0.5 * (b - a)
+                ys = ((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES).ravel()
+                f = _values(u, ys) * np.asarray(spec.speed_density(ys), dtype=float)
+                f *= (half[:, None] * _GL_WEIGHTS).ravel()
+                kern = fsb.green(xs[:, None], ys[None, :])
+                sums = (kern * f).reshape(len(xs), len(a), -1).sum(axis=2)
+                return np.where((lo[:, None] <= a) & (b <= hi[:, None]), sums, 0.0)
+
+            a, b = edges[:-1], edges[1:]
+            whole = panel_sums(a, b)
+            total = np.zeros(len(xs))
+            while True:
+                mid = 0.5 * (a + b)
+                halves = panel_sums(np.concatenate((a, mid)), np.concatenate((mid, b)))
+                left, right = halves[:, :len(a)], halves[:, len(a):]
+                refined = left + right
+                change = np.abs(refined - whole)
+                tol = np.maximum(1e-13, 1e-11 * np.abs(total + refined.sum(axis=1)))
+                bad = np.any(change > tol[:, None] * ((b - a) / span[:, None]), axis=0)
+                total += refined[:, ~bad].sum(axis=1)
+                if not bad.any():
+                    break
+                a, b = np.concatenate((a[bad], mid[bad])), np.concatenate((mid[bad], b[bad]))
+                whole = np.concatenate((left[:, bad], right[:, bad]), axis=1)
+            out.append(total)
+        return np.array(out)
+
+    def assert_matches_per_beta(self, monkeypatch, spec, alpha, u, grid, kinks):
+        rep = excessivity_check(spec, alpha, u, grid, self.BETAS, kinks=kinks)
+        with monkeypatch.context() as m:
+            m.setattr(representation, "_resolvent_rows", self.per_beta_rows)
+            ref = excessivity_check(spec, alpha, u, grid, self.BETAS, kinks=kinks)
+        assert (rep.passed, rep.monotone_ok) == (ref.passed, ref.monotone_ok)
+        got = np.array([row[2] for row in rep.rows])
+        want = np.array([row[2] for row in ref.rows])
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want)), \
+            np.max(np.abs(got - want) / np.abs(want))
+
+    @pytest.mark.parametrize("case", FAMILIES, ids=_family_id)
+    def test_rows_match_per_beta_meshes(self, monkeypatch, case):
+        spec, alpha, cand = case
+        left, right = spec.interval.left, spec.interval.right
+        grid = np.linspace(left, 0.9 * right, 7) if math.isfinite(left) \
+            else np.linspace(-3.0, 3.0, 7)
+        self.assert_matches_per_beta(monkeypatch, spec, alpha, cand.value, grid,
+                                     cand.kinks)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    @pytest.mark.parametrize("u", ["value", "reward"])
+    def test_value_rows_match_per_beta_meshes(self, monkeypatch, alpha, u):
+        fn = (lambda x: value_function(alpha, 1.0, x)) if u == "value" \
+            else default_reward().value
+        self.assert_matches_per_beta(monkeypatch, STICKY, alpha, fn, self.GRID,
+                                     (-1.0, 0.0))
+
 
 class TestConverseConstruction:
     def test_synthetic_measure_reconstructs_to_excessive_function(self):
@@ -793,6 +940,44 @@ class TestSerialization:
         assert back.atoms == m.atoms      # bitwise identical floats
         assert back.mass_left_boundary == m.mass_left_boundary
         assert back.x0 == m.x0
+
+    @staticmethod
+    def doc_from_both_tails(measure):
+        """Reference document: ac_cdf called once per side, each call
+        evaluating both tails on every point and picking one by np.where."""
+        def ac_cdf(y):
+            if measure.kind == "martin":
+                below = measure.left_tail(y) \
+                    - _atoms_below(measure.atoms, y, strict=True) - measure.mass_left_boundary
+                above = measure.total_mass - measure.right_tail(y) \
+                    - _atoms_below(measure.atoms, y, strict=False) - measure.mass_left_boundary
+                out = np.where(y <= measure.x0, below, above)
+                return np.where(y <= measure.interval_left, 0.0, out)
+            return np.where(y >= measure.x0, measure.right_tail(y), -measure.left_tail(y))
+
+        doc = measure_to_doc(measure)
+        sign = {"left": 1.0 if measure.kind == "martin" else -1.0, "right": 1.0}
+        for side, samples in doc["tail_samples"].items():
+            ts = np.array([t for t, _ in samples])
+            doc["tail_samples"][side] = [[float(t), float(v)] for t, v
+                                         in zip(ts, sign[side] * ac_cdf(ts))]
+        return doc
+
+    @pytest.mark.parametrize("alpha, cand", [
+        (0.5, green_candidate(STICKY, 0.5, 0.7)),
+        (0.5, psi_candidate(STICKY, 0.5)),
+        (0.5, phi_candidate(STICKY, 0.5)),
+        (0.5, value_candidate(0.5, 1.0)),
+        (0.25, value_candidate(0.25, 1.0)),
+        (0.1, value_candidate(0.1, 1.0)),
+    ], ids=["green", "psi", "phi", "value-0.5", "value-0.25", "value-0.1"])
+    @pytest.mark.parametrize("kind", ["martin", "riesz"])
+    def test_doc_calls_each_tail_on_its_side(self, alpha, cand, kind):
+        import json
+        m = martin_measure(STICKY, alpha, cand)
+        if kind == "riesz":
+            m = riesz_from_martin(m, STICKY, alpha)
+        assert json.dumps(measure_to_doc(m)) == json.dumps(self.doc_from_both_tails(m))
 
     def test_doc_survives_json(self):
         import json
