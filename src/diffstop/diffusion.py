@@ -169,6 +169,19 @@ class DiffusionSpec:
         return (1.0 - np.exp(-2.0 * self.mu * x)) / (2.0 * self.mu)
 
     @_scalar_aware
+    def _scale_increment(self, a, b):
+        """S(b) - S(a), elementwise, without differencing S.
+
+        Under drift S tends to a constant on one side, where differences of
+        its values cancel; e^{-2 mu a} (-expm1(-2 mu (b - a))) / (2 mu) keeps
+        every digit.
+        """
+        if self.identity_scale:
+            return b - a
+        return np.exp(-2.0 * self.mu * a) * -np.expm1(-2.0 * self.mu * (b - a)) \
+            / (2.0 * self.mu)
+
+    @_scalar_aware
     def scale_deriv(self, x):
         if self.identity_scale:
             return np.ones(x.shape)
@@ -183,12 +196,16 @@ class DiffusionSpec:
 
     @_scalar_aware
     def speed_density_integral(self, a, b):
-        """Exact integral of the speed density over [a, b], elementwise."""
+        """Exact integral of the speed density over [a, b], elementwise.
+
+        Under drift it is e^{2 mu a} expm1(2 mu (b - a)) / mu, so a short
+        interval keeps every digit.
+        """
         if np.any(b < a):
             raise ParameterError("integration bounds out of order")
         if self.identity_scale:
             return 2.0 * (b - a)
-        return (np.exp(2.0 * self.mu * b) - np.exp(2.0 * self.mu * a)) / self.mu
+        return np.exp(2.0 * self.mu * a) * np.expm1(2.0 * self.mu * (b - a)) / self.mu
 
     def speed_atom_at(self, z: float) -> float:
         for loc, w in self.speed_atoms:

@@ -124,7 +124,9 @@ def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
     """Uniform-in-x grid of n nodes, snapped so every speed atom is a node.
 
     Node masses integrate the speed density exactly over the surrounding
-    half-cells and add the atom weight at the atom's node.  The reward is
+    half-cells and add the atom weight at the atom's node; they and the
+    scale increments between nodes come from closed-form increments, not
+    differences of values, so under drift neither cancels.  The reward is
     called once on the float64 array of nodes and returns an array of that
     shape or a scalar, which is broadcast.  Any other result shape, or a
     reward that is not finite at every node, raises :class:`ParameterError`.
@@ -150,11 +152,9 @@ def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
     for loc, w in spec.speed_atoms:
         mass[int(np.argmin(np.abs(nodes - loc)))] += w
 
-    scale = np.asarray(spec.scale(nodes), dtype=float)
-    ds_up = scale[2:] - scale[1:-1]
-    ds_down = scale[1:-1] - scale[:-2]
-    up = 1.0 / (mass[1:-1] * ds_up)
-    down = 1.0 / (mass[1:-1] * ds_down)
+    ds = spec._scale_increment(nodes[:-1], nodes[1:])
+    up = 1.0 / (mass[1:-1] * ds[1:])
+    down = 1.0 / (mass[1:-1] * ds[:-1])
     if not (np.all(np.isfinite(up)) and np.all(up > 0)
             and np.all(np.isfinite(down)) and np.all(down > 0)):
         raise ParameterError("degenerate chain rates; check the window and n")

@@ -52,8 +52,19 @@ for x <= x0, and mirrored for x >= x0:
 
 Atoms enter through the tail values and boundary masses in closed form,
 and the one integral runs on fixed Gauss-Legendre panels, with no
-convergence loop.  The integrals of psi and phi against sigma behind the
-derivative jump reduce to the same two integrals plus tail values.
+convergence loop.  Either line is u(x) = A phi(x) + B psi(x), and the
+one-sided derivatives come from the same coefficient pair:
+
+    u+(z) = A phi+(z) + B psi+(z) + s,
+    u-(z) = A phi-(z) + B psi-(z) + s + sigma({z}),
+
+where s, the scale derivative of the by-parts term, is
+-w (nu([l, z]) - m_l) / (psi(z) phi(x0)) for z <= x0 and
+w (nu((z, r]) - m_r) / (phi(z) psi(x0)) above x0, so the jump identity holds
+by construction.  A Riesz measure rebuilt from a document has no Martin
+measure behind it: its pair is the Riesz one, A = c1 + (integral of psi
+over (l, x] against sigma) / w and B = c2 + (integral of phi over (x, r)
+against sigma) / w, and s = 0.
 
 Conventions used throughout:
 
@@ -264,8 +275,10 @@ class RepresentingMeasure:
     *absolutely continuous* cumulative relative to x0 (sigma_ac((x0, y]) on
     the right, sigma_ac([y, x0)) on the left), since the full sigma-tails
     toward a natural boundary need not be finite.  ``base`` retains the
-    source Martin measure, through which :func:`reconstruct` and
-    :func:`derivative_jump` integrate.
+    source Martin measure, from whose by-parts identity :func:`reconstruct`
+    and :func:`derivative_jump` take their coefficients; a Riesz measure
+    rebuilt by :func:`measure_from_doc` has none, and they integrate psi and
+    phi against its sigma instead.
 
     ``candidate`` is for this module's use: :func:`martin_measure` keeps the
     source candidate there, from which :func:`riesz_from_martin` builds the
@@ -677,54 +690,59 @@ def harmonic_coefficients(measure: RepresentingMeasure,
     return c1, c2
 
 
+def _coefficients(measure: RepresentingMeasure, fs: FundamentalSolutions,
+                  x: float) -> tuple[float, float]:
+    """(A, B) with u(x) / u(x0) = A phi(x) + B psi(x), as in the module
+    docstring.  A measure with a Martin source takes them from the by-parts
+    identity and evaluates no tail.  A rebuilt Riesz measure sums its atoms
+    and integrates psi left of x and phi right of it (where neither
+    overflows before G(x, .) does) on panels split at x, the speed atoms and
+    the sample points, against the constant density of its cumulative.
+    """
+    nu = measure.base if measure.base is not None else measure
+    x0, w = nu.x0, fs.wronskian
+    if nu.kind == "martin":
+        m_l, m_r = nu.mass_left_boundary, nu.mass_right_boundary
+        psi_x0, phi_x0 = float(fs.psi(x0)), float(fs.phi(x0))
+        part = w * _by_parts_integral(nu, fs, x)
+        if x <= x0:
+            return m_l / phi_x0, (nu.total_mass - m_l) / psi_x0 + part / phi_x0
+        return (nu.total_mass - m_r) / phi_x0 + part / psi_x0, m_r / psi_x0
+
+    def against_sigma(f, pts):
+        # integral of f over the gaps of pts against the interpolated cumulative
+        if len(pts) < 2:
+            return 0.0
+        nodes, half, first = _gl_panels(pts, 0.25 / _exp_rate(fs))
+        kernel = np.add.reduceat(_panel_sums(f(nodes.ravel()), nodes, half), first)
+        return float(kernel @ (np.diff(nu.ac_cdf(pts)) / np.diff(pts)))
+
+    pts = np.array(sorted({x, *nu.kinks, *_atom_locations(fs.spec)}))
+    below = against_sigma(fs.psi, pts[pts <= x]) \
+        + sum(wt * float(fs.psi(z)) for z, wt in nu.atoms if z <= x)
+    above = against_sigma(fs.phi, pts[pts >= x]) \
+        + sum(wt * float(fs.phi(z)) for z, wt in nu.atoms if z > x)
+    c1, c2 = harmonic_coefficients(nu, fs)
+    return c1 + below / w, c2 + above / w
+
+
 def reconstruct(measure: RepresentingMeasure, spec: DiffusionSpec,
                 alpha: float, x: float) -> float:
     """Evaluate the representation integral at x (normalized scale).
 
-    For a Martin measure of u (or a Riesz measure built from one) this
-    returns u(x) / u(x0) by the by-parts identity of the module docstring:
-    boundary masses and the total mass enter in closed form, atoms through
-    the tail values, and the one remaining integral runs over the segment
-    between x and x0 on 10-point Gauss-Legendre panels, split at the
-    measure's kinks and the speed atoms, cut to widths of at most
-    0.25 / (theta + |mu|) and split again where the distance to a killing
-    endpoint halves.
-
-    A Riesz measure rebuilt by :func:`measure_from_doc` integrates G(x, .)
-    with the same rule and cap, on panels split at x, the speed atoms and
-    its sample points, against the constant density of its piecewise-linear
-    cumulative between sample points; its atoms and harmonic part enter
-    exactly.
+    Returns A phi(x) + B psi(x) with the coefficient pair of the module
+    docstring: u(x) / u(x0) for a Martin measure of u or a Riesz measure
+    built from one.  A Riesz measure rebuilt by :func:`measure_from_doc`
+    integrates psi and phi against its sigma on the panel rule of
+    :func:`_by_parts_integral`, split at x, the speed atoms and its sample
+    points; the result is as accurate as the document's piecewise-linear
+    cumulative.
     """
     fs = fundamental(spec, alpha)
     if not spec.interval.contains(x):
         raise DomainError(f"evaluation point {x} outside the state space")
-    nu = measure.base if measure.base is not None else measure
-    if nu.kind == "riesz":
-        return _reconstruct_riesz(nu, fs, x)
-    x0, w = nu.x0, fs.wronskian
-    psi_x, phi_x = float(fs.psi(x)), float(fs.phi(x))
-    m_l, m_r = nu.mass_left_boundary, nu.mass_right_boundary
-    psi_x0, phi_x0 = float(fs.psi(x0)), float(fs.phi(x0))
-    part = w * _by_parts_integral(nu, fs, x)
-    if x <= x0:
-        return (m_l * phi_x / phi_x0 + (nu.total_mass - m_l) * psi_x / psi_x0
-                + part * psi_x / phi_x0)
-    return (m_r * psi_x / psi_x0 + (nu.total_mass - m_r) * phi_x / phi_x0
-            + part * phi_x / psi_x0)
-
-
-def _reconstruct_riesz(sigma: RepresentingMeasure, fs: FundamentalSolutions,
-                       x: float) -> float:
-    """The Riesz representation at x of a measure rebuilt from a document."""
-    pts = np.array(sorted({x, *sigma.kinks, *_atom_locations(fs.spec)}))
-    nodes, half, first = _gl_panels(pts, 0.25 / _exp_rate(fs))
-    kernel = np.add.reduceat(_panel_sums(fs.green(x, nodes.ravel()), nodes, half), first)
-    density = np.diff(sigma.ac_cdf(pts)) / np.diff(pts)
-    out = float(kernel @ density)
-    out += sum(wt * float(fs.green(x, z)) for z, wt in sigma.atoms)
-    c1, c2 = harmonic_coefficients(sigma, fs)
-    return out + c1 * float(fs.phi(x)) + c2 * float(fs.psi(x))
+    A, B = _coefficients(measure, fs, x)
+    return A * float(fs.phi(x)) + B * float(fs.psi(x))
 
 
 # ---------------------------------------------------------------------------
@@ -757,54 +775,32 @@ def derivative_jump(spec: DiffusionSpec, alpha: float,
     speed-atom contributions.  Values are on the raw (unnormalized) scale of
     the candidate.
 
-    The derivatives combine the integrals of psi and phi against sigma on
-    either side of z.  These come from the source Martin measure: tail
-    values and boundary masses in closed form, plus the by-parts integral
-    between z and x0 of the module docstring on 10-point Gauss-Legendre
-    panels, split and cut as in :func:`reconstruct` (widths of at most
-    0.25 / (theta + |mu|)).  The candidate itself enters only through the
-    speed term m({z}) alpha u(z).
+    The derivatives are A phi+-(z) + B psi+-(z) + s, plus sigma({z}) on the
+    left, with the coefficients and the by-parts slope s of the module
+    docstring, times ``normalization``.  On a Riesz measure rebuilt by
+    :func:`measure_from_doc` s = 0, and the derivatives are as accurate as
+    the document.  The candidate itself enters only through the speed term
+    m({z}) alpha u(z).
     """
     if measure.kind != "riesz":
         raise ParameterError("derivative_jump requires the Riesz measure "
                              "(use riesz_from_martin)")
-    if measure.base is None:
-        raise ParameterError("derivative_jump needs a Riesz measure built "
-                             "from a Martin measure")
     if not (measure.interval_left < z < measure.interval_right):
         raise DomainError(f"z = {z} must be an interior point")
     fs = fundamental(spec, alpha)
-    nu = measure.base
-    x0, w = measure.x0, fs.wronskian
-    psi_x0, phi_x0 = float(fs.psi(x0)), float(fs.phi(x0))
-    psi_z, phi_z = float(fs.psi(z)), float(fs.phi(z))
+    A, B = _coefficients(measure, fs, z)
+    nu, x0, w = measure.base, measure.x0, fs.wronskian
+    s = 0.0
+    if nu is not None and z <= x0:
+        below = float(nu.left_tail(z)) + nu.atom_at(z) - nu.mass_left_boundary
+        s = -w * below / (float(fs.psi(z)) * float(fs.phi(x0)))
+    elif nu is not None:
+        above = float(nu.right_tail(z)) - nu.mass_right_boundary
+        s = w * above / (float(fs.phi(z)) * float(fs.psi(x0)))
     scale = measure.normalization
     sigma_z = measure.atom_at(z)
-
-    # i1 = integral of psi dsigma over (l, z], i2 = integral of phi dsigma
-    # over (z, r).  psi / G(x0, .) is w / phi(x0) below x0 and phi / G(x0, .)
-    # is w / psi(x0) above it; on the other side of x0 the by-parts
-    # integral carries the weight, corrected by closed-form tail values.
-    inner = nu.total_mass - nu.mass_left_boundary - nu.mass_right_boundary
-    part = w * _by_parts_integral(nu, fs, z)
-    if z <= x0:
-        below = float(nu.left_tail(z)) + nu.atom_at(z) - nu.mass_left_boundary
-        i1_closed = (w / phi_x0) * below
-        i2_open = (w / psi_x0) * inner + (w / phi_x0) * (part - phi_z / psi_z * below)
-    else:
-        above = float(nu.right_tail(z)) - nu.mass_right_boundary
-        i2_open = (w / psi_x0) * above
-        i1_closed = (w / phi_x0) * inner + (w / psi_x0) * (part - psi_z / phi_z * above)
-    i1_open = i1_closed - psi_z * sigma_z
-    i2_closed = i2_open + phi_z * sigma_z
-
-    c1, c2 = harmonic_coefficients(nu, fs)
-    phi_r, phi_l = fs.phi_ds(z, "right"), fs.phi_ds(z, "left")
-    psi_r, psi_l = fs.psi_ds(z, "right"), fs.psi_ds(z, "left")
-    right = scale * ((phi_r * i1_closed + psi_r * i2_open) / w
-                     + c1 * phi_r + c2 * psi_r)
-    left = scale * ((phi_l * i1_open + psi_l * i2_closed) / w
-                    + c1 * phi_l + c2 * psi_l)
+    right = scale * (A * fs.phi_ds(z, "right") + B * fs.psi_ds(z, "right") + s)
+    left = scale * (A * fs.phi_ds(z, "left") + B * fs.psi_ds(z, "left") + s + sigma_z)
     jump = left - right
     sigma_atom = scale * sigma_z
     speed_term = spec.speed_atom_at(z) * alpha * float(candidate.value(z))

@@ -125,6 +125,38 @@ class TestDiscretize:
         ref = cell_masses_by_loop(spec, chain.nodes)
         assert np.max(np.abs(chain.node_mass / ref - 1.0)) <= 1e-12
 
+    @pytest.mark.parametrize("spec, lo, hi, n", [
+        (make_drift_bm(-0.5), -100.0, 100.0, 501),
+        (make_sticky_bm(-0.3, 1.0), -60.0, 60.0, 4001),
+    ])
+    def test_wide_drift_window_solves(self, spec, lo, hi, n):
+        # far to the left the scale is nearly constant, where differences of
+        # its values round to zero
+        sol = solve_chain_stopping(discretize(spec, lo, hi, n), 0.5)
+        assert sol.residual <= 1e-10
+
+    def test_drift_increments_match_decimal_reference(self):
+        # the chain's masses and rates against 40-digit increments of its
+        # own nodes and cell edges
+        spec = make_sticky_bm(-0.3, 1.0)
+        chain = discretize(spec, -40.0, 40.0, 4001)
+        nodes = chain.nodes
+        edges = np.concatenate(([nodes[0]], 0.5 * (nodes[1:] + nodes[:-1]), [nodes[-1]]))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            two_mu = 2 * decimal.Decimal(spec.mu)
+            scale = [(1 - (-two_mu * decimal.Decimal(x)).exp()) / two_mu for x in nodes]
+            speed = [2 * (two_mu * decimal.Decimal(x)).exp() / two_mu for x in edges]
+            mass = [b - a for a, b in zip(speed[:-1], speed[1:])]
+            mass[chain.node_index(0.0)] += decimal.Decimal(2.0 * spec.c)
+            ds = [b - a for a, b in zip(scale[:-1], scale[1:])]
+            up = [1 / (m * d) for m, d in zip(mass[1:-1], ds[1:])]
+            down = [1 / (m * d) for m, d in zip(mass[1:-1], ds[:-1])]
+        for got, want in ((chain.node_mass, mass), (chain.up_rate, up),
+                          (chain.down_rate, down)):
+            want = np.array([float(v) for v in want])
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
     def test_window_and_size_validation(self):
         with pytest.raises(ParameterError):
             discretize(STICKY, -5.0, 5.0, 49)

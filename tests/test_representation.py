@@ -497,6 +497,147 @@ class TestByPartsRoute:
                                                                        abs=1e-14)
 
 
+# The parent formulas that reconstruct and derivative_jump replaced with one
+# coefficient pair (A, B), kept as references: the by-parts formula of a
+# Martin measure, the G(x, .) sum of a rebuilt Riesz document, and the
+# i1 / i2 assembly of the derivatives.
+
+def _parent_reconstruct(measure, spec, alpha, x):
+    fs = fundamental(spec, alpha)
+    nu = measure.base if measure.base is not None else measure
+    if nu.kind == "riesz":
+        return _green_sum(nu, fs, x)
+    x0, w = nu.x0, fs.wronskian
+    psi_x, phi_x = float(fs.psi(x)), float(fs.phi(x))
+    m_l, m_r = nu.mass_left_boundary, nu.mass_right_boundary
+    psi_x0, phi_x0 = float(fs.psi(x0)), float(fs.phi(x0))
+    part = w * representation._by_parts_integral(nu, fs, x)
+    if x <= x0:
+        return (m_l * phi_x / phi_x0 + (nu.total_mass - m_l) * psi_x / psi_x0
+                + part * psi_x / phi_x0)
+    return (m_r * psi_x / psi_x0 + (nu.total_mass - m_r) * phi_x / phi_x0
+            + part * phi_x / psi_x0)
+
+
+def _green_panels(sigma, fs, x):
+    """Panels on the gaps of x, the kinks and the speed atoms, and the
+    constant density of the interpolated cumulative on each gap."""
+    pts = np.array(sorted({x, *sigma.kinks, *representation._atom_locations(fs.spec)}))
+    nodes, half, first = representation._gl_panels(pts, 0.25 / _exp_rate(fs))
+    return nodes, half, first, np.diff(sigma.ac_cdf(pts)) / np.diff(pts)
+
+
+def _green_sum(sigma, fs, x):
+    """The Riesz representation at x of a measure rebuilt from a document."""
+    nodes, half, first, density = _green_panels(sigma, fs, x)
+    panel_sums = representation._panel_sums
+    kernel = np.add.reduceat(panel_sums(fs.green(x, nodes.ravel()), nodes, half), first)
+    out = float(kernel @ density)
+    out += sum(wt * float(fs.green(x, z)) for z, wt in sigma.atoms)
+    c1, c2 = representation.harmonic_coefficients(sigma, fs)
+    return out + c1 * float(fs.phi(x)) + c2 * float(fs.psi(x))
+
+
+def _green_sum_slopes(sigma, fs, x):
+    """(left, right) scale derivatives at x of the G(x, .) sum: the kernel
+    is psi(y) phi(x) / w for y left of x and psi(x) phi(y) / w right of it,
+    and an atom at x counts on the left for the right derivative and on the
+    right for the left one."""
+    nodes, half, first, density = _green_panels(sigma, fs, x)
+    panel_sums = representation._panel_sums
+    y = nodes.ravel()
+    low = np.add.reduceat(panel_sums(np.where(y <= x, fs.psi(np.minimum(y, x)), 0.0),
+                                     nodes, half), first) @ density
+    high = np.add.reduceat(panel_sums(np.where(y > x, fs.phi(np.maximum(y, x)), 0.0),
+                                      nodes, half), first) @ density
+    c1, c2 = representation.harmonic_coefficients(sigma, fs)
+    w = fs.wronskian
+    out = []
+    for side in ("left", "right"):
+        a, b = c1 + low / w, c2 + high / w
+        for z, wt in sigma.atoms:
+            if z < x or (z == x and side == "right"):
+                a += wt * float(fs.psi(z)) / w
+            else:
+                b += wt * float(fs.phi(z)) / w
+        out.append(sigma.normalization * (a * fs.phi_ds(x, side) + b * fs.psi_ds(x, side)))
+    return tuple(out)
+
+
+def _parent_slopes(spec, alpha, measure, z):
+    """(left, right) from the integrals i1 of psi against sigma over (l, z]
+    and i2 of phi over (z, r), on a Riesz measure built from a Martin one."""
+    fs = fundamental(spec, alpha)
+    nu = measure.base
+    x0, w = measure.x0, fs.wronskian
+    psi_x0, phi_x0 = float(fs.psi(x0)), float(fs.phi(x0))
+    psi_z, phi_z = float(fs.psi(z)), float(fs.phi(z))
+    scale = measure.normalization
+    sigma_z = measure.atom_at(z)
+    inner = nu.total_mass - nu.mass_left_boundary - nu.mass_right_boundary
+    part = w * representation._by_parts_integral(nu, fs, z)
+    if z <= x0:
+        below = float(nu.left_tail(z)) + nu.atom_at(z) - nu.mass_left_boundary
+        i1_closed = (w / phi_x0) * below
+        i2_open = (w / psi_x0) * inner + (w / phi_x0) * (part - phi_z / psi_z * below)
+    else:
+        above = float(nu.right_tail(z)) - nu.mass_right_boundary
+        i2_open = (w / psi_x0) * above
+        i1_closed = (w / phi_x0) * inner + (w / psi_x0) * (part - psi_z / phi_z * above)
+    i1_open = i1_closed - psi_z * sigma_z
+    i2_closed = i2_open + phi_z * sigma_z
+    c1, c2 = representation.harmonic_coefficients(nu, fs)
+    phi_r, phi_l = fs.phi_ds(z, "right"), fs.phi_ds(z, "left")
+    psi_r, psi_l = fs.psi_ds(z, "right"), fs.psi_ds(z, "left")
+    right = scale * ((phi_r * i1_closed + psi_r * i2_open) / w + c1 * phi_r + c2 * psi_r)
+    left = scale * ((phi_l * i1_open + psi_l * i2_closed) / w + c1 * phi_l + c2 * psi_l)
+    return left, right
+
+
+def _close(got, want, rtol=1e-14):
+    return abs(got - want) <= rtol * max(1.0, abs(want))
+
+
+class TestCoefficients:
+    """reconstruct and derivative_jump read one coefficient pair (A, B)."""
+
+    @staticmethod
+    def measures(case):
+        spec, alpha, cand = case
+        m = martin_measure(spec, alpha, cand)
+        r = riesz_from_martin(m, spec, alpha)
+        return m, r, measure_from_doc(measure_to_doc(r), spec)
+
+    @staticmethod
+    def points(case):
+        spec, alpha, cand = case
+        inner = [z for z in cand.kinks if spec.interval.left < z < spec.interval.right]
+        if spec is RK:
+            return sorted({*inner, 0.05, 0.3, 0.6, 0.9})
+        return sorted({*inner, -2.5, -0.6, 0.4, 1.1, 2.5})
+
+    @pytest.mark.parametrize("case", FAMILIES, ids=_family_id)
+    def test_reconstruct_matches_parent(self, case):
+        spec, alpha, cand = case
+        m, r, back = self.measures(case)
+        for x in self.points(case):
+            for nu in (m, r, back):
+                want = _parent_reconstruct(nu, spec, alpha, x)
+                assert _close(reconstruct(nu, spec, alpha, x), want), (x, nu.kind)
+
+    @pytest.mark.parametrize("case", FAMILIES, ids=_family_id)
+    def test_derivative_jump_matches_parent(self, case):
+        spec, alpha, cand = case
+        _, r, back = self.measures(case)
+        fs = fundamental(spec, alpha)
+        for z in self.points(case):
+            for nu, (left, right) in ((r, _parent_slopes(spec, alpha, r, z)),
+                                      (back, _green_sum_slopes(back, fs, z))):
+                dj = derivative_jump(spec, alpha, cand, nu, z)
+                assert _close(dj.left, left) and _close(dj.right, right), (z, nu.base)
+                assert _close(dj.jump, left - right), (z, nu.base)
+
+
 def _ladder_limit(tail, start, endpoint, cap):
     """Reference: the boundary-limit ladder evaluated one point at a time."""
     vals = []
@@ -607,6 +748,46 @@ class TestDerivativeJump:
             assert dj.residual <= 1e-12
             off = derivative_jump(STICKY, 0.5, cand, r, 0.8)
             assert off.jump == pytest.approx(0.0, abs=1e-12)
+
+    @staticmethod
+    def rebuilt(spec, alpha, cand):
+        r = riesz_from_martin(martin_measure(spec, alpha, cand), spec, alpha)
+        return measure_from_doc(measure_to_doc(r), spec)
+
+    @pytest.mark.parametrize("spec, alpha, cand", [
+        (STICKY, 0.5, green_candidate(STICKY, 0.5, 0.7)),
+        (make_sticky_bm(-0.3, 1.0), 0.5, green_candidate(make_sticky_bm(-0.3, 1.0), 0.5, 0.4)),
+        (STICKY, 0.5, psi_candidate(STICKY, 0.5)),
+        (STICKY, 0.5, phi_candidate(STICKY, 0.5)),
+        (make_sticky_bm(-0.3, 1.0), 0.3, psi_candidate(make_sticky_bm(-0.3, 1.0), 0.3)),
+        (make_sticky_bm(-0.3, 1.0), 0.3, phi_candidate(make_sticky_bm(-0.3, 1.0), 0.3)),
+    ])
+    def test_rebuilt_document_without_ac_part(self, spec, alpha, cand):
+        # atoms and harmonic part survive a document exactly, so the slopes
+        # are the candidate's closed forms
+        back = self.rebuilt(spec, alpha, cand)
+        for z in (-3.0, -1.2, -0.3, 0.0, 0.4, 0.7, 1.5, 3.0):
+            dj = derivative_jump(spec, alpha, cand, back, z)
+            for got, want in ((dj.left, cand.ds_left(z)), (dj.right, cand.ds_right(z))):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), z
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.8])
+    def test_rebuilt_value_document(self, alpha):
+        cand = value_candidate(alpha, 1.0)
+        back = self.rebuilt(STICKY, alpha, cand)
+        # off the speed atom the jump is the sigma-atom by construction, at
+        # the candidate's kinks and at the document's sample points
+        off = {*cand.kinks, *back.kinks[::16]} - {0.0}
+        assert off
+        for z in sorted(off):
+            assert derivative_jump(STICKY, alpha, cand, back, z).residual <= 1e-12, z
+        # at the sticky point the speed term reads the candidate, the slopes
+        # the document: the residual is the document's error in u(0)
+        dj = derivative_jump(STICKY, alpha, cand, back, 0.0)
+        error = abs(back.normalization * reconstruct(back, STICKY, alpha, 0.0)
+                    - float(cand.value(0.0)))
+        assert dj.residual == pytest.approx(STICKY.speed_atom_at(0.0) * alpha * error,
+                                            abs=1e-12)
 
     def test_requires_riesz_and_interior(self):
         cand = green_candidate(STICKY, 0.5, 0.7, x0=0.0)
