@@ -207,11 +207,21 @@ class DiffusionSpec:
             return 2.0 * (b - a)
         return np.exp(2.0 * self.mu * a) * np.expm1(2.0 * self.mu * (b - a)) / self.mu
 
+    @property
+    def atom_locations(self) -> tuple[float, ...]:
+        """Locations of the speed atoms, in the order of ``speed_atoms``."""
+        return tuple(loc for loc, _ in self.speed_atoms)
+
     def speed_atom_at(self, z: float) -> float:
-        for loc, w in self.speed_atoms:
-            if loc == z:
-                return w
-        return 0.0
+        """m({z}), found at its exact location (the policy of :func:`_atom_at`)."""
+        return _atom_at(self.speed_atoms, z)
+
+
+def _atom_at(atoms, z: float) -> float:
+    """Weight of the (location, weight) atom at z, or 0.0.  The package's
+    policy: an atom is found only at its exact float location, the one it
+    was declared or probed at; no window merges two nearby atoms."""
+    return next((w for loc, w in atoms if loc == z), 0.0)
 
 
 def make_sticky_bm(mu: float = 0.0, c: float = 1.0) -> DiffusionSpec:
@@ -366,27 +376,28 @@ def _sticky_solutions(spec: DiffusionSpec, alpha: float) -> FundamentalSolutions
     up = theta - mu     # growth rate of the increasing branch
     dn = theta + mu     # decay rate of the decreasing branch
 
+    # a two-term branch clips x to its side of 0, so it cannot overflow unused
     @_scalar_aware
     def psi(x):
         e = np.exp(up * x)
-        return np.where(x <= 0.0, e, (1.0 + gamma) * e - gamma * np.exp(-dn * x))
+        return np.where(x <= 0.0, e, (1.0 + gamma) * e - gamma * np.exp(-dn * np.maximum(x, 0.0)))
 
     @_scalar_aware
     def phi(x):
         e = np.exp(-dn * x)
-        return np.where(x >= 0.0, e, (1.0 + gamma) * e - gamma * np.exp(up * x))
+        return np.where(x >= 0.0, e, (1.0 + gamma) * e - gamma * np.exp(up * np.minimum(x, 0.0)))
 
     def _psi_d(x, left_branch_closed):
         e = np.exp(up * x)
         low = up * e
-        high = (1.0 + gamma) * up * e + gamma * dn * np.exp(-dn * x)
+        high = (1.0 + gamma) * up * e + gamma * dn * np.exp(-dn * np.maximum(x, 0.0))
         cond = x <= 0.0 if left_branch_closed else x < 0.0
         return np.where(cond, low, high)
 
     def _phi_d(x, right_branch_closed):
         e = np.exp(-dn * x)
         high = -dn * e
-        low = -(1.0 + gamma) * dn * e - gamma * up * np.exp(up * x)
+        low = -(1.0 + gamma) * dn * e - gamma * up * np.exp(up * np.minimum(x, 0.0))
         cond = x >= 0.0 if right_branch_closed else x > 0.0
         return np.where(cond, high, low)
 

@@ -87,8 +87,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diffusion import (DiffusionSpec, FundamentalSolutions, _scalar_aware,
-                        _values, fundamental)
+from .diffusion import (DiffusionSpec, FundamentalSolutions, _atom_at,
+                        _scalar_aware, _values, fundamental)
 from .errors import ConvergenceError, DomainError, NotExcessiveError, ParameterError
 
 __all__ = [
@@ -135,10 +135,6 @@ class ExcessiveCandidate:
     label: str = ""
 
 
-def _atom_locations(spec: DiffusionSpec) -> tuple[float, ...]:
-    return tuple(loc for loc, _ in spec.speed_atoms)
-
-
 def green_candidate(spec: DiffusionSpec, alpha: float, y0: float,
                     x0: float = 0.0) -> ExcessiveCandidate:
     """The potential x -> G_alpha(x, y0), a minimal excessive function."""
@@ -160,7 +156,7 @@ def green_candidate(spec: DiffusionSpec, alpha: float, y0: float,
         return np.where(x <= y0, fs.psi_ds(x, "left") * fs.phi(y0),
                         fs.psi(y0) * fs.phi_ds(x, "left")) / w
 
-    kinks = tuple(sorted({y0, *_atom_locations(spec)}))
+    kinks = tuple(sorted({y0, *spec.atom_locations}))
     return ExcessiveCandidate(value, ds_right, ds_left, x0, kinks,
                               label=f"green(. , {y0})")
 
@@ -171,7 +167,7 @@ def psi_candidate(spec: DiffusionSpec, alpha: float, x0: float = 0.0) -> Excessi
         fs.psi,
         lambda x: fs.psi_ds(x, "right"),
         lambda x: fs.psi_ds(x, "left"),
-        x0, _atom_locations(spec), label="psi",
+        x0, spec.atom_locations, label="psi",
     )
 
 
@@ -181,7 +177,7 @@ def phi_candidate(spec: DiffusionSpec, alpha: float, x0: float = 0.0) -> Excessi
         fs.phi,
         lambda x: fs.phi_ds(x, "right"),
         lambda x: fs.phi_ds(x, "left"),
-        x0, _atom_locations(spec), label="phi",
+        x0, spec.atom_locations, label="phi",
     )
 
 
@@ -189,7 +185,7 @@ def candidate_from_callable(spec: DiffusionSpec, fn: Callable, x0: float,
                             kinks: tuple[float, ...] = (),
                             label: str = "") -> ExcessiveCandidate:
     """Wrap a plain callable, deriving one-sided scale derivatives numerically."""
-    all_kinks = tuple(sorted({*kinks, *_atom_locations(spec)}))
+    all_kinks = tuple(sorted({*kinks, *spec.atom_locations}))
 
     def ds_side(x, side):
         return np.reshape([f_derivative(fn, spec.scale, z, side)
@@ -280,6 +276,8 @@ class RepresentingMeasure:
     rebuilt by :func:`measure_from_doc` has none, and they integrate psi and
     phi against its sigma instead.
 
+    ``kinks`` are the points where quadrature panels split: x0, the atoms,
+    the speed atoms, the candidate's kinks or a document's sample points.
     ``candidate`` is for this module's use: :func:`martin_measure` keeps the
     source candidate there, from which :func:`riesz_from_martin` builds the
     Riesz tails; a measure rebuilt by :func:`measure_from_doc` has none.
@@ -302,10 +300,9 @@ class RepresentingMeasure:
                                                     compare=False)
 
     def atom_at(self, z: float) -> float:
-        for loc, w in self.atoms:
-            if loc == z:
-                return w
-        return 0.0
+        """Weight of the atom at exactly z, or 0.0, as
+        :meth:`DiffusionSpec.speed_atom_at` finds speed atoms."""
+        return _atom_at(self.atoms, z)
 
     @_scalar_aware
     def ac_cdf(self, y):
@@ -424,85 +421,78 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
 
     w = fs.wronskian
     psi_x0, phi_x0 = float(fs.psi(x0)), float(fs.phi(x0))
-    u, ur, ul = candidate.value, candidate.ds_right, candidate.ds_left
-
+    u = candidate.value
+    ds = {"right": candidate.ds_right, "left": candidate.ds_left}
     l, r = spec.interval.left, spec.interval.right
+
+    # With right derivatives the formulas give nu((x, r]) and nu([l, x]),
+    # with left ones nu([x, r]) and nu([l, x)).
+    def above(x, side):
+        return (psi_x0 / w) * (fs.phi(x) * ds[side](x) - u(x) * fs.phi_ds(x, side)) / u0
+
+    def below(x, side):
+        return (phi_x0 / w) * (u(x) * fs.psi_ds(x, side) - fs.psi(x) * ds[side](x)) / u0
 
     # The tail formulas are meaningful strictly inside (l, r).  Exactly at an
     # included endpoint they report the one-sided limit (which carries any
     # endpoint atom), while the set being measured is empty there, so the
-    # exposed tails clamp to zero at the endpoints.
-    @_scalar_aware
-    def right_excl(x):   # nu((x, r]) for x >= x0
-        raw = (psi_x0 / w) * (fs.phi(x) * ur(x) - u(x) * fs.phi_ds(x, "right")) / u0
-        return np.where(x >= r, 0.0, raw)
-
-    def right_incl(x):   # nu([x, r])
-        return (psi_x0 / w) * (fs.phi(x) * ul(x) - u(x) * fs.phi_ds(x, "left")) / u0
-
-    @_scalar_aware
-    def left_excl(x):    # nu([l, x)) for x <= x0
-        raw = (phi_x0 / w) * (u(x) * fs.psi_ds(x, "left") - fs.psi(x) * ul(x)) / u0
-        return np.where(x <= l, 0.0, raw)
-
-    def left_incl(x):    # nu([l, x])
-        return (phi_x0 / w) * (u(x) * fs.psi_ds(x, "right") - fs.psi(x) * ur(x)) / u0
+    # exposed tails nu((x, r]) and nu([l, x)) clamp to zero at the endpoints.
+    right_tail = _scalar_aware(lambda x: np.where(x >= r, 0.0, above(x, "right")))
+    left_tail = _scalar_aware(lambda x: np.where(x <= l, 0.0, below(x, "left")))
 
     cap = 600.0 / _exp_rate(fs)
-    probe = sorted({*candidate.kinks, *_atom_locations(spec)})
+    probe = sorted({*candidate.kinks, *spec.atom_locations})
     # mass below x0 does not exist when x0 sits on an included left endpoint;
     # it surfaces through the x0 defect instead (symmetrically on the right).
     # Each limit's ladder starts at the outermost kink on its side.
     left_start = min([z for z in probe if l < z < x0], default=x0)
     right_start = max([z for z in probe if x0 < z < r], default=x0)
-    left_limit = _boundary_limit(left_excl, left_start, l, cap) if x0 > l else 0.0
-    right_limit = _boundary_limit(right_excl, right_start, r, cap) if x0 < r else 0.0
+    left_limit = _boundary_limit(left_tail, left_start, l, cap) if x0 > l else 0.0
+    right_limit = _boundary_limit(right_tail, right_start, r, cap) if x0 < r else 0.0
 
     # tail monotonicity scan over the numerically active range
     scan_left = max(l + 1e-9 * (1 + abs(l)) if math.isfinite(l) else x0 - cap, x0 - cap)
     scan_right = min(r - 1e-9 * (1 + abs(r)) if math.isfinite(r) else x0 + cap, x0 + cap)
     if scan_left < x0:
-        _check_monotone_tail(left_excl, scan_left, x0, decreasing=False, what="left")
+        _check_monotone_tail(left_tail, scan_left, x0, decreasing=False, what="left")
     if scan_right > x0:
-        _check_monotone_tail(right_excl, x0, scan_right, decreasing=True, what="right")
+        _check_monotone_tail(right_tail, x0, scan_right, decreasing=True, what="right")
 
-    # atoms from tail jumps at declared kink points and speed atoms; kinks
-    # at an included endpoint are picked up by the boundary-limit path
-    atoms: list[tuple[float, float]] = []
-    for z in probe:
-        if z == x0 or not (l < z < r):
-            continue
-        if z < x0:
-            jump = float(left_incl(z)) - float(left_excl(z))
-        else:
-            jump = float(right_incl(z)) - float(right_excl(z))
+    # atoms are the tail jumps at the interior kinks and speed atoms, one
+    # call per side; kinks at an included endpoint are picked up by the
+    # boundary-limit path
+    zs, jumps = [], []
+    for pts, tail, closed, open_ in ((np.array([z for z in probe if l < z < x0]),
+                                      below, "right", "left"),
+                                     (np.array([z for z in probe if x0 < z < r]),
+                                      above, "left", "right")):
+        if pts.size:
+            zs += pts.tolist()
+            jumps += (tail(pts, closed) - tail(pts, open_)).tolist()
+    for z, jump in zip(zs, jumps):
         if jump < -1e-9:
             raise NotExcessiveError(
                 f"negative measure atom {jump:.3g} at {z}; the candidate is "
                 "not excessive at this rate")
-        if jump > _ATOM_THRESHOLD:
-            atoms.append((z, jump))
+    atoms = [(z, jump) for z, jump in zip(zs, jumps) if jump > _ATOM_THRESHOLD]
 
     # mass balance at x0: whatever the two open tails miss sits at x0 itself
-    left_x0, right_x0 = float(left_excl(x0)), float(right_excl(x0))
+    left_x0, right_x0 = left_tail(x0), right_tail(x0)
     defect = 1.0 - left_x0 - right_x0
     if defect < -1e-9:
         raise NotExcessiveError(
             f"representing measure overshoots unit mass by {-defect:.3g}")
     if defect > _ATOM_THRESHOLD:
         atoms.append((x0, defect))
-    atoms.sort()
 
     # mass at an included (reflecting) endpoint is an interior atom
-    mass_left, mass_right = left_limit, right_limit
-    if mass_left > _ATOM_THRESHOLD and spec.interval.contains(l):
-        atoms = sorted([(l, mass_left)] + atoms)
-        mass_left = 0.0
-    if mass_right > _ATOM_THRESHOLD and spec.interval.contains(r):
-        atoms = sorted(atoms + [(r, mass_right)])
-        mass_right = 0.0
-    mass_left = 0.0 if mass_left <= _ATOM_THRESHOLD else mass_left
-    mass_right = 0.0 if mass_right <= _ATOM_THRESHOLD else mass_right
+    masses = [m if m > _ATOM_THRESHOLD else 0.0 for m in (left_limit, right_limit)]
+    for i, end in enumerate((l, r)):
+        if masses[i] and spec.interval.contains(end):
+            atoms.append((end, masses[i]))
+            masses[i] = 0.0
+    mass_left, mass_right = masses
+    atoms.sort()
 
     total = left_x0 + right_x0 + max(defect, 0.0)
     kinks = tuple(sorted({*probe, x0, *(a[0] for a in atoms)}))
@@ -511,7 +501,7 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
         mass_left_boundary=mass_left, mass_right_boundary=mass_right,
         atoms=tuple(atoms), kinks=kinks,
         interval_left=l, interval_right=r,
-        left_tail=left_excl, right_tail=right_excl, candidate=candidate,
+        left_tail=left_tail, right_tail=right_tail, candidate=candidate,
     )
 
 
@@ -533,14 +523,15 @@ _GL_WEIGHTS = np.array([
     0.06667134430868814])
 
 
-def _gl_panels(pts: np.ndarray, width: float):
-    """10-point Gauss-Legendre panels on the gaps of the sorted points pts.
+def _gap_integrals(f: Callable, pts: np.ndarray, width: float) -> np.ndarray:
+    """Integral of f over each gap of the sorted points pts.
 
-    Each gap is cut into equal panels no wider than ``width``.  Returns the
-    nodes (one row per panel), the panels' half widths, and the index of
-    each gap's first panel, so that ``np.add.reduceat(_panel_sums(...),
-    first)`` gives one integral per gap.
+    Each gap is cut into equal panels no wider than ``width``, and each
+    panel carries the 10-point Gauss-Legendre rule.  f is called once, on
+    the 1-D array of all nodes.
     """
+    if len(pts) < 2:
+        return np.zeros(0)
     gaps = np.diff(pts)
     pieces = np.maximum(1, np.ceil(gaps / width)).astype(int)
     first = np.cumsum(pieces) - pieces
@@ -549,12 +540,8 @@ def _gl_panels(pts: np.ndarray, width: float):
         + step * (np.arange(pieces.sum()) - np.repeat(first, pieces))
     half = 0.5 * step
     nodes = (starts + half)[:, None] + half[:, None] * _GL_NODES
-    return nodes, half, first
-
-
-def _panel_sums(f, nodes: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Integral over each panel of the function with values f at the nodes."""
-    return (np.asarray(f, dtype=float).reshape(nodes.shape) @ _GL_WEIGHTS) * half
+    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return np.add.reduceat((vals @ _GL_WEIGHTS) * half, first)
 
 
 def _by_parts_integral(nu: RepresentingMeasure, fs: FundamentalSolutions,
@@ -563,8 +550,8 @@ def _by_parts_integral(nu: RepresentingMeasure, fs: FundamentalSolutions,
 
     For x <= x0 it is the integral over [x, x0] of (nu([l, y)) - m_l)
     S'(y) / psi(y)^2, for x >= x0 the integral over [x0, x] of
-    (nu((y, r]) - m_r) S'(y) / phi(y)^2.  Panels split at the measure's kinks
-    and the speed atoms and are cut to widths of at most
+    (nu((y, r]) - m_r) S'(y) / phi(y)^2.  Panels split at the measure's kinks,
+    which hold the speed atoms, and are cut to widths of at most
     0.25 / (theta + |mu|).  Toward a killing endpoint, where psi or phi
     vanishes, they are also split where the distance to it halves, so that
     no panel is closer to the pole of the integrand than its own width.
@@ -574,17 +561,15 @@ def _by_parts_integral(nu: RepresentingMeasure, fs: FundamentalSolutions,
     if a == b:
         return 0.0
     end = nu.interval_left if x < x0 else nu.interval_right
-    splits = [*nu.kinks, *_atom_locations(fs.spec)]
+    splits = list(nu.kinks)
     if math.isfinite(end) and not fs.spec.interval.contains(end):
         splits += (end + (x0 - end) * 0.5 ** np.arange(1, 60)).tolist()
     pts = np.array(sorted({a, b, *(p for p in splits if a < p < b)}))
-    nodes, half, _ = _gl_panels(pts, 0.25 / _exp_rate(fs))
-    y = nodes.ravel()
-    if x < x0:
-        f = (nu.left_tail(y) - nu.mass_left_boundary) / fs.psi(y) ** 2
-    else:
-        f = (nu.right_tail(y) - nu.mass_right_boundary) / fs.phi(y) ** 2
-    return float(_panel_sums(f * fs.spec.scale_deriv(y), nodes, half).sum())
+    tail, mass, kernel = (nu.left_tail, nu.mass_left_boundary, fs.psi) if x < x0 \
+        else (nu.right_tail, nu.mass_right_boundary, fs.phi)
+    return float(_gap_integrals(
+        lambda y: (tail(y) - mass) / kernel(y) ** 2 * fs.spec.scale_deriv(y),
+        pts, 0.25 / _exp_rate(fs)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +629,9 @@ def riesz_from_martin(measure: RepresentingMeasure, spec: DiffusionSpec,
         # integral of u against the AC speed part between x0 and each y
         lo, hi = min(ys.min(), x0), max(ys.max(), x0)
         pts = np.unique(np.concatenate((ys, [x0], kinks[(lo < kinks) & (kinks < hi)])))
-        if len(pts) < 2:
-            return np.zeros_like(ys)
-        nodes, half, first = _gl_panels(pts, width)
-        f = np.asarray(cand.value(nodes.ravel()), dtype=float) \
-            * np.asarray(spec.speed_density(nodes.ravel()), dtype=float)
-        gap_sums = np.add.reduceat(_panel_sums(f, nodes, half), first)
+        gap_sums = _gap_integrals(
+            lambda y: np.asarray(cand.value(y), dtype=float)
+            * np.asarray(spec.speed_density(y), dtype=float), pts, width)
         # accumulate outward from x0, so tails near x0 keep their digits
         if side == "right":
             cum = np.concatenate(([0.0], np.cumsum(gap_sums)))
@@ -696,8 +678,8 @@ def _coefficients(measure: RepresentingMeasure, fs: FundamentalSolutions,
     docstring.  A measure with a Martin source takes them from the by-parts
     identity and evaluates no tail.  A rebuilt Riesz measure sums its atoms
     and integrates psi left of x and phi right of it (where neither
-    overflows before G(x, .) does) on panels split at x, the speed atoms and
-    the sample points, against the constant density of its cumulative.
+    overflows before G(x, .) does) on panels split at x and the kinks,
+    against the constant density of its cumulative.
     """
     nu = measure.base if measure.base is not None else measure
     x0, w = nu.x0, fs.wronskian
@@ -711,13 +693,10 @@ def _coefficients(measure: RepresentingMeasure, fs: FundamentalSolutions,
 
     def against_sigma(f, pts):
         # integral of f over the gaps of pts against the interpolated cumulative
-        if len(pts) < 2:
-            return 0.0
-        nodes, half, first = _gl_panels(pts, 0.25 / _exp_rate(fs))
-        kernel = np.add.reduceat(_panel_sums(f(nodes.ravel()), nodes, half), first)
+        kernel = _gap_integrals(f, pts, 0.25 / _exp_rate(fs))
         return float(kernel @ (np.diff(nu.ac_cdf(pts)) / np.diff(pts)))
 
-    pts = np.array(sorted({x, *nu.kinks, *_atom_locations(fs.spec)}))
+    pts = np.array(sorted({x, *nu.kinks}))
     below = against_sigma(fs.psi, pts[pts <= x]) \
         + sum(wt * float(fs.psi(z)) for z, wt in nu.atoms if z <= x)
     above = against_sigma(fs.phi, pts[pts >= x]) \
@@ -734,9 +713,8 @@ def reconstruct(measure: RepresentingMeasure, spec: DiffusionSpec,
     docstring: u(x) / u(x0) for a Martin measure of u or a Riesz measure
     built from one.  A Riesz measure rebuilt by :func:`measure_from_doc`
     integrates psi and phi against its sigma on the panel rule of
-    :func:`_by_parts_integral`, split at x, the speed atoms and its sample
-    points; the result is as accurate as the document's piecewise-linear
-    cumulative.
+    :func:`_by_parts_integral`, split at x and its kinks; the result is as
+    accurate as the document's piecewise-linear cumulative.
     """
     fs = fundamental(spec, alpha)
     if not spec.interval.contains(x):
@@ -968,47 +946,47 @@ def excessivity_check(spec: DiffusionSpec, alpha: float, u: Callable,
     ulps, as at a jump of u off the mesh, or when more than 1000 panels need
     splitting at one level, as for an endless oscillation.  Raises
     :class:`DomainError`, naming beta and x, when a row is not finite, as
-    where psi or phi of rate alpha + beta overflows a float at x.
+    where psi or phi of rate alpha + beta overflows a float at x.  An empty
+    ``grid`` or ``betas`` raises :class:`ParameterError`, and a grid point
+    outside the state space, or NaN, raises :class:`DomainError`.
     """
     grid = [float(x) for x in grid]
     betas = sorted(float(b) for b in betas)
+    if not grid or not betas:
+        raise ParameterError("excessivity_check needs at least one grid point "
+                             "and one beta")
     if any(b <= 0 for b in betas):
         raise ParameterError("betas must be positive")
+    for x in grid:
+        if not spec.interval.contains(x):
+            raise DomainError(f"grid point {x} outside the state space")
     xs = np.array(grid)
-    locs = _atom_locations(spec)
+    locs = spec.atom_locations
     at = _values(u, np.concatenate((xs, locs)))
-    bounds = at[:len(grid)].tolist()
+    bounds = at[:len(grid)]
     rates = [fundamental(spec, alpha + beta) for beta in betas]
-    rows_by_beta = _resolvent_rows(spec, rates, u, xs, sorted({*kinks, *locs, *grid}))
-    vals = {}
-    for beta, fsb, row in zip(betas, rates, rows_by_beta):
-        reach = _reach(fsb)
-        for (loc, wt), u_loc in zip(spec.speed_atoms, at[len(grid):].tolist()):
-            inside = (xs - reach <= loc) & (loc <= xs + reach)
-            row = row + np.where(inside, fsb.green(xs, loc) * u_loc * wt, 0.0)
-        vals[beta] = beta * row
-    rows = []
-    max_violation = -math.inf
-    monotone_ok = True
-    for k, (x, bound) in enumerate(zip(grid, bounds)):
-        prev_val = -math.inf
-        for beta in betas:
-            val = float(vals[beta][k])
-            if not math.isfinite(val):
-                raise DomainError(
-                    f"resolvent row at x = {x}, beta = {beta} is {val}: the "
-                    f"fundamental solutions of rate {alpha + beta:g} overflow "
-                    "a float there")
-            rows.append((x, beta, val, bound))
-            # violations are judged relative to max(1, u(x)) pointwise
-            max_violation = max(max_violation,
-                                (val - bound) / max(1.0, abs(bound)))
-            if val < prev_val - 1e-7 * max(1.0, abs(val)):
-                monotone_ok = False
-            prev_val = val
-    passed = (max_violation <= tol) and monotone_ok
-    return ExcessivityReport(passed=passed, max_violation=max_violation,
-                             monotone_ok=monotone_ok, rows=tuple(rows))
+    vals = _resolvent_rows(spec, rates, u, xs, sorted({*kinks, *locs, *grid}))
+    reach = np.array([[_reach(fs)] for fs in rates])
+    for (loc, wt), u_loc in zip(spec.speed_atoms, at[len(grid):].tolist()):
+        inside = (xs - reach <= loc) & (loc <= xs + reach)
+        green = np.array([fs.green(xs, loc) for fs in rates])
+        vals = vals + np.where(inside, green * u_loc * wt, 0.0)
+    vals = np.array(betas)[:, None] * vals          # (beta, x)
+    bad = np.argwhere(~np.isfinite(vals.T))
+    if bad.size:
+        k, i = bad[0]
+        raise DomainError(
+            f"resolvent row at x = {grid[k]}, beta = {betas[i]} is "
+            f"{float(vals[i, k])}: the fundamental solutions of rate "
+            f"{alpha + betas[i]:g} overflow a float there")
+    # violations are judged relative to max(1, u(x)) pointwise
+    max_violation = float(np.max((vals - bounds) / np.maximum(1.0, np.abs(bounds))))
+    monotone_ok = not np.any(vals[1:] < vals[:-1] - 1e-7 * np.maximum(1.0, np.abs(vals[1:])))
+    rows = tuple(zip(np.repeat(grid, len(betas)).tolist(), betas * len(grid),
+                     vals.T.ravel().tolist(), np.repeat(bounds, len(betas)).tolist()))
+    return ExcessivityReport(passed=max_violation <= tol and monotone_ok,
+                             max_violation=max_violation,
+                             monotone_ok=monotone_ok, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1096,8 +1074,8 @@ def measure_from_doc(doc: dict, spec: DiffusionSpec) -> RepresentingMeasure:
         left_tail, right_tail = _scalar_aware(ac_left), _scalar_aware(ac_right)
 
     # the interpolated cumulative is piecewise linear, so quadrature panels
-    # must split at every sample point
-    kinks = tuple(sorted({x0, *(a[0] for a in atoms),
+    # must split at every sample point, and at the speed atoms
+    kinks = tuple(sorted({x0, *(a[0] for a in atoms), *spec.atom_locations,
                           *left_samples[:, 0], *right_samples[:, 0]}))
     return RepresentingMeasure(
         kind=kind, x0=x0, normalization=normalization,

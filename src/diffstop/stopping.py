@@ -44,8 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diffusion import (DiffusionSpec, FundamentalSolutions, _scalar_aware,
-                        fundamental, make_sticky_bm)
+from .diffusion import DiffusionSpec, _scalar_aware, fundamental, make_sticky_bm
 from .errors import ConvergenceError, DomainError, ParameterError
 from .representation import ExcessiveCandidate, f_derivative
 
@@ -215,23 +214,38 @@ def solve_threshold(alpha: float, c: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _value_setup(alpha: float, c: float) -> tuple[float, float, FundamentalSolutions, Callable]:
-    """(x*, g(x*) / psi(x*), fundamental solutions, the value) of the stopping
-    problem; the value is g(x*) psi(x) / psi(x*) below the threshold, g above."""
+def _value_setup(alpha: float, c: float) -> tuple[float, Callable, Callable]:
+    """(x*, the value, its scale derivative ``ds(x, side)``) of the stopping
+    problem: g(x*) psi(x) / psi(x*) below x*, g above.  Where psi(x*) is not
+    a normal float, x* < 0, and psi(x) / psi(x*) is exp((theta - mu)(x - x*))
+    on x <= x*, with no division; it is taken at min(x, x*), so that the
+    unused branch cannot overflow."""
     xs = solve_threshold(alpha, c)
     fs = fundamental(make_sticky_bm(0.0, c), alpha)
-    coef = (1.0 + xs) / fs.psi(xs)
+    psi_xs, up = float(fs.psi(xs)), fs.theta - fs.spec.mu
+    normal = psi_xs >= np.finfo(float).tiny
+
+    def below(x, side=None):
+        if normal:
+            return (1.0 + xs) / psi_xs * (fs.psi(x) if side is None else fs.psi_ds(x, side))
+        ratio = np.exp(up * (np.minimum(x, xs) - xs))
+        return (1.0 + xs) * (ratio if side is None else up * ratio)
 
     @_scalar_aware
     def value(x):
-        return np.where(x <= xs, coef * fs.psi(x), np.maximum(1.0 + x, 0.0))
+        return np.where(x <= xs, below(x), np.maximum(1.0 + x, 0.0))
 
-    return xs, coef, fs, value
+    def ds(x, side):
+        # the left derivative takes the branch below x* at x* itself
+        low = x <= xs if side == "left" else x < xs
+        return np.where(low, below(x, side), 1.0)
+
+    return xs, value, ds
 
 
 def value_function(alpha: float, c: float, x) -> float | np.ndarray:
     """Stopping value: g(x*) psi(x) / psi(x*) below the threshold, g above."""
-    return _value_setup(alpha, c)[3](x)
+    return _value_setup(alpha, c)[1](x)
 
 
 def value_candidate(alpha: float, c: float, x0: float | None = None) -> ExcessiveCandidate:
@@ -240,20 +254,12 @@ def value_candidate(alpha: float, c: float, x0: float | None = None) -> Excessiv
     The default normalization point sits strictly above both the threshold
     and the sticky point, max(0, x*) + 1.
     """
-    xs, coef, fs, value = _value_setup(alpha, c)
+    xs, value, ds = _value_setup(alpha, c)
     if x0 is None:
         x0 = max(0.0, xs) + 1.0
-
-    @_scalar_aware
-    def ds_right(x):
-        return np.where(x < xs, coef * fs.psi_ds(x, "right"), 1.0)
-
-    @_scalar_aware
-    def ds_left(x):
-        return np.where(x <= xs, coef * fs.psi_ds(x, "left"), 1.0)
-
     kinks = tuple(sorted({0.0, xs}))
-    return ExcessiveCandidate(value, ds_right, ds_left, float(x0), kinks,
+    return ExcessiveCandidate(value, _scalar_aware(lambda x: ds(x, "right")),
+                              _scalar_aware(lambda x: ds(x, "left")), float(x0), kinks,
                               label=f"value(alpha={alpha}, c={c})")
 
 
@@ -311,7 +317,7 @@ def smooth_fit_report(alpha: float, c: float) -> SmoothFitReport:
         left = v_at * float(fs.psi_dx_left(xs)) / float(fs.psi(xs))
     right = 1.0                               # reward side, g'(x) = 1 above -1
     jump = left - right
-    speed_term = 2.0 * c * alpha * v_at if xs == 0.0 else 0.0
+    speed_term = fs.spec.speed_atom_at(xs) * alpha * v_at
     sigma_atom = jump + speed_term
     a1, a2 = alpha_thresholds(c)
     return SmoothFitReport(

@@ -49,6 +49,17 @@ class TestSolve:
         doc = json.loads(proc.stdout)
         assert math.isfinite(doc["jump"]) and doc["verdict"] == "SmoothFit"
 
+    def test_large_alpha_samples_file(self, capsys, tmp_path):
+        # psi(x*) underflows to 0 at this rate, so the samples below x* are
+        # taken without dividing by it
+        samples = tmp_path / "v.csv"
+        code, _, _ = run_cli(capsys, "solve", "--alpha", "1e6", "--c", "1",
+                             "--samples-out", str(samples))
+        assert code == 0
+        rows = [line.split(",") for line in samples.read_text().splitlines()[1:]]
+        assert len(rows) > 100
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+
     def test_samples_file(self, capsys, tmp_path):
         samples = tmp_path / "v.csv"
         code, out, _ = run_cli(capsys, "solve", "--alpha", "0.5", "--c", "1",

@@ -44,10 +44,10 @@ def residual(chain, v, alpha):
     return float(np.max(np.abs(v - np.maximum(chain.reward, cont))))
 
 
-def value_iteration(chain, alpha):
+def value_iteration(chain, alpha, sweeps=200_000):
     """Reference: the chain's value by plain value iteration from the reward.
 
-    Sweeps V <- max(g, one step of continuation), at most 200,000 times,
+    Sweeps V <- max(g, one step of continuation), at most ``sweeps`` times,
     until the sup-change is at most 1e-11, which leaves roughly
     change / (1 - contraction) distance to the fixed point; the result must
     pass the solver's 1e-10 residual gate as well.
@@ -55,14 +55,14 @@ def value_iteration(chain, alpha):
     g = chain.reward
     ratios = _edge_roots(chain, alpha)[0]
     v = g.copy()
-    for _ in range(200_000):
+    for _ in range(sweeps):
         new = np.maximum(g, _continuation(chain, v, alpha, ratios))
         delta = float(np.max(np.abs(new - v)))
         v = new
         if delta <= 1e-11:
             assert residual(chain, v, alpha) <= 1e-10
             return v
-    raise AssertionError("value iteration did not converge in 200,000 sweeps")
+    raise AssertionError(f"value iteration did not converge in {sweeps} sweeps")
 
 
 def cell_masses_by_loop(spec, nodes):
@@ -477,6 +477,52 @@ def decimal_log_ratios(chain, alpha, digits=40):
 
     return (np.array([step(r) for r in psi]),
             np.array([step(r) for r in phi[::-1]]))
+
+
+def random_chain(rng):
+    """One chain of the random sweep: the family, window, size, rate and
+    reward are drawn from ``rng``; returns (chain, alpha)."""
+    family = rng.choice(["sticky", "drifting sticky", "drift", "reflected-killed"])
+    if family == "reflected-killed":
+        spec, lo, hi = make_reflected_killed_bm(), 0.0, rng.uniform(0.3, 1.0)
+    else:
+        mu = 0.0 if family == "sticky" else -rng.uniform(0.01, 1.0)
+        c = 10.0 ** rng.uniform(-1.0, 1.0)
+        spec = make_drift_bm(mu) if family == "drift" else make_sticky_bm(mu, c)
+        lo, hi = -(200.0 ** rng.uniform()), 200.0 ** rng.uniform()
+    n = int(round(50.0 * (4001.0 / 50.0) ** rng.uniform()))
+    alpha = 10.0 ** rng.uniform(-3.0, 4.0)
+    noise = rng.uniform(0.0, 1.0, n)
+    reward = [None, two_sided_reward, sawtooth_reward,
+              knots_reward(rng.uniform(-1.0, 4.0, rng.integers(2, 13))),
+              lambda x: np.maximum(1.0 + x, 0.0) + noise][rng.integers(5)]
+    return discretize(spec, lo, hi, n, reward=reward), alpha
+
+
+class TestRandomChains:
+    def test_every_chain_solves(self):
+        # sticky, drifting sticky, drift and reflected-killed chains with n
+        # from 50 to 4001, alpha from 1e-3 to 1e4, windows up to [-200, 200]
+        # and one-sided, two-sided, saw-tooth, knot and noisy rewards.  Where
+        # n <= 200 and alpha >= 1e-2, value iteration checks the values; it
+        # is capped at 20,000 sweeps to keep the test short, and a chain it
+        # does not converge on (5 of 58 here) is not compared
+        rng = np.random.default_rng(18)
+        compared = 0
+        for _ in range(200):
+            chain, alpha = random_chain(rng)
+            sol = solve_chain_stopping(chain, alpha)
+            assert sol.iterations == 2 and sol.residual <= 1e-10
+            if chain.size <= 200 and alpha >= 1e-2:
+                try:
+                    ref = value_iteration(chain, alpha, sweeps=20_000)
+                except AssertionError as err:
+                    if "did not converge" not in str(err):
+                        raise
+                    continue
+                assert np.max(np.abs(ref - sol.values)) <= 1e-7
+                compared += 1
+        assert compared >= 20
 
 
 class TestHarmonicLogs:

@@ -520,18 +520,34 @@ def _parent_reconstruct(measure, spec, alpha, x):
 
 
 def _green_panels(sigma, fs, x):
-    """Panels on the gaps of x, the kinks and the speed atoms, and the
-    constant density of the interpolated cumulative on each gap."""
-    pts = np.array(sorted({x, *sigma.kinks, *representation._atom_locations(fs.spec)}))
-    nodes, half, first = representation._gl_panels(pts, 0.25 / _exp_rate(fs))
+    """Gauss-Legendre panels on the gaps of x and the kinks (which hold the
+    speed atoms), each gap cut into equal panels no wider than
+    0.25 / (theta + |mu|), built here so that the reference does not share
+    the package's integrator: the nodes (one row per panel), the half
+    widths, each gap's first panel, and the constant density of the
+    interpolated cumulative on each gap."""
+    pts = np.array(sorted({x, *sigma.kinks}))
+    gaps = np.diff(pts)
+    pieces = np.maximum(1, np.ceil(gaps / (0.25 / _exp_rate(fs)))).astype(int)
+    first = np.cumsum(pieces) - pieces
+    starts, half = [], []
+    for a, gap, k in zip(pts[:-1].tolist(), gaps.tolist(), pieces.tolist()):
+        step = gap / k
+        starts += [a + step * j for j in range(k)]
+        half += [0.5 * step] * k
+    starts, half = np.array(starts), np.array(half)
+    nodes = (starts + half)[:, None] + half[:, None] * _GL_NODES
     return nodes, half, first, np.diff(sigma.ac_cdf(pts)) / np.diff(pts)
+
+
+def _panel_sums(f, nodes, half):
+    return (np.asarray(f, dtype=float).reshape(nodes.shape) @ _GL_WEIGHTS) * half
 
 
 def _green_sum(sigma, fs, x):
     """The Riesz representation at x of a measure rebuilt from a document."""
     nodes, half, first, density = _green_panels(sigma, fs, x)
-    panel_sums = representation._panel_sums
-    kernel = np.add.reduceat(panel_sums(fs.green(x, nodes.ravel()), nodes, half), first)
+    kernel = np.add.reduceat(_panel_sums(fs.green(x, nodes.ravel()), nodes, half), first)
     out = float(kernel @ density)
     out += sum(wt * float(fs.green(x, z)) for z, wt in sigma.atoms)
     c1, c2 = representation.harmonic_coefficients(sigma, fs)
@@ -544,12 +560,11 @@ def _green_sum_slopes(sigma, fs, x):
     and an atom at x counts on the left for the right derivative and on the
     right for the left one."""
     nodes, half, first, density = _green_panels(sigma, fs, x)
-    panel_sums = representation._panel_sums
     y = nodes.ravel()
-    low = np.add.reduceat(panel_sums(np.where(y <= x, fs.psi(np.minimum(y, x)), 0.0),
-                                     nodes, half), first) @ density
-    high = np.add.reduceat(panel_sums(np.where(y > x, fs.phi(np.maximum(y, x)), 0.0),
+    low = np.add.reduceat(_panel_sums(np.where(y <= x, fs.psi(np.minimum(y, x)), 0.0),
                                       nodes, half), first) @ density
+    high = np.add.reduceat(_panel_sums(np.where(y > x, fs.phi(np.maximum(y, x)), 0.0),
+                                       nodes, half), first) @ density
     c1, c2 = representation.harmonic_coefficients(sigma, fs)
     w = fs.wronskian
     out = []
@@ -898,6 +913,46 @@ class TestExcessivity:
     def test_bad_betas(self):
         with pytest.raises(ParameterError):
             excessivity_check(STICKY, 0.5, lambda x: 1.0, [0.0], [0.0])
+
+    @pytest.mark.parametrize("u, passed, monotone", [
+        (lambda y: value_function(0.5, 1.0, y), True, True),
+        (lambda y: 2.0 + np.cos(3.0 * y), False, False),
+    ])
+    def test_verdict_matches_row_loop(self, u, passed, monotone):
+        # the per-row loop that the array verdict replaced, as the reference
+        betas = (100.0, 1.0, 10.0)
+        rep = excessivity_check(STICKY, 0.5, u, self.GRID, betas, kinks=(-1.0, 0.0))
+        worst, ok, k = -math.inf, True, 0
+        for x in self.GRID:
+            prev = -math.inf
+            for beta in sorted(betas):
+                rx, rbeta, val, bound = rep.rows[k]
+                assert (rx, rbeta) == (x, beta)
+                worst = max(worst, (val - bound) / max(1.0, abs(bound)))
+                ok = ok and not val < prev - 1e-7 * max(1.0, abs(val))
+                prev, k = val, k + 1
+        assert k == len(rep.rows)
+        assert (rep.max_violation, rep.monotone_ok) == (worst, ok)
+        assert (rep.passed, rep.monotone_ok) == (passed, monotone)
+
+    @pytest.mark.parametrize("grid, betas", [([], (1.0,)), ([0.0], ())])
+    def test_empty_grid_or_betas_rejected(self, grid, betas):
+        with pytest.raises(ParameterError, match="at least one"):
+            excessivity_check(STICKY, 0.5, lambda x: 1.0, grid, betas)
+
+    @pytest.mark.parametrize("spec, x", [
+        (STICKY, math.nan),
+        (make_reflected_killed_bm(), math.nan),
+        (make_reflected_killed_bm(), 1.5),
+        (make_reflected_killed_bm(), -0.5),
+        (make_reflected_killed_bm(), 1.0),      # the killing endpoint
+    ])
+    def test_grid_point_outside_state_space_rejected(self, spec, x):
+        # such a point used to pass: NaN with row 0.0, x = 1.5 or -0.5 on
+        # [0, 1) with a negative row
+        fs = fundamental(spec, 1.0)
+        with pytest.raises(DomainError, match="outside the state space"):
+            excessivity_check(spec, 1.0, fs.psi, [0.5, x], (1.0, 10.0))
 
     def quad_rows(self, alpha, u, kinks):
         """Reference rows: one scipy quad per (x, beta), given every kink

@@ -1,6 +1,7 @@
 """Threshold solver, value function, smooth-fit classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,43 @@ class TestValueFunction:
                                 np.linspace(-3, 3, 11), (1.0, 10.0),
                                 kinks=(-1.0, 0.0))
         assert rep.passed
+
+
+    @pytest.mark.parametrize("alpha", [3e5, 1e6])
+    def test_large_alpha_without_division(self, alpha):
+        # psi(x*) underflows to 0 here, and the value and its derivatives
+        # below x* are (1 + x*) exp(k (x - x*)) and k times it
+        xs = solve_threshold(alpha, 1.0)
+        k = math.sqrt(2.0 * alpha)
+        grid = np.linspace(-3.0, 3.0, 121)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v = value_function(alpha, 1.0, grid)
+            cand = value_candidate(alpha, 1.0)
+            left, right = cand.ds_left(grid), cand.ds_right(grid)
+        assert np.all(np.isfinite(v)) and np.all(np.isfinite(left))
+        low = grid <= xs
+        want = (1.0 + xs) * np.exp(k * (grid[low] - xs))
+        assert np.array_equal(v[~low], np.maximum(1.0 + grid[~low], 0.0))
+        assert np.allclose(v[low], want, rtol=1e-12, atol=1e-300)
+        assert np.allclose(left[low], k * want, rtol=1e-12, atol=1e-300)
+        assert np.array_equal(right[~low], np.ones(np.count_nonzero(~low)))
+        x = xs - 1e-4
+        assert value_function(alpha, 1.0, x) == pytest.approx(
+            (1.0 + xs) * math.exp(-k * 1e-4), rel=1e-12)
+        assert cand.ds_left(xs) == pytest.approx(k * (1.0 + xs), rel=1e-12)
+
+    def test_unused_branch_does_not_overflow(self):
+        # psi's x > 0 branch at x < -0.5 and phi's x < 0 branch at x > 0.5
+        # used to overflow inside np.where; the values themselves underflow
+        fs = fundamental(make_sticky_bm(0.0, 1.0), 1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for x in (0.6, 3.0):
+                assert 0.0 <= fs.psi(-x) < 1e-300 and 0.0 <= fs.phi(x) < 1e-300
+                for side in ("left", "right"):
+                    assert 0.0 <= fs.psi_ds(-x, side) < 1e-300
+                    assert -1e-300 < fs.phi_ds(x, side) <= 0.0
 
 
 class TestSmoothFitReport:
