@@ -13,6 +13,9 @@ Numeric output uses 17 significant digits with '.' as the decimal mark and
 no grouping, so identical invocations produce byte-identical files.  Errors
 in numeric domains exit with code 1 and a machine-readable JSON object on
 stderr; flag errors exit with code 2.
+
+Each subcommand imports only the layers it runs, so a ``fundamental`` call
+never compiles the representation, stopping or oracle modules.
 """
 
 from __future__ import annotations
@@ -24,24 +27,7 @@ import sys
 
 import numpy as np
 
-from .diffusion import fundamental, spec_from_config
-from .errors import DiffstopError
-from .oracle import compare, discretize, solve_chain_stopping
-from .representation import (
-    green_candidate,
-    martin_measure,
-    measure_to_doc,
-    phi_candidate,
-    psi_candidate,
-    riesz_from_martin,
-)
-from .stopping import (
-    default_reward,
-    smooth_fit_report,
-    st_table,
-    value_candidate,
-    value_function,
-)
+from .errors import DiffstopError, DomainError
 
 
 def _fmt(x: float | str) -> str:
@@ -63,16 +49,27 @@ def _csv(header: list[str], rows) -> str:
 
 
 def _spec_from_args(args):
+    from .diffusion import spec_from_config
+
     # flags map one-to-one onto the configuration-document schema
     return spec_from_config({"family": args.family, "mu": args.mu, "c": args.c})
 
 
 def _cmd_fundamental(args) -> int:
+    from .diffusion import fundamental
+
     spec = _spec_from_args(args)
     fs = fundamental(spec, args.alpha)
     xs = np.linspace(args.range_from, args.range_to, args.points)
-    rows = list(zip(xs.tolist(), fs.psi(xs).tolist(), fs.phi(xs).tolist(),
-                    fs.green(args.x0, xs).tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = (fs.psi(xs), fs.phi(xs), fs.green(args.x0, xs))
+    bad = ~np.isfinite(cols)
+    if bad.any():
+        i = int(bad.any(axis=0).argmax())
+        names = [n for n, b in zip(("psi", "phi", "green_x0"), bad[:, i]) if b]
+        raise DomainError(f"{' and '.join(names)} not finite at x={float(xs[i])!r} "
+                          f"(alpha={args.alpha!r})")
+    rows = list(zip(xs.tolist(), *(col.tolist() for col in cols)))
     if args.format == "json":
         doc = {
             "alpha": args.alpha,
@@ -89,6 +86,8 @@ def _cmd_fundamental(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .stopping import default_reward, smooth_fit_report, value_function
+
     report = smooth_fit_report(args.alpha, args.c)
     _write(json.dumps(report.to_doc(), indent=2) + "\n", args.out)
     if args.samples_out:
@@ -101,6 +100,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    from .representation import (green_candidate, martin_measure, measure_to_doc,
+                                 phi_candidate, psi_candidate, riesz_from_martin)
+    from .stopping import value_candidate
+
     spec = _spec_from_args(args)
     x0 = 0.0 if args.x0 is None else args.x0
     if args.candidate == "green":
@@ -122,6 +125,9 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import compare, discretize, solve_chain_stopping
+    from .stopping import value_function
+
     if args.family != "sticky_bm" or args.mu != 0.0:
         raise DiffstopError("verify compares against the closed-form value, "
                             "which exists for the driftless sticky family only")
@@ -146,6 +152,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
+    from .stopping import default_reward, st_table, value_function
+
     alphas = args.alpha
     if len(alphas) > 1 and (not args.out or "{alpha}" not in args.out):
         raise DiffstopError("multiple alphas need --out with an {alpha} "
@@ -162,6 +170,8 @@ def _cmd_plot_data(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .stopping import smooth_fit_report
+
     if not all(map(math.isfinite, (args.alpha_from, args.alpha_to, args.step))):
         raise DiffstopError("sweep bounds and step must be finite")
     if args.step <= 0:

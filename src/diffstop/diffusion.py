@@ -42,23 +42,6 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 
-__all__ = [
-    "BoundaryKind",
-    "Interval",
-    "Family",
-    "DiffusionSpec",
-    "FundamentalSolutions",
-    "make_spec",
-    "make_sticky_bm",
-    "make_reflected_killed_bm",
-    "make_drift_bm",
-    "spec_from_config",
-    "speed_of_set",
-    "fundamental",
-    "green",
-    "hitting_laplace",
-]
-
 
 class BoundaryKind(str, Enum):
     NATURAL = "natural"

@@ -80,15 +80,6 @@ import numpy as np
 from .diffusion import DiffusionSpec, _values
 from .errors import ConvergenceError, DomainError, ParameterError
 
-__all__ = [
-    "ChainModel",
-    "ChainSolution",
-    "ComparisonReport",
-    "discretize",
-    "solve_chain_stopping",
-    "compare",
-]
-
 
 @dataclass(frozen=True)
 class ChainModel:

@@ -91,25 +91,6 @@ from .diffusion import (DiffusionSpec, FundamentalSolutions, _atom_at,
                         _scalar_aware, _values, fundamental)
 from .errors import ConvergenceError, DomainError, NotExcessiveError, ParameterError
 
-__all__ = [
-    "ExcessiveCandidate",
-    "RepresentingMeasure",
-    "DerivativeJump",
-    "ExcessivityReport",
-    "green_candidate",
-    "psi_candidate",
-    "phi_candidate",
-    "candidate_from_callable",
-    "martin_measure",
-    "riesz_from_martin",
-    "reconstruct",
-    "derivative_jump",
-    "f_derivative",
-    "excessivity_check",
-    "measure_to_doc",
-    "measure_from_doc",
-]
-
 _ATOM_THRESHOLD = 1e-12     # tail jumps below this fraction of total mass are noise
 _MONOTONE_SLACK = 1e-10
 

@@ -40,29 +40,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .diffusion import DiffusionSpec, _scalar_aware, fundamental, make_sticky_bm
 from .errors import ConvergenceError, DomainError, ParameterError
-from .representation import ExcessiveCandidate, f_derivative
 
-__all__ = [
-    "Reward",
-    "SmoothFitReport",
-    "AlphaZeroSolution",
-    "default_reward",
-    "alpha_thresholds",
-    "st_functions",
-    "st_table",
-    "solve_threshold",
-    "value_function",
-    "value_candidate",
-    "smooth_fit_report",
-    "general_smooth_fit_check",
-    "solve_alpha_zero",
-]
+if TYPE_CHECKING:
+    from .representation import ExcessiveCandidate
 
 _JUMP_TOL = 1e-9      # |jump| below this counts as smooth fit
 _BRANCH_TOL = 1e-12   # one-sided t-limits within this of 0 count as 0
@@ -216,20 +202,26 @@ def solve_threshold(alpha: float, c: float) -> float:
 @functools.lru_cache(maxsize=64)
 def _value_setup(alpha: float, c: float) -> tuple[float, Callable, Callable]:
     """(x*, the value, its scale derivative ``ds(x, side)``) of the stopping
-    problem: g(x*) psi(x) / psi(x*) below x*, g above.  Where psi(x*) is not
-    a normal float, x* < 0, and psi(x) / psi(x*) is exp((theta - mu)(x - x*))
-    on x <= x*, with no division; it is taken at min(x, x*), so that the
-    unused branch cannot overflow."""
+    problem: g(x*) psi(x) / psi(x*) below x*, g above.  Below x* <= 0,
+    where psi(x) is not a normal float, psi(x) / psi(x*) is taken as
+    exp((theta - mu)(x - x*)), with no division; once psi(x*) is not normal
+    either, that is everywhere below x*.  x is clipped to min(x, x*), so
+    that the unused branch cannot overflow."""
     xs = solve_threshold(alpha, c)
     fs = fundamental(make_sticky_bm(0.0, c), alpha)
     psi_xs, up = float(fs.psi(xs)), fs.theta - fs.spec.mu
-    normal = psi_xs >= np.finfo(float).tiny
+    # psi(x) = exp(up x) on x <= 0 is not a normal float below x = deep
+    deep = math.log(np.finfo(float).tiny) / up if xs <= 0.0 else -math.inf
+    coef = (1.0 + xs) / psi_xs if xs >= deep else 0.0
 
     def below(x, side=None):
-        if normal:
-            return (1.0 + xs) / psi_xs * (fs.psi(x) if side is None else fs.psi_ds(x, side))
-        ratio = np.exp(up * (np.minimum(x, xs) - xs))
-        return (1.0 + xs) * (ratio if side is None else up * ratio)
+        x = np.minimum(x, xs)
+        out = coef * (fs.psi(x) if side is None else fs.psi_ds(x, side))
+        far = x < deep
+        if far.any():
+            ratio = np.exp(up * (x - xs))
+            out = np.where(far, (1.0 + xs) * (ratio if side is None else up * ratio), out)
+        return out
 
     @_scalar_aware
     def value(x):
@@ -254,6 +246,8 @@ def value_candidate(alpha: float, c: float, x0: float | None = None) -> Excessiv
     The default normalization point sits strictly above both the threshold
     and the sticky point, max(0, x*) + 1.
     """
+    from .representation import ExcessiveCandidate
+
     xs, value, ds = _value_setup(alpha, c)
     if x0 is None:
         x0 = max(0.0, xs) + 1.0
@@ -339,6 +333,8 @@ def general_smooth_fit_check(spec: DiffusionSpec, alpha: float, g: Callable,
     "SmoothFit".  When any hypothesis fails the criterion is silent, so the
     verdict is "Inconclusive", never "Fails".
     """
+    from .representation import f_derivative
+
     probe = 1e-3 * (1.0 + abs(z))
     if not (float(F(z + probe)) > float(F(z)) > float(F(z - probe))):
         raise DomainError(f"F is not increasing near {z}")

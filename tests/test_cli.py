@@ -18,6 +18,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv, timeout=120):
+    """``python -m diffstop.cli *argv`` in a separate process, so that an
+    uncaught error shows as a traceback and a warning as text on stderr."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "diffstop.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 class TestSolve:
     def test_report_schema_and_values(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--alpha", "0.5", "--c", "1")
@@ -37,13 +47,7 @@ class TestSolve:
         assert doc["jump"] == pytest.approx(math.sqrt(0.5) - 1.0, abs=1e-12)
 
     def test_large_alpha_exits_cleanly(self):
-        # a separate process, so an uncaught error would show as a traceback
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "diffstop.cli", "solve", "--alpha", "1e6",
-             "--c", "1"], env=env, capture_output=True, text=True, timeout=120)
+        proc = run_process("solve", "--alpha", "1e6", "--c", "1")
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         doc = json.loads(proc.stdout)
@@ -212,6 +216,29 @@ class TestFundamental:
         assert doc["wronskian"] == pytest.approx(3.0, abs=1e-13)
         assert len(doc["rows"]) == 3
 
+    def test_overflow_exits_one_without_warning(self):
+        # psi = exp(20 x) at alpha = 200 overflows a float past x ~ 35.5
+        proc = run_process("fundamental", "--alpha", "200", "--from", "40",
+                           "--to", "41")
+        assert proc.returncode == 1 and proc.stdout == ""
+        err = json.loads(proc.stderr)["error"]     # no warning text around it
+        assert err["type"] == "DomainError"
+        assert err["message"].startswith("psi not finite at x=40.0")
+        proc = run_process("fundamental", "--alpha", "200", "--from", "-41",
+                           "--to", "-40", "--format", "json")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["message"].startswith(
+            "phi not finite at x=-41.0")
+
+    def test_green_underflow_is_valid_output(self, capsys):
+        # G(-30, x) = psi(-30) phi(x) / w underflows to 0; psi and phi are finite
+        code, out, _ = run_cli(capsys, "fundamental", "--alpha", "200", "--x0",
+                               "-30", "--from", "30", "--to", "34", "--points", "2")
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+        assert [r[3] for r in rows] == [0.0, 0.0]
+        assert all(math.isfinite(v) and v > 0.0 for r in rows for v in r[1:3])
+
 
 class TestErrorPaths:
     def test_numeric_failure_exits_one_with_json(self, capsys):
@@ -255,13 +282,8 @@ class TestErrorPaths:
     def test_sweep_step_that_cannot_advance_rejected(self):
         # 0.1 + 1e-20 == 0.1 in floats, so the sweep would repeat 0.1 until
         # memory ran out; a separate process, so that a hang is a timeout
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "diffstop.cli", "sweep", "--c", "1",
-             "--alpha-from", "0.1", "--alpha-to", "0.2", "--step", "1e-20"],
-            env=env, capture_output=True, text=True, timeout=10)
+        proc = run_process("sweep", "--c", "1", "--alpha-from", "0.1",
+                           "--alpha-to", "0.2", "--step", "1e-20", timeout=10)
         assert proc.returncode == 1 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"]["type"] == "DiffstopError"
 

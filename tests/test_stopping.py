@@ -214,6 +214,23 @@ class TestValueFunction:
             (1.0 + xs) * math.exp(-k * 1e-4), rel=1e-12)
         assert cand.ds_left(xs) == pytest.approx(k * (1.0 + xs), rel=1e-12)
 
+    def test_value_where_psi_underflows(self):
+        # psi(x*) is a normal float at this rate, but psi(x) is not below
+        # x ~ -1.0015, where the value (1 + x*) exp(k (x - x*)) is not 0
+        alpha = 2.5e5
+        xs, k = solve_threshold(alpha, 1.0), math.sqrt(2.0 * alpha)
+        grid = np.concatenate([[-2.0, -1.5, -1.2], np.linspace(-1.1, xs, 101)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v = value_function(alpha, 1.0, grid)
+            left = value_candidate(alpha, 1.0).ds_left(grid)
+        want = (1.0 + xs) * np.exp(k * (grid - xs))
+        assert np.all(want > 0.0)
+        assert np.allclose(v, want, rtol=1e-11, atol=0.0)
+        assert np.allclose(left, k * want, rtol=1e-11, atol=0.0)
+        assert v[:3] == pytest.approx([1.985e-65, 1.479e-157, 4.204e-311], rel=1e-3)
+        assert left[2] == pytest.approx(1.403e-62, rel=1e-3)
+
     def test_unused_branch_does_not_overflow(self):
         # psi's x > 0 branch at x < -0.5 and phi's x < 0 branch at x > 0.5
         # used to overflow inside np.where; the values themselves underflow
