@@ -366,18 +366,24 @@ def _boundary_limit(tail: Callable, start: float, endpoint: float,
     return vals[-1]
 
 
-def _check_monotone_tail(tail: Callable, lo: float, hi: float,
-                         decreasing: bool, what: str):
-    xs = np.linspace(lo, hi, 257)
+# offsets from x0 grow by 2**(1/8) per point, so a scan out to the cap
+# 600/rate starts ~0.1/rate apart and takes 101 points per side
+_SCAN_STEPS = np.exp2(np.arange(101) / 8.0) - 1.0
+
+
+def _check_monotone_tail(tail: Callable, x0: float, end: float, what: str):
+    """Raise unless the tail is nonnegative and does not grow from x0 out to
+    ``end``, as nu([l, y)) and nu((y, r]) do."""
+    xs = x0 + (end - x0) * (_SCAN_STEPS / _SCAN_STEPS[-1])
     vals = np.asarray(tail(xs), dtype=float)
     if np.any(vals < -_MONOTONE_SLACK):
         raise NotExcessiveError(
             f"{what} tail is negative (min {vals.min():.3g}); the candidate "
             "is not excessive at this rate")
     diffs = np.diff(vals)
-    bad = diffs > _MONOTONE_SLACK if decreasing else diffs < -_MONOTONE_SLACK
+    bad = diffs > _MONOTONE_SLACK
     if np.any(bad):
-        worst = float(np.abs(diffs[bad]).max())
+        worst = float(diffs[bad].max())
         raise NotExcessiveError(
             f"{what} tail is not monotone (violation {worst:.3g}); the "
             "candidate is not excessive at this rate")
@@ -435,9 +441,9 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
     scan_left = max(l + 1e-9 * (1 + abs(l)) if math.isfinite(l) else x0 - cap, x0 - cap)
     scan_right = min(r - 1e-9 * (1 + abs(r)) if math.isfinite(r) else x0 + cap, x0 + cap)
     if scan_left < x0:
-        _check_monotone_tail(left_tail, scan_left, x0, decreasing=False, what="left")
+        _check_monotone_tail(left_tail, x0, scan_left, what="left")
     if scan_right > x0:
-        _check_monotone_tail(right_tail, x0, scan_right, decreasing=True, what="right")
+        _check_monotone_tail(right_tail, x0, scan_right, what="right")
 
     # atoms are the tail jumps at the interior kinks and speed atoms, one
     # call per side; kinks at an included endpoint are picked up by the

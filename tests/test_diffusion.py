@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from diffstop.diffusion import (
     BoundaryKind,
     Family,
+    Interval,
     fundamental,
     green,
     hitting_laplace,
@@ -58,6 +59,17 @@ class TestConstruction:
             make_sticky_bm(c=-1.0)
         with pytest.raises(ParameterError):
             make_drift_bm(0.0)
+        with pytest.raises(ParameterError, match="unknown family 'heston'"):
+            make_spec("heston")
+
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 1.0), "empty interval"),
+        ((0.0, math.inf, BoundaryKind.NATURAL, BoundaryKind.REFLECTING),
+         "reflecting endpoint must be finite"),
+    ])
+    def test_interval_rejections(self, args, message):
+        with pytest.raises(ParameterError, match=message):
+            Interval(*args)
 
     def test_absorbing_request_rejected(self):
         # an accessible absorbing endpoint makes the diffusion non-regular
@@ -70,6 +82,7 @@ class TestConstruction:
         spec = spec_from_config({"family": "sticky_bm", "mu": -0.5, "c": 2.0})
         assert spec.family is Family.STICKY_BM
         assert spec.mu == -0.5 and spec.c == 2.0
+        assert make_spec("drift_bm", mu=-0.5) == make_drift_bm(-0.5)
         with pytest.raises(ParameterError):
             spec_from_config({"mu": -0.5})
         with pytest.raises(ParameterError):
@@ -80,6 +93,7 @@ class TestConstruction:
         assert spec.interval.contains(0.0)       # reflecting, included
         assert not spec.interval.contains(1.0)   # killing, excluded
         assert spec.interval.left_kind is BoundaryKind.REFLECTING
+        assert Interval(-1.0, 2.0, right_kind=BoundaryKind.REFLECTING).contains(2.0)
 
 
 class TestSpeedOfSet:
@@ -101,6 +115,9 @@ class TestSpeedOfSet:
         full = speed_of_set(spec, 0.0, 1.0)
         no_left = speed_of_set(spec, 0.0, 1.0, include_a=False)
         assert full - no_left == pytest.approx(2.0, abs=1e-14)
+        full = speed_of_set(spec, -1.0, 0.0)        # the atom at b
+        no_right = speed_of_set(spec, -1.0, 0.0, include_b=False)
+        assert full - no_right == pytest.approx(2.0, abs=1e-14)
 
     def test_drift_density_matches_quadrature(self):
         spec = make_drift_bm(-0.3)
@@ -113,6 +130,8 @@ class TestSpeedOfSet:
             speed_of_set(spec, -0.5, 0.5)
         with pytest.raises(ParameterError):
             speed_of_set(spec, 0.7, 0.2)
+        with pytest.raises(ParameterError, match="out of order"):
+            spec.speed_density_integral(0.7, 0.2)
 
 
 class TestFundamentalSticky:
@@ -214,6 +233,7 @@ class TestZeroDiscount:
         assert fs.wronskian == 1.0
         # psi_0 = S + const, so its scale derivative is identically 1
         assert fs.psi_ds(0.7) == pytest.approx(1.0, rel=1e-14)
+        assert fs.phi_ds(0.7) == 0.0
 
     def test_zero_discount_rejected_for_recurrent(self):
         with pytest.raises(ParameterError):

@@ -655,6 +655,18 @@ class TestAgreement:
         with pytest.raises(ParameterError, match="shape"):
             compare(chain, sol.values, lambda x: x[:-1])
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda chain: chain.node_index(0.01), DomainError, "not a grid node"),
+        (lambda chain: solve_chain_stopping(chain, 0.0), ParameterError,
+         "discount rate must be positive"),
+        (lambda chain: compare(chain, chain.reward, lambda x: 1.0, jump_at=-6.0),
+         DomainError, "needs an interior node"),
+    ], ids=["node_index-off-grid", "solve-alpha-0", "compare-jump-at-edge"])
+    def test_rejected_inputs(self, call, error, message):
+        chain = discretize(STICKY, -6.0, 6.0, 201)
+        with pytest.raises(error, match=message):
+            call(chain)
+
     def test_jump_estimate_at_sticky_point(self):
         chain = discretize(STICKY, -6.0, 6.0, 4001)
         sol = solve_chain_stopping(chain, 0.25)

@@ -119,6 +119,32 @@ class TestMartinMeasure:
         with pytest.raises(NotExcessiveError):
             martin_measure(STICKY, 0.25, cand)
 
+    @pytest.mark.parametrize("u, x0, message", [
+        (lambda x: 1.0 + 3.0 * np.exp(-x ** 2), 0.0, "negative"),
+        (lambda x: 1.0 + 3.0 * np.exp(-x ** 2), 3.0, "negative"),
+        (lambda x: 1.0 + 3.0 * np.exp(-(x - 2.0) ** 2), 0.0, "negative"),
+        (lambda x: 1.0 + 3.0 * np.exp(-(x - 4.0) ** 2), 0.0, "negative"),
+        (lambda x: 1.0 + 3.0 * np.exp(-(x + 4.0) ** 2), 0.0, "negative"),
+        (lambda x: 10.0 + np.exp(-((x - 0.5) / 0.2) ** 2), 0.0, "not monotone"),
+    ], ids=["bump-0", "bump-0-x0-3", "bump-2", "bump-4", "bump-minus-4",
+            "narrow-bump-0.5"])
+    def test_narrow_violation_near_x0_rejected(self, u, x0, message):
+        # the resolvent check fails each of these; an even scan of
+        # x0 +- 600/rate, 2.3 apart at alpha = 0.5, stepped over the
+        # violation and returned a measure with negative density
+        assert not excessivity_check(STICKY, 0.5, u, np.linspace(-6, 6, 49),
+                                     (1.0, 10.0, 100.0, 1000.0)).passed
+        with pytest.raises(NotExcessiveError, match=message):
+            martin_measure(STICKY, 0.5, candidate_from_callable(STICKY, u, x0))
+
+    @pytest.mark.parametrize("make", [
+        lambda rk: green_candidate(rk, 1.0, 1.5, x0=0.5),
+        lambda rk: martin_measure(rk, 1.0, psi_candidate(rk, 1.0, x0=-0.5)),
+    ], ids=["green-pole", "martin-x0"])
+    def test_point_outside_state_space_rejected(self, make):
+        with pytest.raises(DomainError, match="outside the state space"):
+            make(make_reflected_killed_bm())
+
     def test_bad_normalization_point(self):
         g = green_candidate(STICKY, 0.5, 0.7, x0=0.0)
         with pytest.raises(ParameterError):
@@ -701,6 +727,9 @@ class TestBoundaryLimit:
         assert _boundary_limit(tail, 5.0, math.inf, 5.5) == 10.0
         with pytest.raises(ConvergenceError):
             _boundary_limit(tail, 5.0, math.inf, 6.5)
+        # two points that agree to 1e-9 give the last one
+        flat = lambda x: np.minimum(x, 6.0) + 1e-10 * np.asarray(x)
+        assert _boundary_limit(flat, 5.0, math.inf, 8.0) == float(flat(7.0))
 
 
 class TestDerivativeJump:
@@ -809,6 +838,11 @@ class TestDerivativeJump:
         m = martin_measure(STICKY, 0.5, cand)
         with pytest.raises(ParameterError):
             derivative_jump(STICKY, 0.5, cand, m, 0.7)
+        rk = make_reflected_killed_bm()
+        cand = psi_candidate(rk, 1.0, x0=0.5)
+        riesz = riesz_from_martin(martin_measure(rk, 1.0, cand), rk, 1.0)
+        with pytest.raises(DomainError, match="interior point"):
+            derivative_jump(rk, 1.0, cand, riesz, 0.0)    # reflecting end
 
 
 class TestWithDrift:
@@ -878,6 +912,10 @@ class TestFDerivative:
     def test_decreasing_f_rejected(self):
         with pytest.raises(DomainError):
             f_derivative(lambda x: x, lambda x: -x, 0.0, "right")
+
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ParameterError, match="side must be"):
+            f_derivative(lambda x: x, lambda x: x, 0.0, "up")
 
 
 class TestExcessivity:
@@ -1338,3 +1376,5 @@ class TestScalarConvention:
         for i, off in enumerate(offsets):
             assert got[i] == pytest.approx(fn(*(p - off for p in points)),
                                            rel=1e-12, abs=1e-15)
+        empty = fn(*(np.empty(0) for _ in points))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from diffstop.diffusion import fundamental, make_sticky_bm
-from diffstop.errors import DomainError, ParameterError
+from diffstop.errors import ConvergenceError, DomainError, ParameterError
 from diffstop.representation import excessivity_check, f_derivative
 from diffstop.stopping import (
     _value_setup,
@@ -43,6 +43,7 @@ class TestSTFunctions:
 
     def test_zero_below_reward_support(self):
         assert st_functions(0.25, 1.0, -1.7) == (0.0, 0.0)
+        assert st_functions(0.25, 1.0, -1.0, side="left") == (0.0, 0.0)
 
     def test_limit_at_reward_kink(self):
         alpha, c = 0.3, 2.0
@@ -130,6 +131,19 @@ class TestThreshold:
             solve_threshold(0.0, 1.0)
         with pytest.raises(ParameterError):
             solve_threshold(0.5, -1.0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: alpha_thresholds(0.0), "stickiness must be positive"),
+        (lambda: st_functions(0.0, 1.0, 0.5), "alpha and c must be positive"),
+        (lambda: st_functions(0.25, -1.0, 0.5), "alpha and c must be positive"),
+        (lambda: st_table(-0.1, 1.0, [0.5]), "alpha and c must be positive"),
+        (lambda: st_table(0.25, 0.0, [0.5]), "alpha and c must be positive"),
+        (lambda: solve_alpha_zero(-0.25, c=0.0), "stickiness must be positive"),
+    ], ids=["alpha_thresholds-c", "st_functions-alpha", "st_functions-c",
+            "st_table-alpha", "st_table-c", "solve_alpha_zero-c"])
+    def test_nonpositive_parameter_rejected(self, call, message):
+        with pytest.raises(ParameterError, match=message):
+            call()
 
 
 class TestValueFunction:
@@ -317,6 +331,13 @@ class TestGeneralSmoothFitCheck:
     def test_inconclusive_at_sticky_point(self):
         verdict = general_smooth_fit_check(self.SPEC, 0.25, self.REWARD.value,
                                            0.0, lambda x: x)
+        assert verdict == "Inconclusive"
+
+    def test_inconclusive_where_a_derivative_does_not_converge(self):
+        wild = lambda x: abs(x - 0.5) ** 0.5 * math.sin(1.0 / (abs(x - 0.5) + 1e-30))
+        with pytest.raises(ConvergenceError):
+            f_derivative(wild, lambda x: x, 0.5, "left")
+        verdict = general_smooth_fit_check(self.SPEC, 0.1, wild, 0.5, lambda x: x)
         assert verdict == "Inconclusive"
 
     def test_scale_and_identity_agree_for_driftless(self):
