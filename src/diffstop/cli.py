@@ -29,6 +29,9 @@ import numpy as np
 
 from .errors import DiffstopError, DomainError
 
+# the most rows one sweep may print: a row costs ~0.03 ms and ~100 bytes
+_SWEEP_MAX_ROWS = 100_000
+
 
 def _fmt(x: float | str) -> str:
     return x if isinstance(x, str) else format(float(x), ".17g")
@@ -176,6 +179,11 @@ def _cmd_sweep(args) -> int:
         raise DiffstopError("sweep bounds and step must be finite")
     if args.step <= 0:
         raise DiffstopError("sweep step must be positive")
+    # a step that does not advance at all is named by the loop below
+    rows = (args.alpha_to - args.alpha_from) / args.step + 1.0
+    if rows > _SWEEP_MAX_ROWS and args.alpha_from + args.step > args.alpha_from:
+        raise DiffstopError(f"sweep would print {rows:.4g} rows, more than "
+                            f"the limit of {_SWEEP_MAX_ROWS}")
     alphas = []
     a = args.alpha_from
     while a <= args.alpha_to + 1e-12:

@@ -397,6 +397,11 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
     derivatives; atoms are the tail jumps at the declared kinks and speed
     atoms; boundary masses are tail limits; any mass defect at x0 itself is
     assigned as an atom at x0 (it equals G(x0,x0) sigma({x0})).
+
+    Each tail's sign and monotonicity are checked at 101 points per side out
+    to 600 / (theta + |mu|) or the endpoint, offsets from x0 growing by
+    2^{1/8}, so a violation narrower than ~9 % of its distance from x0
+    passes; :func:`excessivity_check` is the independent test.
     """
     fs = fundamental(spec, alpha)
     x0 = candidate.x0
@@ -519,7 +524,7 @@ def _gap_integrals(f: Callable, pts: np.ndarray, width: float) -> np.ndarray:
     """
     if len(pts) < 2:
         return np.zeros(0)
-    gaps = np.diff(pts)
+    gaps = pts[1:] - pts[:-1]
     pieces = np.maximum(1, np.ceil(gaps / width)).astype(int)
     first = np.cumsum(pieces) - pieces
     step = np.repeat(gaps / pieces, pieces)
@@ -531,32 +536,26 @@ def _gap_integrals(f: Callable, pts: np.ndarray, width: float) -> np.ndarray:
     return np.add.reduceat((vals @ _GL_WEIGHTS) * half, first)
 
 
-def _by_parts_integral(nu: RepresentingMeasure, fs: FundamentalSolutions,
-                       x: float) -> float:
-    """The integral in the by-parts identity of a Martin measure.
+def _between(f: Callable, anchor: float, ys, splits, width: float) -> np.ndarray:
+    """Integral of f between the anchor and each point of ys.
 
-    For x <= x0 it is the integral over [x, x0] of (nu([l, y)) - m_l)
-    S'(y) / psi(y)^2, for x >= x0 the integral over [x0, x] of
-    (nu((y, r]) - m_r) S'(y) / phi(y)^2.  Panels split at the measure's kinks,
-    which hold the speed atoms, and are cut to widths of at most
-    0.25 / (theta + |mu|).  Toward a killing endpoint, where psi or phi
-    vanishes, they are also split where the distance to it halves, so that
-    no panel is closer to the pole of the integrand than its own width.
+    The points of ys lie on one side of the anchor; below it the result is
+    the integral over [y, anchor].  The panels of :func:`_gap_integrals`
+    cover the gaps of the sorted points ys, the anchor and the splits
+    between them, and the gap sums accumulate outward from the anchor, so
+    that integrals near it keep their digits.
     """
-    x0 = nu.x0
-    a, b = min(x, x0), max(x, x0)
-    if a == b:
-        return 0.0
-    end = nu.interval_left if x < x0 else nu.interval_right
-    splits = list(nu.kinks)
-    if math.isfinite(end) and not fs.spec.interval.contains(end):
-        splits += (end + (x0 - end) * 0.5 ** np.arange(1, 60)).tolist()
-    pts = np.array(sorted({a, b, *(p for p in splits if a < p < b)}))
-    tail, mass, kernel = (nu.left_tail, nu.mass_left_boundary, fs.psi) if x < x0 \
-        else (nu.right_tail, nu.mass_right_boundary, fs.phi)
-    return float(_gap_integrals(
-        lambda y: (tail(y) - mass) / kernel(y) ** 2 * fs.spec.scale_deriv(y),
-        pts, 0.25 / _exp_rate(fs)).sum())
+    ys = np.asarray(ys, dtype=float)
+    ends = ys.tolist()
+    lo, hi = min(anchor, *ends), max(anchor, *ends)
+    pts = np.array(sorted({*ends, anchor, *(p for p in splits if lo < p < hi)}))
+    sums, cum = _gap_integrals(f, pts, width), np.zeros(len(pts))
+    # the anchor's own entry stays 0: last below it, first above it
+    if lo < anchor:
+        np.cumsum(sums[::-1], out=cum[-2::-1])
+    else:
+        np.cumsum(sums, out=cum[1:])
+    return cum[pts.searchsorted(ys)]
 
 
 # ---------------------------------------------------------------------------
@@ -574,13 +573,13 @@ def riesz_from_martin(measure: RepresentingMeasure, spec: DiffusionSpec,
     The AC tails apply the generator identity of the module docstring to
     the source candidate, subtract the sigma-atoms in the range and divide
     by u(x0); speed atoms enter exactly as alpha m({z}) u(z).  The integral
-    of u against the AC speed part is a cumulative over 10-point
-    Gauss-Legendre panels between consecutive requested points, x0 and the
-    measure's kinks, cut to widths of at most 2 / (theta + |mu|), the
-    fastest exponential rate of u dm; u and the speed density are each
-    called once on all nodes.  At an endpoint of the state space the inside
-    one-sided derivative is used, so mass at the endpoint is not AC mass.
-    There is no division by G and no convergence loop.
+    of u against the AC speed part is one :func:`_between` from x0 to all
+    requested points, on panels split at the measure's kinks and cut to
+    widths of at most 2 / (theta + |mu|), the fastest exponential rate of
+    u dm; u and the speed density are each called once on all nodes.  At an
+    endpoint of the state space the inside one-sided derivative is used, so
+    mass at the endpoint is not AC mass.  There is no division by G and no
+    convergence loop.
 
     Raises :class:`ParameterError` for a Martin measure without its
     candidate, such as one rebuilt by :func:`measure_from_doc`.
@@ -598,7 +597,7 @@ def riesz_from_martin(measure: RepresentingMeasure, spec: DiffusionSpec,
     inner_atoms = [(z, wt) for z, wt in atoms if l < z < r]
     speed_atoms = sorted((z, alpha * m * float(cand.value(z)))
                          for z, m in spec.speed_atoms if l < z < r)
-    kinks = np.array([k for k in measure.kinks if l < k < r], dtype=float)
+    kinks = [k for k in measure.kinks if l < k < r]
     width = 2.0 / _exp_rate(fs)
 
     def scale_deriv(ys, side):
@@ -612,19 +611,8 @@ def riesz_from_martin(measure: RepresentingMeasure, spec: DiffusionSpec,
                 d[mask] = fn(ys[mask])
         return d
 
-    def speed_integral(ys, side):
-        # integral of u against the AC speed part between x0 and each y
-        lo, hi = min(ys.min(), x0), max(ys.max(), x0)
-        pts = np.unique(np.concatenate((ys, [x0], kinks[(lo < kinks) & (kinks < hi)])))
-        gap_sums = _gap_integrals(
-            lambda y: np.asarray(cand.value(y), dtype=float)
-            * np.asarray(spec.speed_density(y), dtype=float), pts, width)
-        # accumulate outward from x0, so tails near x0 keep their digits
-        if side == "right":
-            cum = np.concatenate(([0.0], np.cumsum(gap_sums)))
-        else:
-            cum = np.concatenate((np.cumsum(gap_sums[::-1])[::-1], [0.0]))
-        return cum[np.searchsorted(pts, ys)]
+    def u_dm(y):
+        return cand.value(y) * spec.speed_density(y)
 
     def tail(y, side):
         # sigma_ac((x0, y]) on the right, sigma_ac([y, x0)) on the left; a
@@ -639,7 +627,7 @@ def riesz_from_martin(measure: RepresentingMeasure, spec: DiffusionSpec,
                           - _atoms_below(atom_list, x0, strict))
 
         d = scale_deriv(np.append(ys, x0), side)
-        out = (sgn * (d[-1] - d[:-1]) + alpha * speed_integral(ys, side)
+        out = (sgn * (d[-1] - d[:-1]) + alpha * _between(u_dm, x0, ys, kinks, width)
                + in_range(speed_atoms)) / u0 - in_range(inner_atoms)
         return out.reshape(y.shape)
 
@@ -651,44 +639,54 @@ def riesz_from_martin(measure: RepresentingMeasure, spec: DiffusionSpec,
     )
 
 
-def harmonic_coefficients(measure: RepresentingMeasure,
-                          fs: FundamentalSolutions) -> tuple[float, float]:
-    """(c1, c2) multiplying phi and psi in the Riesz form, normalized scale."""
-    c1 = measure.mass_left_boundary / float(fs.phi(measure.x0))
-    c2 = measure.mass_right_boundary / float(fs.psi(measure.x0))
-    return c1, c2
-
-
 def _coefficients(measure: RepresentingMeasure, fs: FundamentalSolutions,
                   x: float) -> tuple[float, float]:
     """(A, B) with u(x) / u(x0) = A phi(x) + B psi(x), as in the module
-    docstring.  A measure with a Martin source takes them from the by-parts
-    identity and evaluates no tail.  A rebuilt Riesz measure sums its atoms
-    and integrates psi left of x and phi right of it (where neither
-    overflows before G(x, .) does) on panels split at x and the kinks,
-    against the constant density of its cumulative.
+    docstring.  Each integral is one :func:`_between` on panels split at the
+    kinks, which hold the speed atoms, and no wider than 0.25 / (theta + |mu|).
+
+    A measure with a Martin source takes the pair from the by-parts
+    identity; toward a killing endpoint, where psi or phi vanishes, its
+    panels also split where the distance to it halves, so that no panel is
+    closer to the pole of the integrand than its own width.  A rebuilt Riesz
+    measure sums its atoms and integrates psi from its first kink to x and
+    phi from x to its last kink (neither overflows before G(x, .) does)
+    against the constant density of its cumulative between kinks; beyond
+    them the cumulative is constant, so x is clamped into their range.
     """
     nu = measure.base if measure.base is not None else measure
     x0, w = nu.x0, fs.wronskian
+    m_l, m_r = nu.mass_left_boundary, nu.mass_right_boundary
+    psi_x0, phi_x0 = float(fs.psi(x0)), float(fs.phi(x0))
+    c1, c2 = m_l / phi_x0, m_r / psi_x0
+    width = 0.25 / _exp_rate(fs)
     if nu.kind == "martin":
-        m_l, m_r = nu.mass_left_boundary, nu.mass_right_boundary
-        psi_x0, phi_x0 = float(fs.psi(x0)), float(fs.phi(x0))
-        part = w * _by_parts_integral(nu, fs, x)
+        end = nu.interval_left if x < x0 else nu.interval_right
+        splits = list(nu.kinks)
+        if math.isfinite(end) and not fs.spec.interval.contains(end):
+            splits += (end + (x0 - end) * 0.5 ** np.arange(1, 60)).tolist()
+        tail, mass, kernel = (nu.left_tail, m_l, fs.psi) if x < x0 \
+            else (nu.right_tail, m_r, fs.phi)
+        part = w * float(_between(
+            lambda y: (tail(y) - mass) / kernel(y) ** 2 * fs.spec.scale_deriv(y),
+            x0, [x], splits, width)[0])
         if x <= x0:
-            return m_l / phi_x0, (nu.total_mass - m_l) / psi_x0 + part / phi_x0
-        return (nu.total_mass - m_r) / phi_x0 + part / psi_x0, m_r / psi_x0
+            return c1, (nu.total_mass - m_l) / psi_x0 + part / phi_x0
+        return (nu.total_mass - m_r) / phi_x0 + part / psi_x0, c2
 
-    def against_sigma(f, pts):
-        # integral of f over the gaps of pts against the interpolated cumulative
-        kernel = _gap_integrals(f, pts, 0.25 / _exp_rate(fs))
-        return float(kernel @ (np.diff(nu.ac_cdf(pts)) / np.diff(pts)))
+    knots = np.asarray(nu.kinks)
+    slopes = np.diff(nu.ac_cdf(knots)) / np.diff(knots)
+    splits = knots.tolist()
+    y = min(max(x, splits[0]), splits[-1])
 
-    pts = np.array(sorted({x, *nu.kinks}))
-    below = against_sigma(fs.psi, pts[pts <= x]) \
+    def against_sigma(f, anchor):
+        return float(_between(lambda t: f(t) * slopes[knots.searchsorted(t) - 1],
+                              anchor, [y], splits, width)[0])
+
+    below = against_sigma(fs.psi, splits[0]) \
         + sum(wt * float(fs.psi(z)) for z, wt in nu.atoms if z <= x)
-    above = against_sigma(fs.phi, pts[pts >= x]) \
+    above = against_sigma(fs.phi, splits[-1]) \
         + sum(wt * float(fs.phi(z)) for z, wt in nu.atoms if z > x)
-    c1, c2 = harmonic_coefficients(nu, fs)
     return c1 + below / w, c2 + above / w
 
 
@@ -699,9 +697,9 @@ def reconstruct(measure: RepresentingMeasure, spec: DiffusionSpec,
     Returns A phi(x) + B psi(x) with the coefficient pair of the module
     docstring: u(x) / u(x0) for a Martin measure of u or a Riesz measure
     built from one.  A Riesz measure rebuilt by :func:`measure_from_doc`
-    integrates psi and phi against its sigma on the panel rule of
-    :func:`_by_parts_integral`, split at x and its kinks; the result is as
-    accurate as the document's piecewise-linear cumulative.
+    integrates psi and phi against its sigma as :func:`_coefficients`
+    describes; the result is as accurate as the document's piecewise-linear
+    cumulative.
     """
     fs = fundamental(spec, alpha)
     if not spec.interval.contains(x):

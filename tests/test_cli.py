@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -286,6 +287,18 @@ class TestErrorPaths:
                            "--alpha-to", "0.2", "--step", "1e-20", timeout=10)
         assert proc.returncode == 1 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"]["type"] == "DiffstopError"
+
+    def test_sweep_over_row_limit_rejected(self, capsys):
+        # 0.65 / 1e-12 steps all advance, so the sweep would build ~6.5e11
+        # rows until memory ran out; the row count is refused up front
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sweep", "--c", "1", "--alpha-from",
+                                 "0.05", "--alpha-to", "0.7", "--step", "1e-12")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DiffstopError"
+        assert "6.5e+11 rows" in error["message"]
 
     def test_bad_family_is_numeric_error(self, capsys):
         code, _, err = run_cli(capsys, "fundamental", "--alpha", "0.5",

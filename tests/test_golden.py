@@ -106,6 +106,8 @@ CASES = {
                      "0.2", "--step", "0"),
     "sweep-step-1e-20": ("sweep", "--c", "1", "--alpha-from", "0.1",
                          "--alpha-to", "0.2", "--step", "1e-20"),
+    "sweep-rows-over-limit": ("sweep", "--c", "1", "--alpha-from", "0.05",
+                              "--alpha-to", "0.7", "--step", "1e-12"),
     **{f"sweep{flag[1:]}-{bad}": _sweep_bound(flag, bad)
        for flag in ("--alpha-from", "--alpha-to", "--step")
        for bad in ("nan", "inf", "-inf")},

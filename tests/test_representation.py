@@ -162,14 +162,15 @@ class TestRieszConversion:
         assert r.atom_at(0.7) == pytest.approx(1.0 / float(fs.green(0.0, 0.7)), rel=1e-12)
 
     def test_boundary_mass_becomes_harmonic(self):
-        from diffstop.representation import harmonic_coefficients
         fs = fundamental(STICKY, 0.5)
         m = martin_measure(STICKY, 0.5, psi_candidate(STICKY, 0.5, x0=0.0))
         r = riesz_from_martin(m, STICKY, 0.5)
-        c1, c2 = harmonic_coefficients(r, fs)
-        assert c1 == 0.0
-        assert c2 == pytest.approx(1.0 / float(fs.psi(0.0)), rel=1e-9)
+        assert r.mass_left_boundary == 0.0
+        assert r.mass_right_boundary == pytest.approx(1.0, rel=1e-9)
         assert r.atoms == ()
+        for x in (-2.0, -0.5, 0.7, 2.5):
+            want = float(fs.psi(x)) / float(fs.psi(0.0))
+            assert reconstruct(r, STICKY, 0.5, x) == pytest.approx(want, rel=1e-9)
 
     def test_reflected_killed_phi_is_pure_atom_at_origin(self):
         # sigma_phi = wronskian * dirac at the reflecting endpoint
@@ -526,7 +527,58 @@ class TestByPartsRoute:
 # The parent formulas that reconstruct and derivative_jump replaced with one
 # coefficient pair (A, B), kept as references: the by-parts formula of a
 # Martin measure, the G(x, .) sum of a rebuilt Riesz document, and the
-# i1 / i2 assembly of the derivatives.
+# i1 / i2 assembly of the derivatives.  Their panels and harmonic
+# coefficients are built here, so that a reference does not share the
+# package's integrator.
+
+def _panels(pts, width):
+    """Gauss-Legendre panels on the gaps of the sorted points pts, each gap
+    cut into equal panels no wider than ``width``: the nodes (one row per
+    panel), the half widths and each gap's first panel."""
+    gaps = np.diff(pts)
+    pieces = np.maximum(1, np.ceil(gaps / width)).astype(int)
+    first = np.cumsum(pieces) - pieces
+    starts, half = [], []
+    for a, gap, k in zip(pts[:-1].tolist(), gaps.tolist(), pieces.tolist()):
+        step = gap / k
+        starts += [a + step * j for j in range(k)]
+        half += [0.5 * step] * k
+    starts, half = np.array(starts), np.array(half)
+    return (starts + half)[:, None] + half[:, None] * _GL_NODES, half, first
+
+
+def _panel_sums(f, nodes, half):
+    return (np.asarray(f, dtype=float).reshape(nodes.shape) @ _GL_WEIGHTS) * half
+
+
+def _harmonic(nu, fs):
+    """(c1, c2) multiplying phi and psi in the Riesz form."""
+    return (nu.mass_left_boundary / float(fs.phi(nu.x0)),
+            nu.mass_right_boundary / float(fs.psi(nu.x0)))
+
+
+def _parent_by_parts(nu, fs, x):
+    """The by-parts integral of a Martin measure: over [x, x0] of
+    (nu([l, y)) - m_l) S'(y) / psi(y)^2 for x <= x0, over [x0, x] of
+    (nu((y, r]) - m_r) S'(y) / phi(y)^2 above x0, on panels no wider than
+    0.25 / (theta + |mu|) split at the kinks and, toward a killing
+    endpoint, where the distance to it halves."""
+    x0 = nu.x0
+    a, b = min(x, x0), max(x, x0)
+    if a == b:
+        return 0.0
+    end = nu.interval_left if x < x0 else nu.interval_right
+    splits = list(nu.kinks)
+    if math.isfinite(end) and not fs.spec.interval.contains(end):
+        splits += [end + (x0 - end) * 0.5 ** k for k in range(1, 60)]
+    pts = np.array(sorted({a, b, *(p for p in splits if a < p < b)}))
+    tail, mass, kernel = (nu.left_tail, nu.mass_left_boundary, fs.psi) if x < x0 \
+        else (nu.right_tail, nu.mass_right_boundary, fs.phi)
+    nodes, half, _ = _panels(pts, 0.25 / _exp_rate(fs))
+    y = nodes.ravel()
+    f = (tail(y) - mass) / kernel(y) ** 2 * fs.spec.scale_deriv(y)
+    return float(_panel_sums(f, nodes, half).sum())
+
 
 def _parent_reconstruct(measure, spec, alpha, x):
     fs = fundamental(spec, alpha)
@@ -537,7 +589,7 @@ def _parent_reconstruct(measure, spec, alpha, x):
     psi_x, phi_x = float(fs.psi(x)), float(fs.phi(x))
     m_l, m_r = nu.mass_left_boundary, nu.mass_right_boundary
     psi_x0, phi_x0 = float(fs.psi(x0)), float(fs.phi(x0))
-    part = w * representation._by_parts_integral(nu, fs, x)
+    part = w * _parent_by_parts(nu, fs, x)
     if x <= x0:
         return (m_l * phi_x / phi_x0 + (nu.total_mass - m_l) * psi_x / psi_x0
                 + part * psi_x / phi_x0)
@@ -546,28 +598,12 @@ def _parent_reconstruct(measure, spec, alpha, x):
 
 
 def _green_panels(sigma, fs, x):
-    """Gauss-Legendre panels on the gaps of x and the kinks (which hold the
-    speed atoms), each gap cut into equal panels no wider than
-    0.25 / (theta + |mu|), built here so that the reference does not share
-    the package's integrator: the nodes (one row per panel), the half
-    widths, each gap's first panel, and the constant density of the
-    interpolated cumulative on each gap."""
+    """:func:`_panels` on the gaps of x and the kinks (which hold the speed
+    atoms), no wider than 0.25 / (theta + |mu|), with the constant density
+    of the interpolated cumulative on each gap."""
     pts = np.array(sorted({x, *sigma.kinks}))
-    gaps = np.diff(pts)
-    pieces = np.maximum(1, np.ceil(gaps / (0.25 / _exp_rate(fs)))).astype(int)
-    first = np.cumsum(pieces) - pieces
-    starts, half = [], []
-    for a, gap, k in zip(pts[:-1].tolist(), gaps.tolist(), pieces.tolist()):
-        step = gap / k
-        starts += [a + step * j for j in range(k)]
-        half += [0.5 * step] * k
-    starts, half = np.array(starts), np.array(half)
-    nodes = (starts + half)[:, None] + half[:, None] * _GL_NODES
+    nodes, half, first = _panels(pts, 0.25 / _exp_rate(fs))
     return nodes, half, first, np.diff(sigma.ac_cdf(pts)) / np.diff(pts)
-
-
-def _panel_sums(f, nodes, half):
-    return (np.asarray(f, dtype=float).reshape(nodes.shape) @ _GL_WEIGHTS) * half
 
 
 def _green_sum(sigma, fs, x):
@@ -576,7 +612,7 @@ def _green_sum(sigma, fs, x):
     kernel = np.add.reduceat(_panel_sums(fs.green(x, nodes.ravel()), nodes, half), first)
     out = float(kernel @ density)
     out += sum(wt * float(fs.green(x, z)) for z, wt in sigma.atoms)
-    c1, c2 = representation.harmonic_coefficients(sigma, fs)
+    c1, c2 = _harmonic(sigma, fs)
     return out + c1 * float(fs.phi(x)) + c2 * float(fs.psi(x))
 
 
@@ -591,7 +627,7 @@ def _green_sum_slopes(sigma, fs, x):
                                       nodes, half), first) @ density
     high = np.add.reduceat(_panel_sums(np.where(y > x, fs.phi(np.maximum(y, x)), 0.0),
                                        nodes, half), first) @ density
-    c1, c2 = representation.harmonic_coefficients(sigma, fs)
+    c1, c2 = _harmonic(sigma, fs)
     w = fs.wronskian
     out = []
     for side in ("left", "right"):
@@ -616,7 +652,7 @@ def _parent_slopes(spec, alpha, measure, z):
     scale = measure.normalization
     sigma_z = measure.atom_at(z)
     inner = nu.total_mass - nu.mass_left_boundary - nu.mass_right_boundary
-    part = w * representation._by_parts_integral(nu, fs, z)
+    part = w * _parent_by_parts(nu, fs, z)
     if z <= x0:
         below = float(nu.left_tail(z)) + nu.atom_at(z) - nu.mass_left_boundary
         i1_closed = (w / phi_x0) * below
@@ -627,7 +663,7 @@ def _parent_slopes(spec, alpha, measure, z):
         i1_closed = (w / phi_x0) * inner + (w / psi_x0) * (part - psi_z / phi_z * above)
     i1_open = i1_closed - psi_z * sigma_z
     i2_closed = i2_open + phi_z * sigma_z
-    c1, c2 = representation.harmonic_coefficients(nu, fs)
+    c1, c2 = _harmonic(nu, fs)
     phi_r, phi_l = fs.phi_ds(z, "right"), fs.phi_ds(z, "left")
     psi_r, psi_l = fs.psi_ds(z, "right"), fs.psi_ds(z, "left")
     right = scale * ((phi_r * i1_closed + psi_r * i2_open) / w + c1 * phi_r + c2 * psi_r)
@@ -655,7 +691,8 @@ class TestCoefficients:
         inner = [z for z in cand.kinks if spec.interval.left < z < spec.interval.right]
         if spec is RK:
             return sorted({*inner, 0.05, 0.3, 0.6, 0.9})
-        return sorted({*inner, -2.5, -0.6, 0.4, 1.1, 2.5})
+        # -20, -9.5, 12 and 25 lie beyond a document's samples
+        return sorted({*inner, -20.0, -9.5, -2.5, -0.6, 0.4, 1.1, 2.5, 12.0, 25.0})
 
     @pytest.mark.parametrize("case", FAMILIES, ids=_family_id)
     def test_reconstruct_matches_parent(self, case):
