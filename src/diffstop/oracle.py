@@ -85,6 +85,10 @@ from .errors import ConvergenceError, DomainError, ParameterError
 class ChainModel:
     """Grid, masses, rates and rewards of the approximating chain.
 
+    ``node_mass`` is the speed mass of each node's cell, atoms included; it
+    reads inf where the speed density overflows a float, though the rates,
+    formed from scaled factors, stay finite there.
+
     ``up_rate`` and ``down_rate`` cover interior nodes 1..n-2.  The two
     truncation nodes have no rates of their own; their edge condition
     (see the module docstring) is built from the rates of their interior
@@ -117,7 +121,9 @@ def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
     Node masses integrate the speed density exactly over the surrounding
     half-cells and add the atom weight at the atom's node; they and the
     scale increments between nodes come from closed-form increments, not
-    differences of values, so under drift neither cancels.  The reward is
+    differences of values, so under drift neither cancels.  Each rate
+    1/(m_i dS) is formed from m_i S'(x_i) and dS / S'(x_i), each the size
+    of one cell wherever the node lies.  The reward is
     called once on the float64 array of nodes and returns an array of that
     shape or a scalar, which is broadcast.  Any other result shape, or a
     reward that is not finite at every node, raises :class:`ParameterError`.
@@ -131,21 +137,28 @@ def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
             raise DomainError(f"speed atom at {loc} outside window "
                               f"[{lower}, {upper}]")
     nodes = np.linspace(lower, upper, n)
+    at = []
     for loc, _ in spec.speed_atoms:
-        nodes[int(np.argmin(np.abs(nodes - loc)))] = loc
+        at.append(int(np.argmin(np.abs(nodes - loc))))
+        nodes[at[-1]] = loc
     if np.any(np.diff(nodes) <= 0):
         raise ParameterError("atom snapping collapsed the grid; increase n")
 
     edges = np.empty(n + 1)
     edges[0], edges[-1] = nodes[0], nodes[-1]
     edges[1:-1] = 0.5 * (nodes[1:] + nodes[:-1])
-    mass = spec.speed_density_integral(edges[:-1], edges[1:])
-    for loc, w in spec.speed_atoms:
-        mass[int(np.argmin(np.abs(nodes - loc)))] += w
-
-    ds = spec._scale_increment(nodes[:-1], nodes[1:])
-    up = 1.0 / (mass[1:-1] * ds[1:])
-    down = 1.0 / (mass[1:-1] * ds[:-1])
+    with np.errstate(over="ignore"):
+        mass = spec.speed_density_integral(edges[:-1], edges[1:])
+    # m_i S'(x_i) and the increments of S over S'(x_i), each O(h) however
+    # far the node is, so their product cannot overflow where m_i or S does
+    scaled = mass.copy() if spec.identity_scale \
+        else spec.speed_density_integral(edges[:-1] - nodes, edges[1:] - nodes)
+    for i, (loc, w) in zip(at, spec.speed_atoms):
+        mass[i] += w
+        scaled[i] += w * spec.scale_deriv(loc)
+    h = nodes[1:] - nodes[:-1]
+    up = 1.0 / (scaled[1:-1] * spec._scale_increment(0.0, h[1:]))
+    down = 1.0 / (scaled[1:-1] * spec._scale_increment(-h[:-1], 0.0))
     if not (np.all(np.isfinite(up)) and np.all(up > 0)
             and np.all(np.isfinite(down)) and np.all(down > 0)):
         raise ParameterError("degenerate chain rates; check the window and n")

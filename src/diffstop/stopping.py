@@ -92,33 +92,39 @@ def alpha_thresholds(c: float) -> tuple[float, float]:
     return 0.5 * k1 * k1, 0.5
 
 
-def _s_branches(alpha: float, c: float):
-    # middle branch: expand s = phi g' - phi' g with the two-term phi; the
-    # sinh carries a minus sign (the limits s(-1+) = e^k + c k sinh k and
-    # s(0-) = k + 1 + 2 alpha c pin it down)
+def _st_branches(alpha: float, c: float):
+    """((s, t) on -1 < x < 0, (s, t) on x > 0): s carries the two-term phi
+    on the middle branch and t the two-term psi on the upper one."""
     k = math.sqrt(2.0 * alpha)
 
-    def middle(x):   # -1 < x < 0
-        return np.exp(-k * x) * ((1.0 + x) * k + 1.0) \
-            + c * k * ((1.0 + x) * k * np.cosh(k * x) - np.sinh(k * x))
-
-    def upper(x):    # x > 0
+    def s_up(x):
         return np.exp(-k * x) * ((1.0 + x) * k + 1.0)
 
-    return middle, upper
-
-
-def _t_branches(alpha: float, c: float):
-    k = math.sqrt(2.0 * alpha)
-
-    def middle(x):   # -1 < x < 0
+    def t_mid(x):
         return np.exp(k * x) * ((1.0 + x) * k - 1.0)
 
-    def upper(x):    # x > 0
-        return np.exp(k * x) * ((1.0 + x) * k - 1.0) \
-            + c * k * ((1.0 + x) * k * np.cosh(k * x) - np.sinh(k * x))
+    def sticky(x):
+        # the second term of the two-term solution; the sinh carries a minus
+        # sign (the limits s(-1+) = e^k + c k sinh k and s(0-) = k + 1 +
+        # 2 alpha c pin it down)
+        return c * k * ((1.0 + x) * k * np.cosh(k * x) - np.sinh(k * x))
 
-    return middle, upper
+    return (lambda x: s_up(x) + sticky(x), t_mid), (s_up, lambda x: t_mid(x) + sticky(x))
+
+
+def _st(alpha: float, c: float, xs, left: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(s, t) at each x, with the left limits at 0 and -1 if ``left`` and
+    the right ones otherwise.  Each branch is evaluated on its own points
+    only, so no branch overflows off its side; a NaN x gives NaN."""
+    if alpha <= 0 or c <= 0:
+        raise ParameterError("alpha and c must be positive")
+    xs = np.asarray(xs, dtype=float)
+    s, t = np.zeros_like(xs), np.zeros_like(xs)     # below -1, where g = 0
+    below = xs <= -1.0 if left else xs < -1.0
+    middle = ~below & (xs <= 0.0 if left else xs < 0.0)
+    for on, (s_on, t_on) in zip((middle, ~(below | middle)), _st_branches(alpha, c)):
+        s[on], t[on] = s_on(xs[on]), t_on(xs[on])
+    return s, t
 
 
 def st_functions(alpha: float, c: float, x: float,
@@ -129,37 +135,16 @@ def st_functions(alpha: float, c: float, x: float,
     kink, so evaluation exactly at 0 or -1 requires ``side`` ("left" or
     "right") selecting the one-sided limit.
     """
-    if alpha <= 0 or c <= 0:
-        raise ParameterError("alpha and c must be positive")
-    s_mid, s_up = _s_branches(alpha, c)
-    t_mid, t_up = _t_branches(alpha, c)
-    if x in (0.0, -1.0):
-        if side not in ("left", "right"):
-            raise DomainError(
-                f"s and t are discontinuous at {x}; pass side='left' or 'right'")
-        if x == 0.0:
-            pair = (s_mid, t_mid) if side == "left" else (s_up, t_up)
-            return float(pair[0](0.0)), float(pair[1](0.0))
-        if side == "left":
-            return 0.0, 0.0
-        return float(s_mid(-1.0)), float(t_mid(-1.0))
-    if x < -1.0:
-        return 0.0, 0.0
-    if x < 0.0:
-        return float(s_mid(x)), float(t_mid(x))
-    return float(s_up(x)), float(t_up(x))
+    s, t = _st(alpha, c, x, side == "left")
+    if x in (0.0, -1.0) and side not in ("left", "right"):
+        raise DomainError(
+            f"s and t are discontinuous at {x}; pass side='left' or 'right'")
+    return float(s), float(t)
 
 
 def st_table(alpha: float, c: float, xs) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (s, t) with the right-limit convention at 0 and -1."""
-    if alpha <= 0 or c <= 0:
-        raise ParameterError("alpha and c must be positive")
-    xs = np.asarray(xs, dtype=float)
-    s_mid, s_up = _s_branches(alpha, c)
-    t_mid, t_up = _t_branches(alpha, c)
-    s = np.where(xs < -1.0, 0.0, np.where(xs < 0.0, s_mid(xs), s_up(xs)))
-    t = np.where(xs < -1.0, 0.0, np.where(xs < 0.0, t_mid(xs), t_up(xs)))
-    return s, t
+    return _st(alpha, c, xs, False)
 
 
 def solve_threshold(alpha: float, c: float) -> float:
@@ -177,7 +162,7 @@ def solve_threshold(alpha: float, c: float) -> float:
     t_left_limit = k - 1.0
     t_right_limit = k - 1.0 + 2.0 * alpha * c
     if t_right_limit < -_BRANCH_TOL:
-        _, t_up = _t_branches(alpha, c)
+        _, (_, t_up) = _st_branches(alpha, c)
         lo, hi = 0.0, 1.0
         while t_up(hi) <= 0.0:       # t -> +inf, so a bracket always appears
             hi *= 2.0

@@ -128,10 +128,13 @@ class TestDiscretize:
     @pytest.mark.parametrize("spec, lo, hi, n", [
         (make_drift_bm(-0.5), -100.0, 100.0, 501),
         (make_sticky_bm(-0.3, 1.0), -60.0, 60.0, 4001),
+        (make_drift_bm(-0.5), -100.0, 800.0, 4001),
+        (make_sticky_bm(-0.3, 1.0), -1300.0, 60.0, 4001),
     ])
     def test_wide_drift_window_solves(self, spec, lo, hi, n):
         # far to the left the scale is nearly constant, where differences of
-        # its values round to zero
+        # its values round to zero; where |2 mu x| > 709 the speed density or
+        # the scale overflows a float, though every rate is finite
         sol = solve_chain_stopping(discretize(spec, lo, hi, n), 0.5)
         assert sol.residual <= 1e-10
 

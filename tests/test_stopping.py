@@ -69,6 +69,21 @@ class TestSTFunctions:
         assert t[-1] > 100.0                 # t -> +oo
         assert t[0] < 0.0                    # t(-1+) < 0
 
+    def test_functions_and_table_share_one_branch_table(self):
+        alpha, c = 0.3, 1.5
+        xs = np.append(np.linspace(-3.0, 6.0, 181), -2000.0)
+        s, t = st_table(alpha, c, xs)
+        for x, s_x, t_x in zip(xs.tolist(), s.tolist(), t.tolist()):
+            assert st_functions(alpha, c, x, "right") == (s_x, t_x)
+        assert all(map(math.isnan, st_functions(alpha, c, math.nan)))
+        assert np.isnan(st_table(alpha, c, [math.nan])).all()
+        # a branch is evaluated only on its own side, so the middle branch's
+        # exp(-k x) is never taken far below -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s, t = st_table(alpha, c, [-2000.0, 0.5])
+        assert s[0] == t[0] == 0.0 and np.isfinite(s[1]) and np.isfinite(t[1])
+
     def test_matches_defining_combination(self):
         # s = phi g' - phi' g and t = g psi' - g' psi, checked off the kinks
         alpha, c = 0.35, 1.5
