@@ -65,7 +65,11 @@ point lies on or below the chord of two others exactly when its reward is at
 most the harmonic function through them, evaluated as above, and the maximum
 is the argmax of log g - log phi.  log psi and log phi themselves come from
 one vectorised scan of the ratio complements, whose recurrences are Moebius
-maps with positive coefficients, so nothing cancels.
+maps with positive coefficients, so nothing cancels.  A solve forms the
+edge roots, log F = log psi - log phi and alpha + up + down once each.  Its
+working set stays small: the scan builds its coefficients and steps in
+place, and the hull pass keeps its vertices in one index buffer, so no
+Python object is made per node.
 Everything is deterministic: fixed summation order, no randomness.
 """
 
@@ -132,6 +136,8 @@ def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
         raise ParameterError(f"need at least 50 nodes, got {n}")
     if not (spec.interval.left <= lower < upper <= spec.interval.right):
         raise DomainError(f"window [{lower}, {upper}] outside the interval")
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise DomainError(f"window [{lower}, {upper}] is not finite")
     for loc, _ in spec.speed_atoms:
         if not (lower < loc < upper):
             raise DomainError(f"speed atom at {loc} outside window "
@@ -188,14 +194,21 @@ def _edge_roots(chain: ChainModel, alpha: float
     down`` and ``D = sqrt(s^2 - 4 up down)`` written without cancellation.
     The complements ``1 - 2 up / (s + D) = (alpha + down - up + D) / (s + D)``
     and its mirror take ``D - |up - down|`` as ``rad / (D + |up - down|)``,
-    with ``rad = D^2 - (up - down)^2``, so they cancel nothing either.
+    with ``rad = D^2 - (up - down)^2``, so they cancel nothing either.  Where
+    ``rad`` overflows (alpha above ~1e154) every term is divided by alpha
+    first, which leaves each quotient as it is.
     """
     def roots(up, down):
-        rad = alpha * (alpha + 2.0 * (up + down))
+        a = alpha
+        with np.errstate(over="ignore"):
+            rad = a * (a + 2.0 * (up + down))
+        if rad == math.inf:
+            a, up, down = 1.0, up / alpha, down / alpha
+            rad = a * (a + 2.0 * (up + down))
         disc = math.sqrt((up - down) ** 2 + rad)
-        denom = alpha + up + down + disc
+        denom = a + up + down + disc
         gap = abs(up - down)
-        near, far = alpha + rad / (disc + gap), alpha + disc + gap
+        near, far = a + rad / (disc + gap), a + disc + gap
         comp_up, comp_down = (near, far) if up >= down else (far, near)
         return (2.0 * up / denom, 2.0 * down / denom,
                 comp_up / denom, comp_down / denom)
@@ -205,10 +218,10 @@ def _edge_roots(chain: ChainModel, alpha: float
     return ((float(r_left), float(r_right)), (float(c_left), float(c_right)))
 
 
-def _continuation(chain: ChainModel, v: np.ndarray, alpha: float,
+def _continuation(chain: ChainModel, v: np.ndarray, denom: np.ndarray,
                   ratios: tuple[float, float]) -> np.ndarray:
-    """Value of continuing one step from every node, edges included."""
-    denom = alpha + chain.up_rate + chain.down_rate
+    """Value of continuing one step from every node, edges included;
+    ``denom`` is ``alpha + up + down`` at the interior nodes."""
     cont = np.empty_like(v)
     cont[1:-1] = (chain.up_rate * v[2:] + chain.down_rate * v[:-2]) / denom
     cont[0] = ratios[0] * v[1]
@@ -217,93 +230,115 @@ def _continuation(chain: ChainModel, v: np.ndarray, alpha: float,
 
 
 def _mobius_scan(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                 start: np.ndarray) -> np.ndarray:
+                 start: np.ndarray, out: np.ndarray) -> None:
     """Orbit ``x_i = (a_i x_{i-1} + b_i) / (c_i x_{i-1} + 1)`` of ``x_0 = start``.
 
     The maps run along the last axis; each row is its own orbit, and
-    ``x_1, x_2, ...`` are returned.  Adjacent maps are composed in pairs and
-    renormalised to a bottom-right coefficient of 1, the same scan at half
-    the length gives every second point, and one more map fills in the
-    points between: O(n) work in log2(n) array steps.  With positive
-    coefficients nothing is subtracted, so no step cancels.
+    ``x_1, x_2, ...`` are written to ``out``.  Adjacent maps are composed in
+    pairs and renormalised to a bottom-right coefficient of 1, the same scan
+    at half the length gives every second point, and one more map fills in
+    the points between: O(n) work in log2(n) array steps.  Each level holds
+    three composed coefficient arrays of half its length and forms the
+    points between in ``out`` itself.  With positive coefficients nothing is
+    subtracted, so no step cancels.
     """
     m = a.shape[-1]
-    if m == 1:
-        return (a * start + b) / (c * start + 1.0)
-    a1, b1, c1 = a[..., :m - 1:2], b[..., :m - 1:2], c[..., :m - 1:2]
-    a2, b2, c2 = a[..., 1::2], b[..., 1::2], c[..., 1::2]
-    norm = 1.0 / (c2 * b1 + 1.0)
-    out = np.empty(a.shape)
-    out[..., 1::2] = _mobius_scan((a2 * a1 + b2 * c1) * norm,
-                                  (a2 * b1 + b2) * norm,
-                                  (c2 * a1 + c1) * norm, start)
-    prev = np.concatenate((start, out[..., 1:m - 1:2]), axis=-1)
-    out[..., ::2] = (a[..., ::2] * prev + b[..., ::2]) / (c[..., ::2] * prev + 1.0)
-    return out
+    if m > 1:
+        a1, b1, c1 = a[..., :m - 1:2], b[..., :m - 1:2], c[..., :m - 1:2]
+        a2, b2, c2 = a[..., 1::2], b[..., 1::2], c[..., 1::2]
+        norm = 1.0 / (c2 * b1 + 1.0)
+        pa, pb, pc = a2 * a1, a2 * b1, c2 * a1
+        pa += b2 * c1
+        pb += b2
+        pc += c1
+        for part in (pa, pb, pc):
+            part *= norm
+        del norm
+        _mobius_scan(pa, pb, pc, start, out[..., 1::2])
+        del pa, pb, pc
+        start = np.concatenate((start, out[..., 1:m - 1:2]), axis=-1)
+    even, den = out[..., ::2], c[..., ::2] * start
+    np.multiply(a[..., ::2], start, out=even)
+    even += b[..., ::2]
+    den += 1.0
+    even /= den
 
 
-def _harmonic_logs(chain: ChainModel,
-                   alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(log psi, log phi)`` of the chain's harmonic solutions.
+def _harmonic_logs(chain: ChainModel, alpha: float, roots: tuple
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(log psi, log phi, log F)`` of the chain's harmonic solutions.
 
     psi satisfies every interior row and the left edge row with equality,
-    phi every interior row and the right edge row.  Their steps come from
-    the complements ``q_i = 1 - psi_i / psi_{i+1}`` and
-    ``p_i = 1 - phi_{i+1} / phi_i``.  The interior row at node i makes each
-    a Moebius map of its neighbour,
+    phi every interior row and the right edge row, and F = psi / phi.
+    Their steps come from the complements ``q_i = 1 - psi_i / psi_{i+1}``
+    and ``p_i = 1 - phi_{i+1} / phi_i``.  The interior row at node i makes
+    each a Moebius map of its neighbour,
 
         q_i     = (down q_{i-1} + alpha) / (down q_{i-1} + alpha + up),
         p_{i-1} = (up p_i + alpha) / (up p_i + alpha + down),
 
-    starting from the edge rows' ``1 - r_left`` and ``1 - r_right`` (see
-    :func:`_edge_roots`).  Every coefficient is positive, so
-    :func:`_mobius_scan` evaluates both orbits at once without cancellation,
-    and ``log1p(-q)`` keeps the digits of ratios near 1.  Ratios below 1/2
-    (large alpha against the rates) take ``log`` of the ratio itself,
-    ``1 - q_i = (up / (alpha + up)) / (down q_{i-1} / (alpha + up) + 1)``,
-    which cancels nothing either.  The logs are summed and normalised to 0
-    at the middle node; they stay finite where psi and phi themselves would
-    overflow.
+    starting from the edge rows' ``1 - r_left`` and ``1 - r_right``
+    (``roots`` is :func:`_edge_roots`' pair).  Every coefficient is
+    positive, so :func:`_mobius_scan` evaluates both orbits at once without
+    cancellation, and ``log1p(-q)`` keeps the digits of ratios near 1.
+    Ratios below 1/2 (large alpha against the rates) take ``log`` of the
+    ratio itself, ``1 - q_i = (up / (alpha + up)) / (down q_{i-1} / (alpha +
+    up) + 1)``, which cancels nothing either.  The logs are summed and
+    normalised to 0 at the middle node; they stay finite where psi and phi
+    themselves would overflow.  The coefficients and the steps are formed in
+    place, in three arrays of two rows.
     """
     up, down = chain.up_rate, chain.down_rate
-    ratios, comps = _edge_roots(chain, alpha)
+    ratios, comps = roots
     start = np.array(comps)[:, None]
     # psi's maps run left to right, phi's right to left, each divided by
-    # alpha + up (alpha + down for phi) so its bottom-right coefficient is 1
-    lead = np.stack((up, down[::-1]))
-    scale = 1.0 / (alpha + lead)
-    slope = np.stack((down, up[::-1])) * scale
-    comp = np.empty((2, chain.size - 1))
+    # alpha + up (alpha + down for phi) so its bottom-right coefficient is 1;
+    # scale holds 1 / (alpha + up) and then alpha / (alpha + up)
+    scale = np.empty((2, chain.size - 2))
+    scale[0], scale[1] = up, down[::-1]
+    np.divide(1.0, np.add(alpha, scale, out=scale), out=scale)
+    slope = np.empty_like(scale)
+    slope[0], slope[1] = down, up[::-1]
+    slope *= scale
+    # the complements, then their steps and sums, in the rows of logs
+    logs = np.empty((2, chain.size))
+    logs[:, 0] = 0.0
+    comp = logs[:, 1:]
     comp[:, :1] = start
-    comp[:, 1:] = _mobius_scan(slope, alpha * scale, slope, start)
-    with np.errstate(divide="ignore"):     # q = 1 only where far is set
-        steps = -np.log1p(-comp)
+    _mobius_scan(slope, np.multiply(alpha, scale, out=scale), slope, start,
+                 comp[:, 1:])
+    del scale               # each array freed early keeps the heap smaller
     far = comp > 0.5
     if far.any():
+        lead = np.stack((up, down[::-1]))
         ratio = np.empty_like(comp)
         ratio[:, 0] = ratios
-        ratio[:, 1:] = lead * scale / (slope * comp[:, :-1] + 1.0)
-        steps[far] = -np.log(ratio[far])
+        ratio[:, 1:] = lead * (1.0 / (alpha + lead)) / (slope * comp[:, :-1] + 1.0)
+    del slope
+    with np.errstate(divide="ignore"):     # q = 1 only where far is set
+        np.negative(np.log1p(np.negative(comp, out=comp), out=comp), out=comp)
+    if far.any():
+        comp[far] = -np.log(ratio[far])
+    np.cumsum(comp, axis=1, out=comp)
+    log_psi, log_phi = logs[0], logs[1, ::-1]
     mid = chain.size // 2
-    log_psi = np.concatenate(([0.0], np.cumsum(steps[0])))
-    log_phi = np.concatenate(([0.0], np.cumsum(steps[1])))[::-1]
     log_psi -= log_psi[mid]
     log_phi -= log_phi[mid]
-    return log_psi, log_phi
+    return log_psi, log_phi, log_psi - log_phi
 
 
-def _majorant_policy(chain: ChainModel, alpha: float,
+def _majorant_policy(chain: ChainModel, denom: np.ndarray,
                      ratios: tuple[float, float],
-                     logs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+                     logs: tuple[np.ndarray, ...]) -> np.ndarray:
     """Continuation mask of the chain's least F-concave majorant of g/phi.
 
     See the module docstring: the chain stops at the vertices of the upper
     hull of {(0, 0)} and the points (F_i, g_i/phi_i), cut flat after its
-    maximum, and continues elsewhere.  ``logs`` are the harmonic solutions
-    from :func:`_harmonic_logs`.  A vertex lies strictly above the chord of
-    its neighbours, which is one step of continuation (the edge rows stand
-    for the origin and the flat tail), so only nodes where that step loses
-    enter the hull pass.  When every reward is below the smallest normal
+    maximum, and continues elsewhere.  ``logs`` are log psi, log phi and
+    log F from :func:`_harmonic_logs`, and ``denom`` is alpha + up + down.
+    A vertex lies strictly above the chord of its neighbours, which is one
+    step of continuation (the edge rows stand for the origin and the flat
+    tail), so only nodes where that step loses enter the hull pass.  When every reward is below the smallest normal
     float, g is scaled by an exact power of two first (its values <= 0,
     which never stop, are set to 0 so that none overflows), since one step
     of continuation and the chords would round subnormal values back to g.
@@ -315,20 +350,24 @@ def _majorant_policy(chain: ChainModel, alpha: float,
     monotone along the run, so galloping and bisection find it, and the
     rest of the run joins the hull in one slice.  Every vertex a probe
     pops lies under a chord of two points, so no probe pops a vertex of the
-    final hull, and the pops stay amortised over the whole pass.
+    final hull, and the pops stay amortised over the whole pass.  The hull
+    lives in one preallocated index buffer with a length: a run's suffix
+    joins it as one slice copied from the survivors, a pop only shrinks the
+    length, and probes read the buffer through a memoryview, so the pass
+    makes no Python object per vertex.
     """
     g = chain.reward
     top = g.max()
     if 0.0 < top < np.finfo(float).tiny:
         g = np.ldexp(np.maximum(g, 0.0), -np.frexp(top)[1])
-    log_psi, log_phi = logs
-    survivors = np.flatnonzero(g > _continuation(chain, g, alpha, ratios))
+    log_psi, log_phi, log_f = logs
+    survivors = np.flatnonzero(g > _continuation(chain, g, denom, ratios))
     gaps = np.flatnonzero(np.diff(survivors) > 1)
     starts = np.concatenate((survivors[:1], survivors[gaps + 1])).tolist()
     ends = np.concatenate((survivors[gaps], survivors[-1:])).tolist()
-    # memoryviews read only the floats the pass touches
-    reward, lpsi, lphi, lf = map(memoryview,
-                                 (g, log_psi, log_phi, log_psi - log_phi))
+    # memoryviews read only the entries the pass touches
+    reward, lpsi, lphi, lf, surv = map(memoryview, (g, log_psi, log_phi, log_f,
+                                                    survivors))
     exp, expm1 = math.exp, math.expm1
 
     def above(a, b, k):
@@ -340,16 +379,19 @@ def _majorant_policy(chain: ChainModel, alpha: float,
             + reward[k] * exp(lpsi[b] - lpsi[k]) * -expm1(lf[a] - lf[b])
         ) / -expm1(lf[a] - lf[k])
 
-    # upper hull, F increasing; index -1 is the origin; points on or below a
-    # chord are dropped, so only vertices stop
-    hull = [-1]
+    # upper hull, F increasing, in buf[:size]; index -1 is the origin;
+    # points on or below a chord are dropped, so only vertices stop
+    buf = np.empty(len(survivors) + 1, dtype=np.intp)
+    buf[0] = -1
+    hull, size, done = memoryview(buf), 1, 0
 
     def settle(k):
         # pop the vertices that the chord to k covers; a vertex survives
         # up to the tangent from k and fails after it, so gallop back from
-        # the end and bisect, then drop the failed tail in one slice
-        bad = len(hull) - 1
-        if bad < 1 or above(hull[-2], hull[-1], k):
+        # the end and bisect, then drop the failed tail at once
+        nonlocal size
+        bad = size - 1
+        if bad < 1 or above(hull[bad - 1], hull[bad], k):
             return
         good, step = bad - 1, 1
         while good > 0 and not above(hull[good - 1], hull[good], k):
@@ -361,33 +403,36 @@ def _majorant_policy(chain: ChainModel, alpha: float,
                 good = mid
             else:
                 bad = mid
-        del hull[bad:]
+        size = bad
 
     def keeps(t):
         # whether run node t is a vertex of the hull with its whole run
         settle(t)
-        return above(hull[-1], t, t + 1)
+        return above(hull[size - 1], t, t + 1)
 
     for s, e in zip(starts, ends):
-        if s == 0:              # the left edge row already kept node 0
-            hull.extend(range(e + 1))
-            continue
-        # the first kept node lies in (lo, hi]; the last node e is kept
-        lo, hi, step = s - 1, s, 1
-        while hi < e and not keeps(hi):
-            lo, step = hi, 2 * step
-            hi = min(hi + step, e)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if keeps(mid):
-                hi = mid
-            else:
-                lo = mid
-        settle(hi)
-        hull.extend(range(hi, e + 1))
+        # the first kept node lies in (lo, hi]; the last node e is kept; the
+        # left edge row already kept node 0
+        done += e + 1 - s               # survivors up to e
+        hi = s
+        if s > 0:
+            lo, step = s - 1, 1
+            while hi < e and not keeps(hi):
+                lo, step = hi, 2 * step
+                hi = min(hi + step, e)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if keeps(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            settle(hi)
+        kept = e + 1 - hi
+        hull[size:size + kept] = surv[done - kept:done]
+        size += kept
     # the flat tail after the maximum stands for the right edge row; with no
     # positive vertex the origin is the maximum and the chain never stops
-    vertices = np.array(hull[1:], dtype=np.intp)
+    vertices = buf[1:size]
     with np.errstate(divide="ignore"):
         log_ratio = np.log(np.maximum(g[vertices], 0.0)) - log_phi[vertices]
     continue_mask = np.ones(chain.size, dtype=bool)
@@ -397,7 +442,7 @@ def _majorant_policy(chain: ChainModel, alpha: float,
 
 
 def _policy_values(g: np.ndarray, log_psi: np.ndarray, log_phi: np.ndarray,
-                   continue_mask: np.ndarray) -> np.ndarray:
+                   log_f: np.ndarray, continue_mask: np.ndarray) -> np.ndarray:
     """Value of the policy that stops where ``continue_mask`` is False.
 
     Between two stop nodes j < k the value is harmonic, so V/phi is the
@@ -417,7 +462,6 @@ def _policy_values(g: np.ndarray, log_psi: np.ndarray, log_phi: np.ndarray,
     stop = ~continue_mask
     prev = np.maximum.accumulate(np.where(stop, idx, -1))
     nxt = np.minimum.accumulate(np.where(stop, idx, n)[::-1])[::-1]
-    log_f = log_psi - log_phi
     v = np.where(stop, g, 0.0)
     both = continue_mask & (prev >= 0) & (nxt < n)
     i, j, k = idx[both], prev[both], nxt[both]
@@ -449,14 +493,17 @@ def solve_chain_stopping(chain: ChainModel, alpha: float) -> ChainSolution:
     2.  A round that would change any node, or a fixed-point residual above
     1e-10 (or NaN), raises :class:`ConvergenceError`.
     """
-    if alpha <= 0:
-        raise ParameterError(f"discount rate must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:     # NaN fails too
+        raise ParameterError(
+            f"discount rate must be positive and finite, got {alpha}")
     g = chain.reward
-    ratios = _edge_roots(chain, alpha)[0]
-    logs = _harmonic_logs(chain, alpha)
-    continue_mask = _majorant_policy(chain, alpha, ratios, logs)
+    roots = _edge_roots(chain, alpha)
+    ratios = roots[0]
+    denom = alpha + chain.up_rate + chain.down_rate
+    logs = _harmonic_logs(chain, alpha, roots)
+    continue_mask = _majorant_policy(chain, denom, ratios, logs)
     v = _policy_values(g, *logs, continue_mask)
-    cont = _continuation(chain, v, alpha, ratios)
+    cont = _continuation(chain, v, denom, ratios)
     res = float(np.max(np.abs(v - np.maximum(g, cont))))
     improved = np.where(cont == g, continue_mask, cont > g)
     changed = np.count_nonzero(improved != continue_mask)
@@ -490,7 +537,15 @@ def compare(chain: ChainModel, values: np.ndarray, analytic: Callable,
     reward; the solver returns the reward exactly on stop nodes, so this
     is the first node of the stop set's last stretch.  ``analytic`` is
     called once on the nodes, under the reward's rule (see :func:`discretize`).
+    ``values`` must have the nodes' shape and ``inner_fraction`` lie in
+    (0, 1]; otherwise :class:`ParameterError` is raised.
     """
+    if np.shape(values) != chain.nodes.shape:
+        raise ParameterError(f"values have shape {np.shape(values)}, "
+                             f"the nodes {chain.nodes.shape}")
+    if not 0.0 < inner_fraction <= 1.0:        # NaN fails too
+        raise ParameterError(
+            f"inner_fraction must lie in (0, 1], got {inner_fraction}")
     exact = _values(analytic, chain.nodes)
     err = np.abs(values - exact)
     lo, hi = chain.window

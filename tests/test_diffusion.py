@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from diffstop.diffusion import (
     BoundaryKind,
@@ -35,6 +34,7 @@ class TestConstruction:
 
     def test_sticky_scale_with_drift_matches_quadrature(self):
         # S(1) = (e^{0.5} - 1)/0.5 for mu = -0.25; oracle: integrate S'(x) = e^{-2 mu x}
+        quad = pytest.importorskip("scipy.integrate").quad
         spec = make_sticky_bm(mu=-0.25, c=1.0)
         closed = (math.exp(0.5) - 1.0) / 0.5
         numeric, err = quad(lambda x: math.exp(0.5 * x), 0.0, 1.0)
@@ -120,6 +120,7 @@ class TestSpeedOfSet:
         assert full - no_right == pytest.approx(2.0, abs=1e-14)
 
     def test_drift_density_matches_quadrature(self):
+        quad = pytest.importorskip("scipy.integrate").quad
         spec = make_drift_bm(-0.3)
         numeric, err = quad(lambda y: 2.0 * math.exp(-0.6 * y), -2.0, 1.5)
         assert speed_of_set(spec, -2.0, 1.5) == pytest.approx(numeric, abs=10 * err + 1e-12)

@@ -163,6 +163,12 @@ CASES = {
                    f"{OUT}/o.json"),
     "verify-n-2": ("verify", "--alpha", "0.5", "--n", "2"),
     "verify-drift": ("verify", "--alpha", "0.5", "--c", "1", "--mu", "-0.2"),
+    # alpha (alpha + 2 (up + down)) overflows, so the edge roots are formed
+    # in units of alpha
+    "verify-alpha-1e200": ("verify", "--alpha", "1e200", "--c", "1", "--window",
+                           "-6", "6", "--n", "201"),
+    "verify-alpha-nan": ("verify", "--alpha", "nan", "--c", "1", "--window",
+                         "-6", "6", "--n", "201"),
     # the parser
     "no-command": (),
     "unknown-command": ("no-such-command",),

@@ -4,10 +4,11 @@ import dataclasses
 import decimal
 import math
 import pickle
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from diffstop import oracle
 from diffstop.diffusion import (Family, make_drift_bm,
@@ -38,9 +39,22 @@ def knots_reward(knots):
     return reward
 
 
+def denominators(chain, alpha):
+    """``alpha + up + down`` at the interior nodes, as the solver forms it."""
+    return alpha + chain.up_rate + chain.down_rate
+
+
+def policy_inputs(chain, alpha):
+    """The majorant pass's inputs ``(denom, ratios, logs)``, as the solver
+    forms them."""
+    roots = _edge_roots(chain, alpha)
+    return denominators(chain, alpha), roots[0], _harmonic_logs(chain, alpha, roots)
+
+
 def residual(chain, v, alpha):
     """Sup-distance of v from one step of the fixed-point map."""
-    cont = _continuation(chain, v, alpha, _edge_roots(chain, alpha)[0])
+    cont = _continuation(chain, v, denominators(chain, alpha),
+                         _edge_roots(chain, alpha)[0])
     return float(np.max(np.abs(v - np.maximum(chain.reward, cont))))
 
 
@@ -54,9 +68,10 @@ def value_iteration(chain, alpha, sweeps=200_000):
     """
     g = chain.reward
     ratios = _edge_roots(chain, alpha)[0]
+    denom = denominators(chain, alpha)
     v = g.copy()
     for _ in range(sweeps):
-        new = np.maximum(g, _continuation(chain, v, alpha, ratios))
+        new = np.maximum(g, _continuation(chain, v, denom, ratios))
         delta = float(np.max(np.abs(new - v)))
         v = new
         if delta <= 1e-11:
@@ -168,6 +183,14 @@ class TestDiscretize:
         rk = __import__("diffstop").make_reflected_killed_bm()
         with pytest.raises(DomainError):
             discretize(rk, -1.0, 0.9, 101)
+        # refused before the grid is built, so linspace warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lo, hi in ((-np.inf, 6.0), (-6.0, np.inf), (-np.inf, np.inf)):
+                with pytest.raises(DomainError, match="not finite"):
+                    discretize(STICKY, lo, hi, 100)
+            with pytest.raises(DomainError, match="outside the interval"):
+                discretize(STICKY, np.nan, 6.0, 100)
 
     def test_scalar_reward_broadcast(self):
         # a reward that returns a scalar is one value on every node
@@ -325,11 +348,10 @@ class TestMajorantSeed:
         # same mask, so the same policy values bit for bit
         chain = discretize(make_sticky_bm(0.0, c), -6.0, 6.0, 2001,
                            reward=reward)
-        ratios = _edge_roots(chain, alpha)[0]
-        logs = _harmonic_logs(chain, alpha)
-        mask = _majorant_policy(chain, alpha, ratios, logs)
+        denom, ratios, logs = policy_inputs(chain, alpha)
+        mask = _majorant_policy(chain, denom, ratios, logs)
         assert np.array_equal(mask, float_majorant_policy(chain, logs))
-        assert np.array_equal(mask, node_majorant_policy(chain, alpha, ratios,
+        assert np.array_equal(mask, node_majorant_policy(chain, denom, ratios,
                                                          logs))
 
     @pytest.mark.parametrize("lo, hi, n, alpha, reward", [
@@ -341,47 +363,51 @@ class TestMajorantSeed:
     ], ids=["sawtooth", "wide", "wide-two-sided", "subnormal"])
     def test_run_pass_matches_node_pass(self, lo, hi, n, alpha, reward):
         chain = discretize(STICKY, lo, hi, n, reward=reward)
-        ratios = _edge_roots(chain, alpha)[0]
-        logs = _harmonic_logs(chain, alpha)
-        assert np.array_equal(_majorant_policy(chain, alpha, ratios, logs),
-                              node_majorant_policy(chain, alpha, ratios, logs))
+        denom, ratios, logs = policy_inputs(chain, alpha)
+        assert np.array_equal(_majorant_policy(chain, denom, ratios, logs),
+                              node_majorant_policy(chain, denom, ratios, logs))
         assert solve_chain_stopping(chain, alpha).iterations == 2
         if reward is sawtooth_reward:
             g = chain.reward
-            survivors = np.flatnonzero(g > _continuation(chain, g, alpha, ratios))
+            survivors = np.flatnonzero(g > _continuation(chain, g, denom, ratios))
             assert len(survivors) > 2000
             assert np.all(np.diff(survivors) > 1)
 
-    @settings(max_examples=40, deadline=None)
-    @given(knots=st.one_of(
-               st.lists(st.floats(0.0, 4.0), min_size=2, max_size=12),
-               # signed rewards: vertices with g <= 0 never top the hull
-               st.lists(st.floats(-2.0, 4.0), min_size=2, max_size=12)),
-           noise=st.lists(st.floats(0.0, 1.0), min_size=201, max_size=201),
-           noisy=st.booleans(),
-           alpha=st.floats(0.05, 2.0),
-           c=st.floats(0.3, 2.0))
-    def test_policy_agrees_with_value_iteration(self, knots, noise, noisy,
-                                                alpha, c):
-        def reward(x):
-            g = np.interp(x, np.linspace(x[0], x[-1], len(knots)), knots)
-            return g + np.asarray(noise) if noisy else g
-        chain = discretize(make_sticky_bm(0.0, c), -10.0, 10.0, 201,
-                           reward=reward)
-        ref = value_iteration(chain, alpha)
-        b = solve_chain_stopping(chain, alpha)
-        assert b.residual <= 1e-10
-        assert np.max(np.abs(ref - b.values)) <= 1e-7
-        ratios = _edge_roots(chain, alpha)[0]
-        logs = _harmonic_logs(chain, alpha)
-        mask = _majorant_policy(chain, alpha, ratios, logs)
-        assert np.array_equal(mask, node_majorant_policy(chain, alpha, ratios,
-                                                         logs))
-        # the float reference hull loses subnormal rewards' digits in g/phi,
-        # so it is inexact there (the log hull scales them first)
-        g = chain.reward
-        if np.all((g == 0.0) | (np.abs(g) >= np.finfo(float).tiny)):
-            assert np.array_equal(mask, float_majorant_policy(chain, logs))
+    def test_policy_agrees_with_value_iteration(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(
+            knots=st.one_of(
+                st.lists(st.floats(0.0, 4.0), min_size=2, max_size=12),
+                # signed rewards: vertices with g <= 0 never top the hull
+                st.lists(st.floats(-2.0, 4.0), min_size=2, max_size=12)),
+            noise=st.lists(st.floats(0.0, 1.0), min_size=201, max_size=201),
+            noisy=st.booleans(),
+            alpha=st.floats(0.05, 2.0),
+            c=st.floats(0.3, 2.0))
+        def check(knots, noise, noisy, alpha, c):
+            def reward(x):
+                g = np.interp(x, np.linspace(x[0], x[-1], len(knots)), knots)
+                return g + np.asarray(noise) if noisy else g
+            chain = discretize(make_sticky_bm(0.0, c), -10.0, 10.0, 201,
+                               reward=reward)
+            ref = value_iteration(chain, alpha)
+            b = solve_chain_stopping(chain, alpha)
+            assert b.residual <= 1e-10
+            assert np.max(np.abs(ref - b.values)) <= 1e-7
+            denom, ratios, logs = policy_inputs(chain, alpha)
+            mask = _majorant_policy(chain, denom, ratios, logs)
+            assert np.array_equal(mask, node_majorant_policy(chain, denom,
+                                                             ratios, logs))
+            # the float reference hull loses subnormal rewards' digits in
+            # g/phi, so it is inexact there (the log hull scales them first)
+            g = chain.reward
+            if np.all((g == 0.0) | (np.abs(g) >= np.finfo(float).tiny)):
+                assert np.array_equal(mask, float_majorant_policy(chain, logs))
+
+        check()
 
 
 def float_majorant_policy(chain, logs):
@@ -390,7 +416,7 @@ def float_majorant_policy(chain, logs):
     One monotone-chain pass over the origin and the points (F_i, g_i/phi_i),
     cut after the first maximum; valid only where its products fit a float.
     """
-    log_psi, log_phi = logs
+    log_psi, log_phi = logs[:2]
     f = np.exp(log_psi - log_phi)
     y = chain.reward * np.exp(-log_phi)
     hx, hy, hk = [0.0], [0.0], [-1]
@@ -409,7 +435,7 @@ def float_majorant_policy(chain, logs):
     return continue_mask
 
 
-def node_majorant_policy(chain, alpha, ratios, logs):
+def node_majorant_policy(chain, denom, ratios, logs):
     """Reference: the majorant's continuation mask by one pass node by node.
 
     The same log-form chord test as the solver's run pass, applied to every
@@ -421,8 +447,8 @@ def node_majorant_policy(chain, alpha, ratios, logs):
     top = g.max()
     if 0.0 < top < np.finfo(float).tiny:
         g = np.ldexp(np.maximum(g, 0.0), -np.frexp(top)[1])
-    log_psi, log_phi = logs
-    survivors = np.flatnonzero(g > _continuation(chain, g, alpha, ratios))
+    log_psi, log_phi = logs[:2]
+    survivors = np.flatnonzero(g > _continuation(chain, g, denom, ratios))
     reward, lpsi, lphi = g.tolist(), log_psi.tolist(), log_phi.tolist()
     lf, exp, expm1 = (log_psi - log_phi).tolist(), math.exp, math.expm1
     hull = [-1]     # index -1 is the origin
@@ -449,6 +475,133 @@ def node_majorant_policy(chain, alpha, ratios, logs):
     if np.any(log_ratio > -np.inf):
         continue_mask[vertices[:np.argmax(log_ratio) + 1]] = False
     return continue_mask
+
+
+def list_majorant_policy(chain, alpha, ratios, logs):
+    """Reference: the solver's run pass with its hull in a Python list.
+
+    Each vertex is a list entry, a pop deletes a slice, and the vertices
+    become an array at the end.
+    """
+    g = chain.reward
+    top = g.max()
+    if 0.0 < top < np.finfo(float).tiny:
+        g = np.ldexp(np.maximum(g, 0.0), -np.frexp(top)[1])
+    log_psi, log_phi = logs[:2]
+    survivors = np.flatnonzero(
+        g > _continuation(chain, g, denominators(chain, alpha), ratios))
+    gaps = np.flatnonzero(np.diff(survivors) > 1)
+    starts = np.concatenate((survivors[:1], survivors[gaps + 1])).tolist()
+    ends = np.concatenate((survivors[gaps], survivors[-1:])).tolist()
+    reward, lpsi, lphi, lf = map(memoryview,
+                                 (g, log_psi, log_phi, log_psi - log_phi))
+    exp, expm1 = math.exp, math.expm1
+
+    def above(a, b, k):
+        if a < 0:
+            return reward[b] > reward[k] * exp(lpsi[b] - lpsi[k])
+        return reward[b] > (
+            reward[a] * exp(lphi[b] - lphi[a]) * -expm1(lf[b] - lf[k])
+            + reward[k] * exp(lpsi[b] - lpsi[k]) * -expm1(lf[a] - lf[b])
+        ) / -expm1(lf[a] - lf[k])
+
+    hull = [-1]
+
+    def settle(k):
+        bad = len(hull) - 1
+        if bad < 1 or above(hull[-2], hull[-1], k):
+            return
+        good, step = bad - 1, 1
+        while good > 0 and not above(hull[good - 1], hull[good], k):
+            bad, step = good, 2 * step
+            good = max(bad - step, 0)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            if above(hull[mid - 1], hull[mid], k):
+                good = mid
+            else:
+                bad = mid
+        del hull[bad:]
+
+    def keeps(t):
+        settle(t)
+        return above(hull[-1], t, t + 1)
+
+    for s, e in zip(starts, ends):
+        if s == 0:
+            hull.extend(range(e + 1))
+            continue
+        lo, hi, step = s - 1, s, 1
+        while hi < e and not keeps(hi):
+            lo, step = hi, 2 * step
+            hi = min(hi + step, e)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if keeps(mid):
+                hi = mid
+            else:
+                lo = mid
+        settle(hi)
+        hull.extend(range(hi, e + 1))
+    vertices = np.array(hull[1:], dtype=np.intp)
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(np.maximum(g[vertices], 0.0)) - log_phi[vertices]
+    continue_mask = np.ones(chain.size, dtype=bool)
+    if np.any(log_ratio > -np.inf):
+        continue_mask[vertices[:np.argmax(log_ratio) + 1]] = False
+    return continue_mask
+
+
+def allocating_mobius_scan(a, b, c, start):
+    """Reference: the Moebius scan with a new array for every intermediate.
+
+    The same pairwise composition as the solver's scan, written as whole
+    array expressions, returning ``x_1, x_2, ...``.
+    """
+    m = a.shape[-1]
+    if m == 1:
+        return (a * start + b) / (c * start + 1.0)
+    a1, b1, c1 = a[..., :m - 1:2], b[..., :m - 1:2], c[..., :m - 1:2]
+    a2, b2, c2 = a[..., 1::2], b[..., 1::2], c[..., 1::2]
+    norm = 1.0 / (c2 * b1 + 1.0)
+    out = np.empty(a.shape)
+    out[..., 1::2] = allocating_mobius_scan((a2 * a1 + b2 * c1) * norm,
+                                            (a2 * b1 + b2) * norm,
+                                            (c2 * a1 + c1) * norm, start)
+    prev = np.concatenate((start, out[..., 1:m - 1:2]), axis=-1)
+    out[..., ::2] = (a[..., ::2] * prev + b[..., ::2]) / (c[..., ::2] * prev + 1.0)
+    return out
+
+
+def allocating_harmonic_logs(chain, alpha):
+    """Reference: ``(log psi, log phi)`` from whole-array expressions.
+
+    The same recurrences and order of operations as the solver's
+    ``_harmonic_logs``, with every coefficient, step and sum a new array.
+    """
+    up, down = chain.up_rate, chain.down_rate
+    ratios, comps = _edge_roots(chain, alpha)
+    start = np.array(comps)[:, None]
+    lead = np.stack((up, down[::-1]))
+    scale = 1.0 / (alpha + lead)
+    slope = np.stack((down, up[::-1])) * scale
+    comp = np.empty((2, chain.size - 1))
+    comp[:, :1] = start
+    comp[:, 1:] = allocating_mobius_scan(slope, alpha * scale, slope, start)
+    with np.errstate(divide="ignore"):
+        steps = -np.log1p(-comp)
+    far = comp > 0.5
+    if far.any():
+        ratio = np.empty_like(comp)
+        ratio[:, 0] = ratios
+        ratio[:, 1:] = lead * scale / (slope * comp[:, :-1] + 1.0)
+        steps[far] = -np.log(ratio[far])
+    mid = chain.size // 2
+    log_psi = np.concatenate(([0.0], np.cumsum(steps[0])))
+    log_phi = np.concatenate(([0.0], np.cumsum(steps[1])))[::-1]
+    log_psi -= log_psi[mid]
+    log_phi -= log_phi[mid]
+    return log_psi, log_phi
 
 
 def decimal_log_ratios(chain, alpha, digits=40):
@@ -536,14 +689,115 @@ class TestHarmonicLogs:
         (0.0, 0.1, 8000),
         # ratios far below 1, where the complements lose the digits
         (0.0, 1e8, 201), (0.0, 1e20, 201),
+        # the edge roots overflow unless they are formed in units of alpha
+        (0.0, 1e200, 201),
     ])
     def test_log_ratios_match_decimal_recurrence(self, mu, alpha, n):
         # the recurrences in ratios near 1 lose ~1e-10 relative at alpha = 0.1
         chain = discretize(make_sticky_bm(mu, 1.0), -6.0, 6.0, n)
-        log_psi, log_phi = _harmonic_logs(chain, alpha)
+        log_psi, log_phi, log_f = _harmonic_logs(chain, alpha,
+                                                 _edge_roots(chain, alpha))
+        assert np.array_equal(log_f, log_psi - log_phi)
         ref_psi, ref_phi = decimal_log_ratios(chain, alpha)
         assert np.max(np.abs(np.diff(log_psi) / ref_psi - 1.0)) <= 1e-12
         assert np.max(np.abs(-np.diff(log_phi) / ref_phi - 1.0)) <= 1e-12
+
+
+class TestDiscountRange:
+    """Discount rates up to the largest float, and the edge roots' overflow."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1e150, 1.2e154, 1.4e154, 1e200,
+                                       1e308])
+    def test_edge_roots_match_decimal(self, alpha):
+        # below ~1.3e154 alpha (alpha + 2 (up + down)) is finite and the
+        # roots are formed as they are; above it they are formed in units
+        # of alpha
+        chain = discretize(STICKY, -6.0, 6.0, 201)
+        ctx = decimal.Context(prec=40)
+        a = ctx.create_decimal_from_float(alpha)
+        (r_left, r_right), (c_left, c_right) = _edge_roots(chain, alpha)
+        for i, r, comp, which in ((0, r_left, c_left, 0),
+                                  (-1, r_right, c_right, 1)):
+            u = ctx.create_decimal_from_float(float(chain.up_rate[i]))
+            d = ctx.create_decimal_from_float(float(chain.down_rate[i]))
+            disc = ctx.sqrt((u - d) ** 2 + a * (a + 2 * (u + d)))
+            want = (2 * u, 2 * d)[which] / (a + u + d + disc)
+            assert abs(r / float(want) - 1.0) <= 1e-15
+            assert abs(comp / float(1 - want) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("reward", [None, two_sided_reward])
+    def test_huge_discount_stops_wherever_the_reward_is_positive(self, reward):
+        chain = discretize(STICKY, -6.0, 6.0, 201, reward=reward)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_chain_stopping(chain, 1e200)
+        assert sol.iterations == 2 and sol.residual <= 1e-10
+        g = chain.reward
+        assert np.array_equal(sol.values[g > 0], g[g > 0])
+        assert np.all(sol.values[g == 0] <= 1e-190)
+
+
+def reference_solve(chain, alpha):
+    """Reference: logs, mask and values from the allocating scan, the list
+    hull and the policy values they give."""
+    log_psi, log_phi = allocating_harmonic_logs(chain, alpha)
+    logs = (log_psi, log_phi, log_psi - log_phi)
+    mask = list_majorant_policy(chain, alpha, _edge_roots(chain, alpha)[0], logs)
+    return logs, mask, _policy_values(chain.reward, *logs, mask)
+
+
+class TestSolveMatchesReferences:
+    """The in-place scan and the buffered hull give the allocating scan's
+    and the list hull's logs, masks and values bit for bit."""
+
+    REWARDS = [None, two_sided_reward, sawtooth_reward,
+               knots_reward([0.5, 2.0, 0.1, 3.0, 1.0])]
+    IDS = ["one-sided", "two-sided", "sawtooth", "knots"]
+
+    @staticmethod
+    def check(chain, alpha):
+        denom, ratios, logs = policy_inputs(chain, alpha)
+        ref_logs, ref_mask, ref_values = reference_solve(chain, alpha)
+        for got, want in zip(logs, ref_logs):
+            assert np.array_equal(got, want)
+        assert np.array_equal(_majorant_policy(chain, denom, ratios, logs),
+                              ref_mask)
+        assert np.array_equal(solve_chain_stopping(chain, alpha).values,
+                              ref_values)
+
+    @pytest.mark.parametrize("reward", REWARDS, ids=IDS)
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("mu", [0.0, -0.1])
+    def test_sticky_grid(self, mu, c, reward):
+        for n in (201, 4001, 8001):
+            chain = discretize(make_sticky_bm(mu, c), -6.0, 6.0, n,
+                               reward=reward)
+            for alpha in (0.1, 0.4, 1.5, 1e3):
+                self.check(chain, alpha)
+
+    @pytest.mark.parametrize("reward", REWARDS, ids=IDS)
+    @pytest.mark.parametrize("mu", [0.0, -0.1])
+    def test_wide_window(self, mu, reward):
+        # F overflows a float on [-200, 200]
+        chain = discretize(make_sticky_bm(mu, 1.0), -200.0, 200.0, 8001,
+                           reward=reward)
+        for alpha in (0.1, 0.4, 1.5, 1e3):
+            self.check(chain, alpha)
+
+    def test_two_sided_solve_working_set(self):
+        # one solve's tracemalloc peak measured 849,352 bytes (numpy 2.4;
+        # an allocating scan and a list hull take 1,426,088); 25 % above
+        # that fails
+        chain = discretize(STICKY, -6.0, 6.0, 8001, reward=two_sided_reward)
+        solve_chain_stopping(chain, 1.0)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            solve_chain_stopping(chain, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 849_352
 
 
 def banded_policy_values(chain, alpha, continue_mask):
@@ -584,8 +838,7 @@ class TestPolicyValues:
         continue_mask = rng.random(chain.size) < 0.9
         continue_mask[0] = edges in ("left", "both")
         continue_mask[-1] = edges in ("right", "both")
-        ratios = _edge_roots(chain, alpha)[0]
-        v = _policy_values(chain.reward, *_harmonic_logs(chain, alpha),
+        v = _policy_values(chain.reward, *policy_inputs(chain, alpha)[2],
                            continue_mask)
         ref = banded_policy_values(chain, alpha, continue_mask)
         assert np.max(np.abs(v - ref)) <= 1e-9
@@ -593,7 +846,7 @@ class TestPolicyValues:
 
     def test_policy_that_never_stops_is_worth_nothing(self):
         chain = discretize(STICKY, -6.0, 6.0, 801)
-        logs = _harmonic_logs(chain, 0.5)
+        logs = policy_inputs(chain, 0.5)[2]
         v = _policy_values(chain.reward, *logs, np.ones(chain.size, dtype=bool))
         assert np.array_equal(v, np.zeros(chain.size))
 
@@ -662,9 +915,33 @@ class TestAgreement:
         (lambda chain: chain.node_index(0.01), DomainError, "not a grid node"),
         (lambda chain: solve_chain_stopping(chain, 0.0), ParameterError,
          "discount rate must be positive"),
+        (lambda chain: solve_chain_stopping(chain, math.nan), ParameterError,
+         "discount rate must be positive and finite"),
+        (lambda chain: solve_chain_stopping(chain, math.inf), ParameterError,
+         "discount rate must be positive and finite"),
         (lambda chain: compare(chain, chain.reward, lambda x: 1.0, jump_at=-6.0),
          DomainError, "needs an interior node"),
-    ], ids=["node_index-off-grid", "solve-alpha-0", "compare-jump-at-edge"])
+        (lambda chain: compare(chain, chain.reward, lambda x: 1.0,
+                               inner_fraction=-0.5),
+         ParameterError, "inner_fraction must lie in"),
+        (lambda chain: compare(chain, chain.reward, lambda x: 1.0,
+                               inner_fraction=0.0),
+         ParameterError, "inner_fraction must lie in"),
+        (lambda chain: compare(chain, chain.reward, lambda x: 1.0,
+                               inner_fraction=math.nan),
+         ParameterError, "inner_fraction must lie in"),
+        (lambda chain: compare(chain, chain.reward, lambda x: 1.0,
+                               inner_fraction=1.5),
+         ParameterError, "inner_fraction must lie in"),
+        (lambda chain: compare(chain, chain.reward[:-1], lambda x: 1.0),
+         ParameterError, "values have shape"),
+        (lambda chain: compare(chain, chain.reward[:, None], lambda x: 1.0),
+         ParameterError, "values have shape"),
+    ], ids=["node_index-off-grid", "solve-alpha-0", "solve-alpha-nan",
+            "solve-alpha-inf", "compare-jump-at-edge",
+            "compare-inner-fraction-negative", "compare-inner-fraction-0",
+            "compare-inner-fraction-nan", "compare-inner-fraction-above-1",
+            "compare-values-one-short", "compare-values-2d"])
     def test_rejected_inputs(self, call, error, message):
         chain = discretize(STICKY, -6.0, 6.0, 201)
         with pytest.raises(error, match=message):
