@@ -348,8 +348,20 @@ class FundamentalSolutions:
 
     @_scalar_aware
     def hitting_laplace(self, x, y):
-        """E_x[exp(-alpha * hitting time of y)]; in (0, 1], and 1 iff x == y."""
-        return np.where(x <= y, self.psi(x) / self.psi(y), self.phi(x) / self.phi(y))
+        """E_x[exp(-alpha * hitting time of y)]; in (0, 1], and 1 iff x == y.
+        Each point takes its own branch's ratio, checked by :func:`_finite`."""
+        with np.errstate(all="ignore"):
+            ratio = np.divide(*(np.where(x <= y, self.psi(p), self.phi(p)) for p in (x, y)))
+        return _finite("hitting transform", ratio, x, y, self.alpha)
+
+
+def _finite(what: str, out, x, y, alpha: float):
+    """``out``, or a DomainError naming alpha and its first non-finite (x, y)."""
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        x, y = (np.broadcast_to(a, np.shape(out)).flat[bad[0]] for a in (x, y))
+        raise DomainError(f"{what} at x = {x}, y = {y}, alpha = {alpha:g} is not finite")
+    return out
 
 
 def _sticky_solutions(spec: DiffusionSpec, alpha: float) -> FundamentalSolutions:
@@ -515,9 +527,10 @@ def _require_in_state_space(spec: DiffusionSpec, *points: float):
 
 
 def green(spec: DiffusionSpec, alpha: float, x: float, y: float) -> float:
-    """G_alpha(x, y), the resolvent kernel w.r.t. the speed measure."""
+    """G_alpha(x, y), the resolvent kernel w.r.t. the speed measure; see :func:`_finite`."""
     _require_in_state_space(spec, x, y)
-    return fundamental(spec, alpha).green(x, y)
+    with np.errstate(all="ignore"):
+        return _finite("G", fundamental(spec, alpha).green(x, y), x, y, alpha)
 
 
 def hitting_laplace(spec: DiffusionSpec, alpha: float, x: float, y: float) -> float:

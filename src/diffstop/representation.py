@@ -122,19 +122,17 @@ def green_candidate(spec: DiffusionSpec, alpha: float, y0: float,
     fs = fundamental(spec, alpha)
     if not spec.interval.contains(y0):
         raise DomainError(f"pole {y0} outside the state space")
-    w = fs.wronskian
-
-    def value(x):
-        return fs.green(x, y0)
+    w, psi_y0, phi_y0 = fs.wronskian, fs.psi(y0), fs.phi(y0)
 
     def ds(x, side):
         # the left derivative takes the branch below the pole at the pole
         below = x <= y0 if side == "left" else x < y0
-        return np.where(below, fs.psi_ds(x, side) * fs.phi(y0),
-                        fs.psi(y0) * fs.phi_ds(x, side)) / w
+        return np.where(below, fs.psi_ds(x, side) * phi_y0,
+                        psi_y0 * fs.phi_ds(x, side)) / w
 
     kinks = tuple(sorted({y0, *spec.atom_locations}))
-    return ExcessiveCandidate(value, _scalar_aware(lambda x: ds(x, "right")),
+    return ExcessiveCandidate(lambda x: fs.green(x, y0),
+                              _scalar_aware(lambda x: ds(x, "right")),
                               _scalar_aware(lambda x: ds(x, "left")), x0, kinks,
                               label=f"green(. , {y0})")
 
@@ -317,40 +315,33 @@ class RepresentingMeasure:
 def _atoms_below(atoms, y, strict: bool):
     """Total weight of the sorted (location, weight) atoms at locations < y
     (``strict``) or <= y."""
-    if not atoms:
-        return np.zeros_like(np.asarray(y, dtype=float))
-    locs = np.array([a[0] for a in atoms])
-    cum = np.cumsum([a[1] for a in atoms])
-    idx = np.searchsorted(locs, np.asarray(y, dtype=float),
-                          side="left" if strict else "right")
-    return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
+    cum = np.concatenate(([0.0], np.cumsum([a[1] for a in atoms])))
+    return cum[np.searchsorted([a[0] for a in atoms], np.asarray(y, dtype=float),
+                               side="left" if strict else "right")]
 
 
 def _exp_rate(fs: FundamentalSolutions) -> float:
     return fs.theta + abs(fs.spec.mu)
 
 
-def _boundary_limit(tail: Callable, start: float, endpoint: float,
-                    cap: float) -> float:
-    """Limit of a monotone tail toward an endpoint, by ladder refinement.
-
-    The ladder runs from ``start`` toward the endpoint, halving the distance
-    to a finite endpoint and doubling the step toward an infinite one until
-    it passes ``cap``.  The tail is evaluated on the whole ladder in one
-    call, and the limit is the first of three equal values in ladder order,
-    so ``start`` must lie beyond every kink on that side: a plateau before
-    a kink would otherwise pass for the limit.
-    """
+def _ladder(start: float, endpoint: float, cap: float) -> np.ndarray:
+    """Points from ``start`` toward the endpoint: halving the distance to a
+    finite one, doubling the step toward an infinite one until |x| > cap."""
     k = np.arange(60)
     if math.isfinite(endpoint):
-        xs = endpoint + (start - endpoint) * np.ldexp(1.0, -(k + 1))
-    else:
-        xs = start + math.copysign(1.0, endpoint) * np.ldexp(1.0, k)
-        past = np.flatnonzero(np.abs(xs) > cap)
-        xs = xs[:past[0]] if past.size else xs
-    if not xs.size:
-        return float(tail(start))
-    vals = np.asarray(tail(xs), dtype=float).tolist()
+        return endpoint + (start - endpoint) * np.ldexp(1.0, -(k + 1))
+    xs = start + math.copysign(1.0, endpoint) * np.ldexp(1.0, k)
+    past = np.flatnonzero(np.abs(xs) > cap)
+    return xs[:past[0]] if past.size else xs
+
+
+def _boundary_limit(vals: list[float], at_start: float, endpoint: float) -> float:
+    """Limit of a monotone tail from its values on the :func:`_ladder`: the
+    first of three equal values, or ``at_start``, the tail at the ladder's
+    start, for an empty ladder.  The ladder starts beyond every kink on its
+    side, since a plateau before a kink would pass for the limit."""
+    if not vals:
+        return at_start
     for i in range(2, len(vals)):
         if abs(vals[i] - vals[i - 1]) <= 1e-13 * (1.0 + abs(vals[i])) and \
                 abs(vals[i - 1] - vals[i - 2]) <= 1e-13 * (1.0 + abs(vals[i - 1])):
@@ -361,27 +352,48 @@ def _boundary_limit(tail: Callable, start: float, endpoint: float,
     return vals[-1]
 
 
-# offsets from x0 grow by 2**(1/8) per point, so a scan out to the cap
-# 600/rate starts ~0.1/rate apart and takes 101 points per side
+# scan offsets from x0 grow by 2**(1/8): 101 points from ~0.1/rate to 600/rate
 _SCAN_STEPS = np.exp2(np.arange(101) / 8.0) - 1.0
 
 
-def _check_monotone_tail(tail: Callable, x0: float, end: float, what: str):
-    """Raise unless the tail is nonnegative and does not grow from x0 out to
-    ``end``, as nu([l, y)) and nu((y, r]) do."""
-    xs = x0 + (end - x0) * (_SCAN_STEPS / _SCAN_STEPS[-1])
-    vals = np.asarray(tail(xs), dtype=float)
+def _check_monotone_tail(vals: np.ndarray, what: str):
+    """Raise unless the tail's scan values, outward from x0, are nonnegative
+    and do not grow, as nu([l, y)) and nu((y, r]) do."""
     if np.any(vals < -_MONOTONE_SLACK):
         raise NotExcessiveError(
             f"{what} tail is negative (min {vals.min():.3g}); the candidate "
             "is not excessive at this rate")
-    diffs = np.diff(vals)
-    bad = diffs > _MONOTONE_SLACK
-    if np.any(bad):
-        worst = float(diffs[bad].max())
+    worst = np.diff(vals).max(initial=0.0)
+    if worst > _MONOTONE_SLACK:
         raise NotExcessiveError(
             f"{what} tail is not monotone (violation {worst:.3g}); the "
             "candidate is not excessive at this rate")
+
+
+def _read_side(tail: Callable, closed: Callable, x0: float, endpoint: float,
+               probe: list[float], cap: float):
+    """One side of x0 for :func:`martin_measure`: the open tail called once,
+    on the :func:`_ladder` from the outermost kink (or x0), the scan, the
+    kinks (points of ``probe`` between x0 and the endpoint) and x0, and the
+    closed tail at the kinks.  Returns the ladder's values, the tail at its
+    start, the scan's values, the kinks, their atom jumps and the tail at
+    x0.  A side from x0 at an included endpoint holds no mass: it is not
+    read, and any mass there surfaces through the x0 defect."""
+    if x0 == endpoint:
+        return [], 0.0, np.zeros(0), [], [], 0.0
+    sgn = math.copysign(1.0, endpoint - x0)
+    kinks = [z for z in probe if min(x0, endpoint) < z < max(x0, endpoint)]
+    outer = (kinks[0] if sgn < 0 else kinks[-1]) if kinks else x0
+    far = x0 + sgn * cap
+    edge = endpoint - sgn * 1e-9 * (1 + abs(endpoint)) if math.isfinite(endpoint) else far
+    far = min(far, edge) if sgn > 0 else max(far, edge)
+    scan = x0 + (far - x0) * (_SCAN_STEPS / _SCAN_STEPS[-1]) if sgn * (far - x0) > 0 else []
+    ladder, near = _ladder(outer, endpoint, cap), [*kinks, x0]
+    vals = tail(np.concatenate((ladder, scan, near)))
+    n = len(ladder) + len(scan)
+    jumps = (closed(np.array(kinks)) - vals[n:-1]).tolist() if kinks else []
+    return (vals[:len(ladder)].tolist(), float(vals[n + near.index(outer)]),
+            vals[len(ladder):n], kinks, jumps, float(vals[-1]))
 
 
 def martin_measure(spec: DiffusionSpec, alpha: float,
@@ -393,10 +405,10 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
     atoms; boundary masses are tail limits; any mass defect at x0 itself is
     assigned as an atom at x0 (it equals G(x0,x0) sigma({x0})).
 
-    Each tail's sign and monotonicity are checked at 101 points per side out
-    to 600 / (theta + |mu|) or the endpoint, offsets from x0 growing by
-    2^{1/8}, so a violation narrower than ~9 % of its distance from x0
-    passes; :func:`excessivity_check` is the independent test.
+    Each side is read from one call of its tail (:func:`_read_side`).  The
+    scan there checks sign and monotonicity at 101 points, so a violation
+    narrower than ~9 % of its distance from x0 passes;
+    :func:`excessivity_check` is the independent test.
     """
     fs = fundamental(spec, alpha)
     x0 = candidate.x0
@@ -427,35 +439,16 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
     right_tail = _scalar_aware(lambda x: np.where(x >= r, 0.0, above(x, "right")))
     left_tail = _scalar_aware(lambda x: np.where(x <= l, 0.0, below(x, "left")))
 
+    # kinks at an included endpoint are picked up by the boundary limit
     cap = 600.0 / _exp_rate(fs)
     probe = sorted({*candidate.kinks, *spec.atom_locations})
-    # mass below x0 does not exist when x0 sits on an included left endpoint;
-    # it surfaces through the x0 defect instead (symmetrically on the right).
-    # Each limit's ladder starts at the outermost kink on its side.
-    left_start = min([z for z in probe if l < z < x0], default=x0)
-    right_start = max([z for z in probe if x0 < z < r], default=x0)
-    left_limit = _boundary_limit(left_tail, left_start, l, cap) if x0 > l else 0.0
-    right_limit = _boundary_limit(right_tail, right_start, r, cap) if x0 < r else 0.0
-
-    # tail monotonicity scan over the numerically active range
-    scan_left = max(l + 1e-9 * (1 + abs(l)) if math.isfinite(l) else x0 - cap, x0 - cap)
-    scan_right = min(r - 1e-9 * (1 + abs(r)) if math.isfinite(r) else x0 + cap, x0 + cap)
-    if scan_left < x0:
-        _check_monotone_tail(left_tail, x0, scan_left, what="left")
-    if scan_right > x0:
-        _check_monotone_tail(right_tail, x0, scan_right, what="right")
-
-    # atoms are the tail jumps at the interior kinks and speed atoms, one
-    # call per side; kinks at an included endpoint are picked up by the
-    # boundary-limit path
-    zs, jumps = [], []
-    for pts, tail, closed, open_ in ((np.array([z for z in probe if l < z < x0]),
-                                      below, "right", "left"),
-                                     (np.array([z for z in probe if x0 < z < r]),
-                                      above, "left", "right")):
-        if pts.size:
-            zs += pts.tolist()
-            jumps += (tail(pts, closed) - tail(pts, open_)).tolist()
+    ladders, starts, scans, inside, jumps, (left_x0, right_x0) = zip(
+        _read_side(left_tail, lambda x: below(x, "right"), x0, l, probe, cap),
+        _read_side(right_tail, lambda x: above(x, "left"), x0, r, probe, cap))
+    limits = list(map(_boundary_limit, ladders, starts, (l, r)))
+    for scan, what in zip(scans, ("left", "right")):
+        _check_monotone_tail(scan, what)
+    zs, jumps = inside[0] + inside[1], jumps[0] + jumps[1]
     for z, jump in zip(zs, jumps):
         if jump < -1e-9:
             raise NotExcessiveError(
@@ -464,7 +457,6 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
     atoms = [(z, jump) for z, jump in zip(zs, jumps) if jump > _ATOM_THRESHOLD]
 
     # mass balance at x0: whatever the two open tails miss sits at x0 itself
-    left_x0, right_x0 = left_tail(x0), right_tail(x0)
     defect = 1.0 - left_x0 - right_x0
     if defect < -1e-9:
         raise NotExcessiveError(
@@ -473,12 +465,9 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
         atoms.append((x0, defect))
 
     # mass at an included (reflecting) endpoint is an interior atom
-    masses = [m if m > _ATOM_THRESHOLD else 0.0 for m in (left_limit, right_limit)]
-    for i, end in enumerate((l, r)):
-        if masses[i] and spec.interval.contains(end):
-            atoms.append((end, masses[i]))
-            masses[i] = 0.0
-    mass_left, mass_right = masses
+    ends = [(end, m if m > _ATOM_THRESHOLD else 0.0) for end, m in zip((l, r), limits)]
+    atoms += [(end, m) for end, m in ends if m and spec.interval.contains(end)]
+    mass_left, mass_right = (0.0 if spec.interval.contains(end) else m for end, m in ends)
     atoms.sort()
 
     total = left_x0 + right_x0 + max(defect, 0.0)
@@ -982,10 +971,7 @@ def measure_to_doc(measure: RepresentingMeasure, tail_points: int = 65) -> dict:
     """
     x0 = measure.x0
     span = max(1.0, abs(x0)) * 8.0
-    lo = max(measure.interval_left, x0 - span) if math.isfinite(measure.interval_left) \
-        else x0 - span
-    hi = min(measure.interval_right, x0 + span) if math.isfinite(measure.interval_right) \
-        else x0 + span
+    lo, hi = max(measure.interval_left, x0 - span), min(measure.interval_right, x0 + span)
     left_xs = np.linspace(lo, x0, tail_points)
     right_xs = np.linspace(x0, hi, tail_points)
     vals = measure.ac_cdf(np.concatenate((left_xs, right_xs)))
@@ -1001,8 +987,8 @@ def measure_to_doc(measure: RepresentingMeasure, tail_points: int = 65) -> dict:
         "mass_right_boundary": measure.mass_right_boundary,
         "atoms": [{"location": z, "weight": wt} for z, wt in measure.atoms],
         "tail_samples": {
-            "left": [[float(t), float(v)] for t, v in zip(left_xs, left_vals)],
-            "right": [[float(t), float(v)] for t, v in zip(right_xs, right_vals)],
+            "left": np.column_stack((left_xs, left_vals)).tolist(),
+            "right": np.column_stack((right_xs, right_vals)).tolist(),
         },
     }
 
@@ -1055,7 +1041,7 @@ def measure_from_doc(doc: dict, spec: DiffusionSpec) -> RepresentingMeasure:
     # the interpolated cumulative is piecewise linear, so quadrature panels
     # must split at every sample point, and at the speed atoms
     kinks = tuple(sorted({x0, *(a[0] for a in atoms), *spec.atom_locations,
-                          *left_samples[:, 0], *right_samples[:, 0]}))
+                          *left_samples[:, 0].tolist(), *right_samples[:, 0].tolist()}))
     return RepresentingMeasure(
         kind=kind, x0=x0, normalization=normalization,
         total_mass=total, mass_left_boundary=mass_left,

@@ -280,6 +280,50 @@ class TestGreen:
             green(spec, 0.5, 0.2, 1.0)   # killing endpoint not a state
 
 
+class TestNonFiniteKernels:
+    """At alpha = 200 (theta = 20) psi overflows past x ~ 35 and phi
+    underflows: G(40, 41) is inf * 0 and psi(40) / psi(41) is inf / inf.
+    Such points raise DomainError naming x, y and alpha; a point whose own
+    ratio is finite returns it, whatever the other branch does."""
+
+    SPEC = make_sticky_bm(0.0, 1.0)
+
+    def test_own_branch_only(self):
+        # phi(40) underflows to 0, but x = 10 <= y = 40 divides psi by psi;
+        # the true value e^{-600} is lost to psi(40) overflowing
+        v = hitting_laplace(self.SPEC, 200.0, 10.0, 40.0)
+        assert type(v) is float and 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda spec: hitting_laplace(spec, 200.0, 40.0, 41.0),
+         "hitting transform at x = 40.0, y = 41.0, alpha = 200 is not finite"),
+        (lambda spec: fundamental(spec, 200.0).hitting_laplace(np.array([1.0, 40.0]), 41.0),
+         "hitting transform at x = 40.0, y = 41.0, alpha = 200 is not finite"),
+        (lambda spec: green(spec, 200.0, 40.0, 41.0),
+         "G at x = 40.0, y = 41.0, alpha = 200 is not finite"),
+    ], ids=["hitting-scalar", "hitting-array", "green"])
+    def test_domain_error(self, call, message):
+        with pytest.raises(DomainError) as err:
+            call(self.SPEC)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("spec", [make_sticky_bm(0.0, 1.0), make_sticky_bm(-0.3, 1.5),
+                                      make_reflected_killed_bm()],
+                             ids=["sticky", "sticky-drift", "reflected-killed"])
+    def test_finite_values_unchanged(self, spec):
+        # the former formula divided in both branches at every point
+        fs = fundamental(spec, 0.7)
+        lo = max(spec.interval.left, -4.0)
+        xs = np.linspace(lo, min(spec.interval.right - 0.05, 4.0), 41)
+        x, y = xs[:, None], xs[None, :]
+        want = np.where(x <= y, fs.psi(x) / fs.psi(y), fs.phi(x) / fs.phi(y))
+        assert np.array_equal(fs.hitting_laplace(x, y), want)
+        pairs = ((xs[3], xs[9]), (xs[9], xs[3]))
+        assert [hitting_laplace(spec, 0.7, a, b) for a, b in pairs] == \
+            [want[3, 9], want[9, 3]]
+        assert green(spec, 0.7, xs[3], xs[9]) == fs.green(xs[3], xs[9])
+
+
 class TestHittingLaplace:
     def test_identity_at_same_point(self):
         spec = make_sticky_bm(0.0, 1.0)

@@ -1,6 +1,9 @@
 """Martin/Riesz measures, reconstruction, derivative jumps, excessivity."""
 
 import math
+import re
+from collections import Counter
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -20,12 +23,14 @@ from diffstop.errors import (
     ParameterError,
 )
 from diffstop.representation import (
+    ExcessiveCandidate,
     RepresentingMeasure,
     _GL_NODES,
     _GL_WEIGHTS,
     _atoms_below,
     _boundary_limit,
     _exp_rate,
+    _ladder,
     candidate_from_callable,
     derivative_jump,
     excessivity_check,
@@ -151,6 +156,110 @@ class TestMartinMeasure:
             martin_measure(STICKY, 0.5, type(g)(
                 value=lambda x: 0.0 * np.asarray(x), ds_right=g.ds_right,
                 ds_left=g.ds_left, x0=0.0, kinks=g.kinks))
+
+
+def _combination(a, b, eps, kinks):
+    """The candidate a - eps * b, normalized at a's x0, with the given kinks."""
+    return ExcessiveCandidate(lambda x: a.value(x) - eps * b.value(x),
+                              lambda x: a.ds_right(x) - eps * b.ds_right(x),
+                              lambda x: a.ds_left(x) - eps * b.ds_left(x), a.x0, kinks)
+
+
+def _oscillating_psi():
+    """psi (2 + sin log(1 + x^2)): its right tail follows the oscillation at
+    the ladder points x0 + 2^k, so its limit never settles."""
+    fs = fundamental(STICKY, 0.5)
+    h = lambda x: 2.0 + np.sin(np.log1p(x * x))
+    dh = lambda x: np.cos(np.log1p(x * x)) * 2.0 * x / (1.0 + x * x)
+    return ExcessiveCandidate(
+        lambda x: fs.psi(x) * h(x),
+        lambda x: fs.psi_ds(x, "right") * h(x) + fs.psi(x) * dh(x),
+        lambda x: fs.psi_ds(x, "left") * h(x) + fs.psi(x) * dh(x), 0.0, (0.0,))
+
+
+class TestMartinErrors:
+    """Each rule of martin_measure raises its own class and message.  The
+    number in the message is the offending quantity: a value function at
+    alpha = 0.25 minus 1e-3 G(., z) has the Martin atom -1e-3 G(x0, z) / u(x0)
+    at z, which is a negative atom inside (0, inf) for z = 2 and an overshoot
+    of the unit mass for z = x0 = 1."""
+
+    NUMBER = r"(-?[0-9.]+(?:e[-+][0-9]+)?)"
+
+    @pytest.mark.parametrize("alpha, make, error, pattern, want", [
+        (0.5, lambda: candidate_from_callable(
+            STICKY, lambda x: 1.0 + 3.0 * np.exp(-x ** 2), 0.0),
+         NotExcessiveError, r"left tail is negative \(min {}\); the candidate is "
+         r"not excessive at this rate", None),
+        (0.5, lambda: candidate_from_callable(
+            STICKY, lambda x: 10.0 + np.exp(-((x - 0.5) / 0.2) ** 2), 0.0),
+         NotExcessiveError, r"right tail is not monotone \(violation {}\); the "
+         r"candidate is not excessive at this rate", None),
+        (0.25, lambda: _combination(value_candidate(0.25, 1.0),
+                                    green_candidate(STICKY, 0.25, 2.0, x0=1.0),
+                                    1e-3, (0.0, 2.0)),
+         NotExcessiveError, r"negative measure atom {} at 2\.0; the candidate is "
+         r"not excessive at this rate", (2.0, -1.0)),
+        (0.5, _oscillating_psi, ConvergenceError,
+         r"tail limit toward inf did not stabilize", None),
+        (0.25, lambda: _combination(value_candidate(0.25, 1.0),
+                                    green_candidate(STICKY, 0.25, 1.0, x0=1.0),
+                                    1e-3, (0.0,)),
+         NotExcessiveError, r"representing measure overshoots unit mass by {}",
+         (1.0, 1.0)),
+    ], ids=["negative-tail", "not-monotone", "negative-atom", "no-limit", "overshoot"])
+    def test_class_and_message(self, alpha, make, error, pattern, want):
+        with pytest.raises(error) as err:
+            martin_measure(STICKY, alpha, make())
+        assert type(err.value) is error
+        match = re.fullmatch(pattern.format(self.NUMBER), str(err.value))
+        assert match, str(err.value)
+        if want is not None:
+            z, sign = want
+            fs = fundamental(STICKY, alpha)
+            atom = 1e-3 * float(fs.green(1.0, z)) / float(value_function(alpha, 1.0, 1.0))
+            assert float(match.group(1)) == pytest.approx(sign * atom, rel=5e-3)
+
+    def test_scans_come_before_atoms(self):
+        # at eps = 1 the tail grows across the negative atom at 2 by more
+        # than the scan's absolutely continuous decrease: the scan's verdict
+        # comes first
+        v, g = value_candidate(0.25, 1.0), green_candidate(STICKY, 0.25, 2.0, x0=1.0)
+        with pytest.raises(NotExcessiveError, match="right tail is not monotone"):
+            martin_measure(STICKY, 0.25, _combination(v, g, 1.0, (0.0, 2.0)))
+
+
+class TestOneReadPerSide:
+    """martin_measure calls each side's tail once and the closed tail once
+    at that side's interior kinks, so it calls the candidate a fixed number
+    of times: u(x0), then u and one derivative per tail call.  That is 7
+    calls for the value candidate and 5 for psi, where reading each side up
+    to five times took 17 and 13."""
+
+    @pytest.mark.parametrize("alpha, cand, want", [
+        # kink 0 below x0 = 1: u(x0), left tail, closed left tail, right tail
+        (0.25, value_candidate(0.25, 1.0),
+         {"value": 4, "ds_left": 1, "ds_right": 2}),
+        # the only kink is x0 itself: u(x0), left tail, right tail
+        (0.5, psi_candidate(STICKY, 0.5), {"value": 3, "ds_left": 1, "ds_right": 1}),
+        # pole 0.7 above x0 = 0: u(x0), left tail, right tail, closed right tail
+        (0.5, green_candidate(STICKY, 0.5, 0.7), {"value": 4, "ds_left": 2, "ds_right": 1}),
+    ], ids=["value", "psi", "green"])
+    def test_candidate_calls(self, alpha, cand, want):
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(cand, name)
+
+            def wrapped(x):
+                calls[name] += 1
+                return fn(x)
+            return wrapped
+
+        wrapped = replace(cand, **{n: counted(n) for n in ("value", "ds_right", "ds_left")})
+        m = martin_measure(STICKY, alpha, wrapped)
+        assert dict(calls) == want
+        assert m.atoms == martin_measure(STICKY, alpha, cand).atoms
 
 
 class TestRieszConversion:
@@ -739,6 +848,13 @@ def _ladder_limit(tail, start, endpoint, cap):
     return vals[-1]
 
 
+def _array_limit(tail, start, endpoint, cap):
+    """The boundary limit from one array call of the tail on the ladder."""
+    xs = _ladder(start, endpoint, cap)
+    vals = np.asarray(tail(xs), dtype=float).tolist() if xs.size else []
+    return _boundary_limit(vals, float(tail(start)), endpoint)
+
+
 class TestBoundaryLimit:
     @pytest.mark.parametrize("case", FAMILIES, ids=_family_id)
     def test_matches_pointwise_ladder(self, case):
@@ -753,7 +869,7 @@ class TestBoundaryLimit:
                 (m.left_tail, l, [z for z in probe if l < z <= x0]),
                 (m.right_tail, r, [z for z in probe if x0 <= z < r])):
             for start in starts:
-                assert _boundary_limit(tail, start, end, cap) == \
+                assert _array_limit(tail, start, end, cap) == \
                     _ladder_limit(tail, start, end, cap), (end, start)
 
     def test_short_ladder_before_cap(self):
@@ -761,12 +877,14 @@ class TestBoundaryLimit:
         # point left the tail at the start is the limit; one point cannot
         # show a limit
         tail = lambda x: 2.0 * np.asarray(x)
-        assert _boundary_limit(tail, 5.0, math.inf, 5.5) == 10.0
+        assert _ladder(5.0, math.inf, 5.5).size == 0
+        assert _array_limit(tail, 5.0, math.inf, 5.5) == 10.0
+        assert _ladder(5.0, math.inf, 6.5).tolist() == [6.0]
         with pytest.raises(ConvergenceError):
-            _boundary_limit(tail, 5.0, math.inf, 6.5)
+            _array_limit(tail, 5.0, math.inf, 6.5)
         # two points that agree to 1e-9 give the last one
         flat = lambda x: np.minimum(x, 6.0) + 1e-10 * np.asarray(x)
-        assert _boundary_limit(flat, 5.0, math.inf, 8.0) == float(flat(7.0))
+        assert _array_limit(flat, 5.0, math.inf, 8.0) == float(flat(7.0))
 
 
 class TestDerivativeJump:
@@ -1296,6 +1414,16 @@ class TestSerialization:
         doc = json.loads(json.dumps(measure_to_doc(m)))
         back = measure_from_doc(doc, STICKY)
         assert back.atoms == m.atoms
+
+    def test_one_float_type(self):
+        # a document holds plain floats, and so do a rebuilt measure's kinks,
+        # as martin_measure's do; np.float64 from a sample row is not float
+        m = martin_measure(STICKY, 0.5, value_candidate(0.5, 1.0))
+        doc = measure_to_doc(m)
+        samples = doc["tail_samples"]["left"] + doc["tail_samples"]["right"]
+        assert {type(v) for row in samples for v in row} == {float}
+        back = measure_from_doc(doc, STICKY)
+        assert {type(k) for k in back.kinks} == {type(k) for k in m.kinks} == {float}
 
     def test_reconstruct_from_doc(self):
         cand = value_candidate(0.5, 1.0)
