@@ -28,6 +28,13 @@ speed atom z the one-sided scale derivatives of psi and phi jump by
 m({z}) * alpha * value, so derivatives are exposed with an explicit side.
 All derivative evaluators are analytic branch derivatives, never finite
 differences; the jump at a sticky point must come out exact.
+
+A family states four formulas, psi, phi and their x-derivatives as
+functions of (x, side), and gives them to :func:`_solutions`, which builds
+the :class:`FundamentalSolutions`.  :func:`_below` holds the kink
+convention that every one-sided evaluator of the package follows: at a kink
+a left derivative takes the branch below it and a right derivative the
+branch above it.
 """
 
 from __future__ import annotations
@@ -305,6 +312,20 @@ def speed_of_set(spec: DiffusionSpec, a: float, b: float,
     return total
 
 
+def _below(x, z, side: str):
+    """The kink convention: True where x takes the branch below z.  At z
+    itself a left derivative takes the branch below and a right one the
+    branch above, so the two sides at a speed atom differ by exactly its
+    jump."""
+    return x <= z if side == "left" else x < z
+
+
+def _check_side(side):
+    """The one check of a ``side`` argument."""
+    if side not in ("left", "right"):
+        raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
+
+
 @dataclass(frozen=True)
 class FundamentalSolutions:
     """Increasing/decreasing positive solutions for one (spec, alpha) pair.
@@ -336,8 +357,7 @@ class FundamentalSolutions:
         return self._ds(self.phi_dx_right, self.phi_dx_left, x, side)
 
     def _ds(self, right, left, x, side):
-        if side not in ("left", "right"):
-            raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
+        _check_side(side)
         dx = right(x) if side == "right" else left(x)
         return dx if self.spec.identity_scale else dx / self.spec.scale_deriv(x)
 
@@ -364,6 +384,21 @@ def _finite(what: str, out, x, y, alpha: float):
     return out
 
 
+def _solutions(spec: DiffusionSpec, alpha: float, theta: float, gamma: float,
+               wronskian: float, psi: Callable, phi: Callable, dpsi: Callable,
+               dphi: Callable) -> FundamentalSolutions:
+    """A family's :class:`FundamentalSolutions` from its four formulas: psi
+    and phi as array functions of x, and their x-derivatives as array
+    functions of (x, side) that choose their branch at a kink by
+    :func:`_below`."""
+    def one_sided(d, side):
+        return _scalar_aware(lambda x: d(x, side))
+
+    return FundamentalSolutions(
+        spec, alpha, theta, gamma, wronskian, _scalar_aware(psi), _scalar_aware(phi),
+        *(one_sided(d, side) for d in (dpsi, dphi) for side in ("right", "left")))
+
+
 def _sticky_solutions(spec: DiffusionSpec, alpha: float) -> FundamentalSolutions:
     mu, c = spec.mu, spec.c
     theta = math.sqrt(2.0 * alpha + mu * mu)
@@ -372,115 +407,45 @@ def _sticky_solutions(spec: DiffusionSpec, alpha: float) -> FundamentalSolutions
     dn = theta + mu     # decay rate of the decreasing branch
 
     # a two-term branch clips x to its side of 0, so it cannot overflow unused
-    @_scalar_aware
     def psi(x):
         e = np.exp(up * x)
         return np.where(x <= 0.0, e, (1.0 + gamma) * e - gamma * np.exp(-dn * np.maximum(x, 0.0)))
 
-    @_scalar_aware
     def phi(x):
         e = np.exp(-dn * x)
         return np.where(x >= 0.0, e, (1.0 + gamma) * e - gamma * np.exp(up * np.minimum(x, 0.0)))
 
-    def _psi_d(x, left_branch_closed):
+    def dpsi(x, side):
         e = np.exp(up * x)
-        low = up * e
-        high = (1.0 + gamma) * up * e + gamma * dn * np.exp(-dn * np.maximum(x, 0.0))
-        cond = x <= 0.0 if left_branch_closed else x < 0.0
-        return np.where(cond, low, high)
+        return np.where(_below(x, 0.0, side), up * e,
+                        (1.0 + gamma) * up * e + gamma * dn * np.exp(-dn * np.maximum(x, 0.0)))
 
-    def _phi_d(x, right_branch_closed):
+    def dphi(x, side):
         e = np.exp(-dn * x)
-        high = -dn * e
-        low = -(1.0 + gamma) * dn * e - gamma * up * np.exp(up * np.minimum(x, 0.0))
-        cond = x >= 0.0 if right_branch_closed else x > 0.0
-        return np.where(cond, high, low)
+        return np.where(_below(x, 0.0, side),
+                        -(1.0 + gamma) * dn * e - gamma * up * np.exp(up * np.minimum(x, 0.0)),
+                        -dn * e)
 
-    return FundamentalSolutions(
-        spec=spec,
-        alpha=alpha,
-        theta=theta,
-        gamma=gamma,
-        wronskian=2.0 * theta + 2.0 * c * alpha,
-        psi=psi,
-        phi=phi,
-        # right derivative at 0 uses the x >= 0 branch, left the x <= 0 branch
-        psi_dx_right=_scalar_aware(lambda x: _psi_d(x, left_branch_closed=False)),
-        psi_dx_left=_scalar_aware(lambda x: _psi_d(x, left_branch_closed=True)),
-        phi_dx_right=_scalar_aware(lambda x: _phi_d(x, right_branch_closed=True)),
-        phi_dx_left=_scalar_aware(lambda x: _phi_d(x, right_branch_closed=False)),
-    )
+    return _solutions(spec, alpha, theta, gamma, 2.0 * theta + 2.0 * c * alpha,
+                      psi, phi, dpsi, dphi)
 
 
 def _reflected_killed_solutions(spec: DiffusionSpec, alpha: float) -> FundamentalSolutions:
     k = math.sqrt(2.0 * alpha)
-
-    @_scalar_aware
-    def psi(x):
-        return np.cosh(k * x)
-
-    @_scalar_aware
-    def phi(x):
-        return np.sinh(k * (1.0 - x))
-
-    @_scalar_aware
-    def dpsi(x):
-        return k * np.sinh(k * x)
-
-    @_scalar_aware
-    def dphi(x):
-        return -k * np.cosh(k * (1.0 - x))
-
-    return FundamentalSolutions(
-        spec=spec,
-        alpha=alpha,
-        theta=k,
-        gamma=0.0,
-        wronskian=k * math.cosh(k),
-        psi=psi,
-        phi=phi,
-        psi_dx_right=dpsi,
-        psi_dx_left=dpsi,
-        phi_dx_right=dphi,
-        phi_dx_left=dphi,
-    )
+    return _solutions(spec, alpha, k, 0.0, k * math.cosh(k),
+                      lambda x: np.cosh(k * x), lambda x: np.sinh(k * (1.0 - x)),
+                      lambda x, side: k * np.sinh(k * x),
+                      lambda x, side: -k * np.cosh(k * (1.0 - x)))
 
 
 def _drift_zero_solutions(spec: DiffusionSpec) -> FundamentalSolutions:
     # alpha = 0, mu < 0: the increasing solution is S - S(-inf), the
     # decreasing one is constant 1; ratios give hitting probabilities.
-    mu = spec.mu
-    rate = -2.0 * mu
-
-    @_scalar_aware
-    def psi(x):
-        return np.exp(rate * x) / rate
-
-    @_scalar_aware
-    def phi(x):
-        return np.ones_like(x)
-
-    @_scalar_aware
-    def dpsi(x):
-        return np.exp(rate * x)
-
-    @_scalar_aware
-    def zero(x):
-        return np.zeros_like(x)
-
-    return FundamentalSolutions(
-        spec=spec,
-        alpha=0.0,
-        theta=abs(mu),
-        gamma=0.0,
-        wronskian=1.0,
-        psi=psi,
-        phi=phi,
-        psi_dx_right=dpsi,
-        psi_dx_left=dpsi,
-        phi_dx_right=zero,
-        phi_dx_left=zero,
-    )
+    rate = -2.0 * spec.mu
+    return _solutions(spec, 0.0, abs(spec.mu), 0.0, 1.0,
+                      lambda x: np.exp(rate * x) / rate, lambda x: np.ones_like(x),
+                      lambda x, side: np.exp(rate * x),
+                      lambda x, side: np.zeros_like(x))
 
 
 def fundamental(spec: DiffusionSpec, alpha: float) -> FundamentalSolutions:

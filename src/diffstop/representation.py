@@ -87,8 +87,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diffusion import (DiffusionSpec, FundamentalSolutions, _atom_at,
-                        _scalar_aware, _values, fundamental)
+from .diffusion import (DiffusionSpec, FundamentalSolutions, _atom_at, _below,
+                        _check_side, _scalar_aware, _values, fundamental)
 from .errors import ConvergenceError, DomainError, NotExcessiveError, ParameterError
 
 _ATOM_THRESHOLD = 1e-12     # tail jumps below this fraction of total mass are noise
@@ -125,9 +125,7 @@ def green_candidate(spec: DiffusionSpec, alpha: float, y0: float,
     w, psi_y0, phi_y0 = fs.wronskian, fs.psi(y0), fs.phi(y0)
 
     def ds(x, side):
-        # the left derivative takes the branch below the pole at the pole
-        below = x <= y0 if side == "left" else x < y0
-        return np.where(below, fs.psi_ds(x, side) * phi_y0,
+        return np.where(_below(x, y0, side), fs.psi_ds(x, side) * phi_y0,
                         psi_y0 * fs.phi_ds(x, side)) / w
 
     kinks = tuple(sorted({y0, *spec.atom_locations}))
@@ -191,8 +189,7 @@ def f_derivative(u: Callable, F: Callable, z: float, side: str) -> float:
     :class:`ConvergenceError` (carrying the best estimate and the achieved
     agreement) if the 30 steps are exhausted.
     """
-    if side not in ("left", "right"):
-        raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
+    _check_side(side)
     sgn = 1.0 if side == "right" else -1.0
     uz = float(u(z))
     Fz = float(F(z))
@@ -631,12 +628,15 @@ def _coefficients(measure: RepresentingMeasure, fs: FundamentalSolutions,
 
     A measure with a Martin source takes the pair from the by-parts
     identity; toward a killing endpoint, where psi or phi vanishes, its
-    panels also split where the distance to it halves, so that no panel is
-    closer to the pole of the integrand than its own width.  A rebuilt Riesz
-    measure sums its atoms and integrates psi from its first kink to x and
-    phi from x to its last kink (neither overflows before G(x, .) does)
-    against the constant density of its cumulative between kinks; beyond
-    them the cumulative is constant, so x is clamped into their range.
+    panels also split where the distance to it halves (:func:`_ladder`), so
+    that no panel is closer to the pole of the integrand than its own width.
+    A rebuilt Riesz measure sums its atoms and integrates psi from its first
+    kink to x and phi from x to its last kink (neither overflows before
+    G(x, .) does) against the constant density of its cumulative between
+    kinks: x is inserted into its gap, both pieces keep that gap's density,
+    and each side is one :func:`_gap_integrals` call dotted with the
+    densities.  Beyond the kinks the cumulative is constant, so x is clamped
+    into their range.
     """
     nu = measure.base if measure.base is not None else measure
     x0, w = nu.x0, fs.wronskian
@@ -650,7 +650,7 @@ def _coefficients(measure: RepresentingMeasure, fs: FundamentalSolutions,
             else (nu.interval_right, nu.right_tail, m_r, fs.phi)
         splits = list(nu.kinks)
         if math.isfinite(end) and not fs.spec.interval.contains(end):
-            splits += (end + (x0 - end) * 0.5 ** np.arange(1, 60)).tolist()
+            splits += _ladder(x0, end, math.inf).tolist()
         part = w * float(_between(
             lambda y: (tail(y) - mass) / kernel(y) ** 2 * fs.spec.scale_deriv(y),
             x0, [x], splits, width)[0])
@@ -659,17 +659,14 @@ def _coefficients(measure: RepresentingMeasure, fs: FundamentalSolutions,
         return (nu.total_mass - m_r) / phi_x0 + part / psi_x0, c2
 
     knots = np.asarray(nu.kinks)
-    slopes = np.diff(nu.ac_cdf(knots)) / np.diff(knots)
-    splits = knots.tolist()
-    y = min(max(x, splits[0]), splits[-1])
-
-    def against_sigma(f, anchor):
-        return float(_between(lambda t: f(t) * slopes[knots.searchsorted(t) - 1],
-                              anchor, [y], splits, width)[0])
-
-    below = against_sigma(fs.psi, splits[0]) \
+    density = np.diff(nu.ac_cdf(knots)) / np.diff(knots)
+    y = min(max(x, nu.kinks[0]), nu.kinks[-1])
+    k = int(knots.searchsorted(y))
+    # k = 0 only where y is the first kink, so the piece below y is empty
+    pts, density = np.insert(knots, k, y), np.insert(density, k, density[max(k - 1, 0)])
+    below = float(_gap_integrals(fs.psi, pts[:k + 1], width) @ density[:k]) \
         + sum(wt * float(fs.psi(z)) for z, wt in nu.atoms if z <= x)
-    above = against_sigma(fs.phi, splits[-1]) \
+    above = float(_gap_integrals(fs.phi, pts[k:], width) @ density[k:]) \
         + sum(wt * float(fs.phi(z)) for z, wt in nu.atoms if z > x)
     return c1 + below / w, c2 + above / w
 

@@ -44,7 +44,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .diffusion import DiffusionSpec, _scalar_aware, fundamental, make_sticky_bm
+from .diffusion import (DiffusionSpec, _below, _check_side, _scalar_aware, fundamental,
+                        make_sticky_bm)
 from .errors import ConvergenceError, DomainError, ParameterError
 
 if TYPE_CHECKING:
@@ -69,15 +70,10 @@ def default_reward() -> Reward:
     def value(x):
         return np.maximum(1.0 + x, 0.0)
 
-    @_scalar_aware
-    def dx_left(x):
-        return np.where(x > -1.0, 1.0, 0.0)
+    def dx(side):
+        return _scalar_aware(lambda x: np.where(_below(x, -1.0, side), 0.0, 1.0))
 
-    @_scalar_aware
-    def dx_right(x):
-        return np.where(x >= -1.0, 1.0, 0.0)
-
-    return Reward(value, dx_left, dx_right)
+    return Reward(value, dx("left"), dx("right"))
 
 
 def alpha_thresholds(c: float) -> tuple[float, float]:
@@ -112,16 +108,17 @@ def _st_branches(alpha: float, c: float):
     return (lambda x: s_up(x) + sticky(x), t_mid), (s_up, lambda x: t_mid(x) + sticky(x))
 
 
-def _st(alpha: float, c: float, xs, left: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(s, t) at each x, with the left limits at 0 and -1 if ``left`` and
-    the right ones otherwise.  Each branch is evaluated on its own points
-    only, so no branch overflows off its side; a NaN x gives NaN."""
+def _st(alpha: float, c: float, xs, side) -> tuple[np.ndarray, np.ndarray]:
+    """(s, t) at each x, with the one-sided limits of ``side`` at 0 and -1
+    (:func:`_below`; the right ones for None).  Each branch is evaluated on
+    its own points only, so no branch overflows off its side; a NaN x gives
+    NaN."""
     if alpha <= 0 or c <= 0:
         raise ParameterError("alpha and c must be positive")
     xs = np.asarray(xs, dtype=float)
     s, t = np.zeros_like(xs), np.zeros_like(xs)     # below -1, where g = 0
-    below = xs <= -1.0 if left else xs < -1.0
-    middle = ~below & (xs <= 0.0 if left else xs < 0.0)
+    below = _below(xs, -1.0, side)
+    middle = ~below & _below(xs, 0.0, side)
     for on, (s_on, t_on) in zip((middle, ~(below | middle)), _st_branches(alpha, c)):
         s[on], t[on] = s_on(xs[on]), t_on(xs[on])
     return s, t
@@ -135,16 +132,18 @@ def st_functions(alpha: float, c: float, x: float,
     kink, so evaluation exactly at 0 or -1 requires ``side`` ("left" or
     "right") selecting the one-sided limit.
     """
-    s, t = _st(alpha, c, x, side == "left")
-    if x in (0.0, -1.0) and side not in ("left", "right"):
+    if side is not None:
+        _check_side(side)
+    elif x in (0.0, -1.0):
         raise DomainError(
             f"s and t are discontinuous at {x}; pass side='left' or 'right'")
+    s, t = _st(alpha, c, x, side)
     return float(s), float(t)
 
 
 def st_table(alpha: float, c: float, xs) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (s, t) with the right-limit convention at 0 and -1."""
-    return _st(alpha, c, xs, False)
+    return _st(alpha, c, xs, "right")
 
 
 def solve_threshold(alpha: float, c: float) -> float:
@@ -213,9 +212,7 @@ def _value_setup(alpha: float, c: float) -> tuple[float, Callable, Callable]:
         return np.where(x <= xs, below(x), np.maximum(1.0 + x, 0.0))
 
     def ds(x, side):
-        # the left derivative takes the branch below x* at x* itself
-        low = x <= xs if side == "left" else x < xs
-        return np.where(low, below(x, side), 1.0)
+        return np.where(_below(x, xs, side), below(x, side), 1.0)
 
     return xs, value, ds
 
@@ -265,17 +262,10 @@ class SmoothFitReport:
     verdict: str
 
     def to_doc(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "c": self.c,
-            "x_star": self.x_star,
-            "jump": self.jump,
-            "sigma_atom": self.sigma_atom,
-            "speed_term": self.speed_term,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "verdict": self.verdict,
-        }
+        """Every field but the two one-sided derivatives, in field order."""
+        doc = dict(vars(self))
+        del doc["left_deriv"], doc["right_deriv"]
+        return doc
 
 
 def smooth_fit_report(alpha: float, c: float) -> SmoothFitReport:

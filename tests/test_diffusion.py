@@ -20,6 +20,9 @@ from diffstop.diffusion import (
     speed_of_set,
 )
 from diffstop.errors import DomainError, ParameterError
+from diffstop.representation import green_candidate
+from diffstop.stopping import (default_reward, solve_threshold, st_functions, st_table,
+                               value_candidate)
 
 
 class TestConstruction:
@@ -345,3 +348,74 @@ class TestHittingLaplace:
         vals = [hitting_laplace(spec, 0.3, x, 1.0) for x in (-3.0, -1.0, 0.0, 0.5)]
         assert all(0 < v < 1 for v in vals)
         assert vals == sorted(vals)   # closer in scale => larger transform
+
+
+def _st_side(alpha, c, i, side):
+    """s (i = 0) or t (i = 1) on one side; st_table is the array form of
+    the right side, st_functions the scalar form of both."""
+    def ev(x):
+        if np.ndim(x):
+            return st_table(alpha, c, x)[i]
+        return st_functions(alpha, c, x, side)[i]
+    return ev
+
+
+def _kink_cases():
+    """(id, left evaluator, right evaluator, kink, whether the sides differ
+    there): every one-sided evaluator of the package at its kink."""
+    cases = []
+    for mu in (0.0, -0.3):
+        fs = fundamental(make_sticky_bm(mu, 1.0), 0.5)
+        for name in ("psi", "phi"):
+            ds = getattr(fs, f"{name}_ds")
+            cases += [(f"{name}_dx-mu{mu}", getattr(fs, f"{name}_dx_left"),
+                       getattr(fs, f"{name}_dx_right"), 0.0, True),
+                      (f"{name}_ds-mu{mu}", lambda x, ds=ds: ds(x, "left"),
+                       lambda x, ds=ds: ds(x, "right"), 0.0, True)]
+    for spec, y0 in ((make_sticky_bm(0.0, 1.0), 0.7), (make_sticky_bm(-0.3, 1.0), 0.0),
+                     (make_reflected_killed_bm(), 0.4)):
+        g = green_candidate(spec, 0.5, y0)
+        cases.append((f"green-{spec.family.value}-pole{y0}", g.ds_left, g.ds_right, y0, True))
+    # x* = 0 at alpha = 0.25; at alpha = 0.1 (x* > 0) and 0.8 (x* < 0) smooth
+    # fit holds at x*, and at alpha = 0.1 the value kinks at the speed atom
+    for alpha, at_atom in ((0.25, True), (0.1, True), (0.1, False), (0.8, False)):
+        v = value_candidate(alpha, 1.0)
+        z = 0.0 if at_atom else solve_threshold(alpha, 1.0)
+        cases.append((f"value-a{alpha}-at{z:.6g}", v.ds_left, v.ds_right, z, at_atom))
+    r = default_reward()
+    cases.append(("reward", r.dx_left, r.dx_right, -1.0, True))
+    for z in (0.0, -1.0):
+        for i, name in enumerate("st"):
+            cases.append((f"{name}-at{z}", _st_side(0.3, 1.0, i, "left"),
+                          _st_side(0.3, 1.0, i, "right"), z, True))
+    return cases
+
+
+_KINK_CASES = _kink_cases()
+
+
+class TestKinkConvention:
+    """At a kink a left derivative takes the branch below it and a right
+    derivative the branch above it."""
+
+    @pytest.mark.parametrize("case", _KINK_CASES, ids=lambda case: case[0])
+    def test_left_takes_branch_below_right_branch_above(self, case):
+        _, left, right, z, differs = case
+        h = 1e-9 * (1.0 + abs(z))
+        below, above = z - h, z + h
+        # off the kink both sides are one branch, bit for bit
+        assert left(below) == right(below) and left(above) == right(above)
+        assert left(z) == pytest.approx(right(below), rel=1e-6, abs=1e-6)
+        assert right(z) == pytest.approx(left(above), rel=1e-6, abs=1e-6)
+        assert (abs(left(z) - right(z)) > 1e-3) == differs
+
+    @pytest.mark.parametrize("case", _KINK_CASES, ids=lambda case: case[0])
+    def test_scalar_and_array_calls_agree(self, case):
+        name, left, right, z, _ = case
+        xs = np.array([z - 1e-9 * (1.0 + abs(z)), z, z + 1e-9 * (1.0 + abs(z))])
+        # st_functions takes scalars only; st_table holds its right side
+        for ev in (right,) if name[:2] in ("s-", "t-") else (left, right):
+            got = ev(xs)
+            assert isinstance(got, np.ndarray)
+            assert got.tolist() == [ev(x) for x in xs.tolist()]
+            assert type(ev(z)) is float

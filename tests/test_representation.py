@@ -798,10 +798,13 @@ class TestCoefficients:
     def points(case):
         spec, alpha, cand = case
         inner = [z for z in cand.kinks if spec.interval.left < z < spec.interval.right]
+        # the fourth right sample of the document, as measure_to_doc places it
+        span = 8.0 * max(1.0, abs(cand.x0))
+        on_sample = np.linspace(cand.x0, min(spec.interval.right, cand.x0 + span), 65)[3]
         if spec is RK:
-            return sorted({*inner, 0.05, 0.3, 0.6, 0.9})
+            return sorted({*inner, on_sample, 0.05, 0.3, 0.6, 0.9})
         # -20, -9.5, 12 and 25 lie beyond a document's samples
-        return sorted({*inner, -20.0, -9.5, -2.5, -0.6, 0.4, 1.1, 2.5, 12.0, 25.0})
+        return sorted({*inner, on_sample, -20.0, -9.5, -2.5, -0.6, 0.4, 1.1, 2.5, 12.0, 25.0})
 
     @pytest.mark.parametrize("case", FAMILIES, ids=_family_id)
     def test_reconstruct_matches_parent(self, case):

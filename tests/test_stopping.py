@@ -57,6 +57,17 @@ class TestSTFunctions:
         with pytest.raises(DomainError):
             st_functions(0.25, 1.0, -1.0)
 
+    @pytest.mark.parametrize("x", [0.5, 0.0, -1.0])
+    def test_unknown_side_is_one_parameter_error(self, x):
+        # the check of psi_ds and f_derivative, at a kink or away from it
+        msg = "side must be 'left' or 'right', got 'up'"
+        with pytest.raises(ParameterError, match=msg):
+            st_functions(0.3, 1.0, x, side="up")
+        with pytest.raises(ParameterError, match=msg):
+            fundamental(make_sticky_bm(0.0, 1.0), 0.3).psi_ds(x, "up")
+        with pytest.raises(ParameterError, match=msg):
+            f_derivative(lambda y: y, lambda y: y, x, "up")
+
     def test_monotonicity_and_limits(self):
         alpha, c = 0.25, 1.0
         xs = np.linspace(-0.999, 14.0, 3000)
