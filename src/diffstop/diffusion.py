@@ -135,22 +135,26 @@ def _values(u: Callable, ys: np.ndarray) -> np.ndarray:
 class DiffusionSpec:
     """Closed-form description of one diffusion family instance.
 
-    ``mu`` is the drift (1/time, <= 0 where applicable) and ``c`` the
-    stickiness (time/space, > 0 for sticky_bm, 0 otherwise).  ``speed_atoms``
-    lists (location, weight) pairs of the point part of the speed measure.
+    ``mu`` is the drift (1/time, <= 0 where applicable), which scale and speed
+    follow alone.  ``speed_atoms`` lists (location, weight) pairs of the point
+    part of the speed measure, the one statement of stickiness.
     """
 
     family: Family
     interval: Interval
     mu: float = 0.0
-    c: float = 0.0
     speed_atoms: tuple[tuple[float, float], ...] = ()
+
+    @property
+    def c(self) -> float:
+        """The stickiness (time/space): half the speed atom at 0, or 0.0."""
+        return 0.5 * self.speed_atom_at(0.0)
 
     # -- scale ------------------------------------------------------------
     @property
     def identity_scale(self) -> bool:
         """True when the scale function is S(x) = x."""
-        return self.family is Family.REFLECTED_KILLED_BM or self.mu == 0.0
+        return self.mu == 0.0
 
     @_scalar_aware
     def scale(self, x):
@@ -180,8 +184,6 @@ class DiffusionSpec:
     # -- speed ------------------------------------------------------------
     @_scalar_aware
     def speed_density(self, x):
-        if self.family is Family.REFLECTED_KILLED_BM:
-            return np.full_like(x, 2.0)
         return 2.0 * np.exp(2.0 * self.mu * x)
 
     @_scalar_aware
@@ -218,34 +220,22 @@ def make_sticky_bm(mu: float = 0.0, c: float = 1.0) -> DiffusionSpec:
     """Brownian motion with drift mu <= 0, sticky at the origin."""
     if not (math.isfinite(mu) and mu <= 0.0):
         raise ParameterError(f"sticky_bm requires drift mu <= 0, got {mu}")
-    if not (math.isfinite(c) and c > 0.0):
-        raise ParameterError(f"sticky_bm requires stickiness c > 0, got {c}")
-    return DiffusionSpec(
-        family=Family.STICKY_BM,
-        interval=Interval(-math.inf, math.inf),
-        mu=mu,
-        c=c,
-        speed_atoms=((0.0, 2.0 * c),),
-    )
+    if not (c > 0.0 and math.isfinite(2.0 * c)):    # so that c is the atom 2c halved
+        raise ParameterError(f"sticky_bm requires stickiness 0 < 2c < inf, got {c}")
+    return DiffusionSpec(Family.STICKY_BM, Interval(-math.inf, math.inf), mu, ((0.0, 2.0 * c),))
 
 
 def make_reflected_killed_bm() -> DiffusionSpec:
     """Brownian motion on [0, 1), reflected at 0 and killed at 1."""
-    return DiffusionSpec(
-        family=Family.REFLECTED_KILLED_BM,
-        interval=Interval(0.0, 1.0, BoundaryKind.REFLECTING, BoundaryKind.KILLING),
-    )
+    return DiffusionSpec(Family.REFLECTED_KILLED_BM,
+                         Interval(0.0, 1.0, BoundaryKind.REFLECTING, BoundaryKind.KILLING))
 
 
 def make_drift_bm(mu: float) -> DiffusionSpec:
     """Transient Brownian motion with strictly negative drift."""
     if not (math.isfinite(mu) and mu < 0.0):
         raise ParameterError(f"drift_bm requires mu < 0, got {mu}")
-    return DiffusionSpec(
-        family=Family.DRIFT_BM,
-        interval=Interval(-math.inf, math.inf),
-        mu=mu,
-    )
+    return DiffusionSpec(Family.DRIFT_BM, Interval(-math.inf, math.inf), mu)
 
 
 def make_spec(family: str | Family, *, mu: float = 0.0, c: float = 1.0) -> DiffusionSpec:
@@ -454,6 +444,7 @@ def fundamental(spec: DiffusionSpec, alpha: float) -> FundamentalSolutions:
     Positive discount: supported for sticky_bm and reflected_killed_bm.
     Zero discount: supported only for drift_bm (transient); recurrent
     families have no nonconstant 0-excessive functions and are rejected.
+    A spec that ``make_spec`` would not build raises :class:`ParameterError`.
 
     There is one object per (spec, alpha): results are memoised, so callers
     may ask again rather than pass the pair around.
@@ -465,6 +456,13 @@ def fundamental(spec: DiffusionSpec, alpha: float) -> FundamentalSolutions:
 def _fundamental(spec: DiffusionSpec, alpha: float) -> FundamentalSolutions:
     if not math.isfinite(alpha) or alpha < 0.0:
         raise ParameterError(f"discount rate must be >= 0, got {alpha}")
+    try:    # the closed forms read mu and the atom at 0 alone
+        built = make_spec(spec.family, mu=spec.mu, c=spec.c)
+    except ParameterError:
+        built = None
+    if built != spec:
+        raise ParameterError(f"{spec.family.value!r} has closed forms only for the specs "
+                             f"that make_spec builds, not for {spec}")
     if alpha == 0.0:
         if spec.family is Family.DRIFT_BM:
             return _drift_zero_solutions(spec)

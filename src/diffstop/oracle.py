@@ -120,7 +120,8 @@ class ChainModel:
 
 def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
                reward: Callable | None = None) -> ChainModel:
-    """Uniform-in-x grid of n nodes, snapped so every speed atom is a node.
+    """Uniform-in-x grid of n nodes, snapped so every speed atom is an
+    interior node (else :class:`DomainError`).
 
     Node masses integrate the speed density exactly over the surrounding
     half-cells and add the atom weight at the atom's node; they and the
@@ -138,14 +139,14 @@ def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
         raise DomainError(f"window [{lower}, {upper}] outside the interval")
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise DomainError(f"window [{lower}, {upper}] is not finite")
-    for loc, _ in spec.speed_atoms:
-        if not (lower < loc < upper):
-            raise DomainError(f"speed atom at {loc} outside window "
-                              f"[{lower}, {upper}]")
     nodes = np.linspace(lower, upper, n)
     at = []
     for loc, _ in spec.speed_atoms:
+        # an atom outside the window or near its end lands on an edge node, which has no rates
         at.append(int(np.argmin(np.abs(nodes - loc))))
+        if at[-1] in (0, n - 1):
+            raise DomainError(f"speed atom at {loc} must snap onto an interior node of "
+                              f"window [{lower}, {upper}] at n = {n}")
         nodes[at[-1]] = loc
     if np.any(np.diff(nodes) <= 0):
         raise ParameterError("atom snapping collapsed the grid; increase n")

@@ -105,7 +105,7 @@ class ExcessiveCandidate:
 
     ``kinks`` lists every point where the one-sided derivatives may differ;
     the representing-measure machinery probes exactly these points (plus the
-    speed atoms) for atoms of the measure.
+    speed atoms, which :func:`_candidate` lists) for atoms of the measure.
     """
 
     value: Callable
@@ -114,6 +114,15 @@ class ExcessiveCandidate:
     x0: float
     kinks: tuple[float, ...] = ()
     label: str = ""
+
+
+def _candidate(spec: DiffusionSpec, value: Callable, ds: Callable, x0: float,
+               kinks: tuple[float, ...] = (), label: str = "") -> ExcessiveCandidate:
+    """The one builder of an :class:`ExcessiveCandidate`: ``ds(x, side)`` gives
+    both one-sided scale derivatives, and the speed atoms join ``kinks``."""
+    return ExcessiveCandidate(value, *(_scalar_aware(lambda x, s=side: ds(x, s))
+                                       for side in ("right", "left")),
+                              x0, tuple(sorted({*kinks, *spec.atom_locations})), label)
 
 
 def green_candidate(spec: DiffusionSpec, alpha: float, y0: float,
@@ -128,47 +137,28 @@ def green_candidate(spec: DiffusionSpec, alpha: float, y0: float,
         return np.where(_below(x, y0, side), fs.psi_ds(x, side) * phi_y0,
                         psi_y0 * fs.phi_ds(x, side)) / w
 
-    kinks = tuple(sorted({y0, *spec.atom_locations}))
-    return ExcessiveCandidate(lambda x: fs.green(x, y0),
-                              _scalar_aware(lambda x: ds(x, "right")),
-                              _scalar_aware(lambda x: ds(x, "left")), x0, kinks,
-                              label=f"green(. , {y0})")
-
-
-def _solution_candidate(spec: DiffusionSpec, alpha: float, x0: float,
-                        name: str) -> ExcessiveCandidate:
-    """psi or phi, by ``name``, with its one-sided scale derivatives."""
-    fs = fundamental(spec, alpha)
-    f_ds = getattr(fs, f"{name}_ds")
-    return ExcessiveCandidate(getattr(fs, name), lambda x: f_ds(x, "right"),
-                              lambda x: f_ds(x, "left"), x0, spec.atom_locations,
-                              label=name)
+    return _candidate(spec, lambda x: fs.green(x, y0), ds, x0, (y0,), f"green(. , {y0})")
 
 
 def psi_candidate(spec: DiffusionSpec, alpha: float, x0: float = 0.0) -> ExcessiveCandidate:
-    return _solution_candidate(spec, alpha, x0, "psi")
+    fs = fundamental(spec, alpha)
+    return _candidate(spec, fs.psi, fs.psi_ds, x0, label="psi")
 
 
 def phi_candidate(spec: DiffusionSpec, alpha: float, x0: float = 0.0) -> ExcessiveCandidate:
-    return _solution_candidate(spec, alpha, x0, "phi")
+    fs = fundamental(spec, alpha)
+    return _candidate(spec, fs.phi, fs.phi_ds, x0, label="phi")
 
 
 def candidate_from_callable(spec: DiffusionSpec, fn: Callable, x0: float,
                             kinks: tuple[float, ...] = (),
                             label: str = "") -> ExcessiveCandidate:
     """Wrap a plain callable, deriving one-sided scale derivatives numerically."""
-    all_kinks = tuple(sorted({*kinks, *spec.atom_locations}))
-
-    def ds_side(x, side):
+    def ds(x, side):
         return np.reshape([f_derivative(fn, spec.scale, z, side)
                            for z in x.ravel().tolist()], x.shape)
 
-    return ExcessiveCandidate(
-        fn,
-        _scalar_aware(lambda x: ds_side(x, "right")),
-        _scalar_aware(lambda x: ds_side(x, "left")),
-        x0, all_kinks, label=label or getattr(fn, "__name__", "candidate"),
-    )
+    return _candidate(spec, fn, ds, x0, kinks, label or getattr(fn, "__name__", "candidate"))
 
 
 # ---------------------------------------------------------------------------
@@ -995,8 +985,10 @@ def measure_from_doc(doc: dict, spec: DiffusionSpec) -> RepresentingMeasure:
 
     Atoms are restored exactly; the absolutely continuous part becomes a
     piecewise-linear interpolant of the stored samples.  A document with a
-    missing field, or with a ``kind`` other than "martin" and "riesz",
-    raises :class:`ParameterError` naming the field.
+    missing field, a ``kind`` other than "martin" and "riesz", a non-finite
+    number, or decreasing atom or sample locations raises
+    :class:`ParameterError` naming the field; an x0 outside the state space
+    raises :class:`DomainError`, as in :func:`martin_measure`.
     """
     try:
         kind = doc["kind"]
@@ -1017,6 +1009,18 @@ def measure_from_doc(doc: dict, spec: DiffusionSpec) -> RepresentingMeasure:
     if kind not in ("martin", "riesz"):
         raise ParameterError(f"measure document field 'kind' is {kind!r}; "
                              "expected 'martin' or 'riesz'")
+    # a Riesz measure has no total mass
+    for name, value in (("x0", x0), ("normalization", normalization),
+                        ("total_mass", total if kind == "martin" else 0.0),
+                        ("mass_left_boundary", mass_left), ("mass_right_boundary", mass_right),
+                        ("atoms", np.reshape(atoms, (-1, 2))), ("tail_samples.left", left_samples),
+                        ("tail_samples.right", right_samples)):
+        if not np.isfinite(value).all():
+            raise ParameterError(f"measure document field {name!r} holds a non-finite number")
+        if isinstance(value, np.ndarray) and (value[1:, 0] < value[:-1, 0]).any():
+            raise ParameterError(f"measure document field {name!r} has decreasing locations")
+    if not spec.interval.contains(x0):
+        raise DomainError(f"normalization point {x0} outside the state space")
 
     def ac_left(y):
         return np.interp(y, left_samples[:, 0], left_samples[:, 1])

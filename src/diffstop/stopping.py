@@ -76,14 +76,23 @@ def default_reward() -> Reward:
     return Reward(value, dx("left"), dx("right"))
 
 
+def _check_stickiness(c: float):
+    if not 0.0 < c < math.inf:
+        raise ParameterError(f"stickiness must be positive, got {c}")
+
+
+def _check_rates(alpha: float, c: float):
+    if not (0.0 < alpha < math.inf and 0.0 < c < math.inf):
+        raise ParameterError("alpha and c must be positive")
+
+
 def alpha_thresholds(c: float) -> tuple[float, float]:
     """(alpha1, alpha2): the discount range with threshold at the sticky point.
 
     alpha1 solves t(0+) = 0, i.e. c k^2 + k - 1 = 0 with k = sqrt(2 alpha):
     alpha1 = (sqrt(1 + 4c) - 1)^2 / (8 c^2).  At c = 1 this is (3 - sqrt 5)/4.
     """
-    if c <= 0:
-        raise ParameterError(f"stickiness must be positive, got {c}")
+    _check_stickiness(c)
     k1 = (math.sqrt(1.0 + 4.0 * c) - 1.0) / (2.0 * c)
     return 0.5 * k1 * k1, 0.5
 
@@ -113,8 +122,7 @@ def _st(alpha: float, c: float, xs, side) -> tuple[np.ndarray, np.ndarray]:
     (:func:`_below`; the right ones for None).  Each branch is evaluated on
     its own points only, so no branch overflows off its side; a NaN x gives
     NaN."""
-    if alpha <= 0 or c <= 0:
-        raise ParameterError("alpha and c must be positive")
+    _check_rates(alpha, c)
     xs = np.asarray(xs, dtype=float)
     s, t = np.zeros_like(xs), np.zeros_like(xs)     # below -1, where g = 0
     below = _below(xs, -1.0, side)
@@ -124,21 +132,20 @@ def _st(alpha: float, c: float, xs, side) -> tuple[np.ndarray, np.ndarray]:
     return s, t
 
 
-def st_functions(alpha: float, c: float, x: float,
-                 side: str | None = None) -> tuple[float, float]:
-    """(s(x), t(x)) for the driftless sticky problem.
+def st_functions(alpha: float, c: float, x, side: str | None = None) -> tuple:
+    """(s(x), t(x)) of the driftless sticky problem: floats for a scalar x, arrays for an array.
 
     Both functions are discontinuous at the sticky point and at the reward
     kink, so evaluation exactly at 0 or -1 requires ``side`` ("left" or
     "right") selecting the one-sided limit.
     """
+    x = np.asarray(x, dtype=float)
     if side is not None:
         _check_side(side)
-    elif x in (0.0, -1.0):
-        raise DomainError(
-            f"s and t are discontinuous at {x}; pass side='left' or 'right'")
+    elif (at := x[np.isin(x, (0.0, -1.0))]).size:
+        raise DomainError(f"s and t are discontinuous at {at[0]}; pass side='left' or 'right'")
     s, t = _st(alpha, c, x, side)
-    return float(s), float(t)
+    return (s, t) if x.ndim else (float(s), float(t))
 
 
 def st_table(alpha: float, c: float, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -155,8 +162,7 @@ def solve_threshold(alpha: float, c: float) -> float:
     left limit puts the root on (-1, 0) where the closed form 1/k - 1
     applies; otherwise t has no root and the threshold is the sticky point.
     """
-    if alpha <= 0 or c <= 0:
-        raise ParameterError("alpha and c must be positive")
+    _check_rates(alpha, c)
     k = math.sqrt(2.0 * alpha)
     t_left_limit = k - 1.0
     t_right_limit = k - 1.0 + 2.0 * alpha * c
@@ -228,15 +234,13 @@ def value_candidate(alpha: float, c: float, x0: float | None = None) -> Excessiv
     The default normalization point sits strictly above both the threshold
     and the sticky point, max(0, x*) + 1.
     """
-    from .representation import ExcessiveCandidate
+    from .representation import _candidate
 
     xs, value, ds = _value_setup(alpha, c)
+    spec = make_sticky_bm(0.0, c)
     if x0 is None:
-        x0 = max(0.0, xs) + 1.0
-    kinks = tuple(sorted({0.0, xs}))
-    return ExcessiveCandidate(value, _scalar_aware(lambda x: ds(x, "right")),
-                              _scalar_aware(lambda x: ds(x, "left")), float(x0), kinks,
-                              label=f"value(alpha={alpha}, c={c})")
+        x0 = max(xs, *spec.atom_locations) + 1.0
+    return _candidate(spec, value, ds, float(x0), (xs,), f"value(alpha={alpha}, c={c})")
 
 
 @dataclass(frozen=True)
@@ -347,8 +351,7 @@ def solve_alpha_zero(mu: float, c: float = 1.0) -> AlphaZeroSolution:
     if not (math.isfinite(mu) and mu < 0.0):
         raise ParameterError(
             f"undiscounted problem needs transience: mu < 0, got {mu}")
-    if c <= 0:
-        raise ParameterError(f"stickiness must be positive, got {c}")
+    _check_stickiness(c)
     rate = -2.0 * mu
     threshold = 1.0 / rate - 1.0
     g_at = 1.0 + threshold

@@ -305,3 +305,12 @@ class TestErrorPaths:
                                "--family", "absorbing_bm")
         assert code == 1
         assert json.loads(err)["error"]["type"] == "ParameterError"
+
+    @pytest.mark.parametrize("command", ["solve", "plot-data"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_alpha_stops_at_the_stopping_check(self, command, bad):
+        # a separate process, so that a warning shows on stderr
+        proc = run_process(command, "--alpha", bad, "--c", "1")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr) == {"error": {
+            "type": "ParameterError", "message": "alpha and c must be positive"}}

@@ -1,5 +1,6 @@
 """Scale/speed/fundamental-solution behavior of the three families."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from diffstop.diffusion import (
     BoundaryKind,
+    DiffusionSpec,
     Family,
     Interval,
     fundamental,
@@ -97,6 +99,58 @@ class TestConstruction:
         assert not spec.interval.contains(1.0)   # killing, excluded
         assert spec.interval.left_kind is BoundaryKind.REFLECTING
         assert Interval(-1.0, 2.0, right_kind=BoundaryKind.REFLECTING).contains(2.0)
+
+
+# hand-built driftless Brownian motion with speed atoms at -1 and 1
+TWO_ATOMS = DiffusionSpec(Family.STICKY_BM, Interval(-math.inf, math.inf),
+                          speed_atoms=((-1.0, 0.8), (1.0, 3.0)))
+
+
+class TestStickinessInAtoms:
+    def test_spec_states_stickiness_only_in_its_atoms(self):
+        assert [f.name for f in dataclasses.fields(DiffusionSpec)] == \
+            ["family", "interval", "mu", "speed_atoms"]
+        assert make_sticky_bm(-0.3, 0.7).c == 0.7
+        assert make_reflected_killed_bm().c == 0.0 and make_drift_bm(-1.0).c == 0.0
+        assert TWO_ATOMS.c == 0.0
+
+    @pytest.mark.parametrize("c", [5e-324, 1e-300, 0.1, 1.0 / 3.0, 1e300, 8.98e307])
+    def test_c_is_half_the_atom_exactly(self, c):
+        spec = make_sticky_bm(0.0, c)
+        assert spec.speed_atoms == ((0.0, 2.0 * c),) and spec.c == c
+
+    @pytest.mark.parametrize("c", [1e308, math.inf, math.nan])
+    def test_stickiness_with_an_infinite_atom_rejected(self, c):
+        with pytest.raises(ParameterError, match="stickiness"):
+            make_sticky_bm(0.0, c)
+
+    def test_scale_and_speed_follow_mu_alone(self):
+        drifting = dataclasses.replace(make_reflected_killed_bm(), mu=-0.5)
+        assert not drifting.identity_scale
+        assert drifting.speed_density(0.3) == 2.0 * math.exp(-0.3)
+        assert drifting.scale(0.3) == math.exp(0.3) - 1.0
+
+    @pytest.mark.parametrize("spec, alpha", [
+        (TWO_ATOMS, 0.3),
+        (DiffusionSpec(Family.REFLECTED_KILLED_BM, Interval(-math.inf, math.inf)), 0.3),
+        (dataclasses.replace(make_reflected_killed_bm(), mu=-0.5), 0.3),
+        (dataclasses.replace(make_sticky_bm(0.0, 1.0), mu=0.2), 0.3),
+        (dataclasses.replace(make_sticky_bm(0.0, 1.0), speed_atoms=()), 0.3),
+        (dataclasses.replace(make_drift_bm(-0.5), speed_atoms=((0.0, 2.0),)), 0.0),
+    ], ids=["two-atoms", "reflected-killed-on-line", "reflected-killed-drift",
+            "sticky-positive-drift", "sticky-no-atom", "drift-with-atom"])
+    def test_fundamental_refuses_a_spec_its_maker_would_not_build(self, spec, alpha):
+        # the closed forms read mu and the atom at 0 only, so any other spec
+        # would get another diffusion's solutions without a word
+        with pytest.raises(ParameterError, match=f"'{spec.family.value}' has closed forms"):
+            fundamental(spec, alpha)
+
+    @pytest.mark.parametrize("spec", [make_sticky_bm(-0.3, 2.0), make_reflected_killed_bm(),
+                                      make_drift_bm(-0.5)])
+    def test_fundamental_accepts_an_equal_hand_built_spec(self, spec):
+        alpha = 0.0 if spec.family is Family.DRIFT_BM else 0.4
+        twin = DiffusionSpec(spec.family, spec.interval, spec.mu, spec.speed_atoms)
+        assert fundamental(twin, alpha).wronskian == fundamental(spec, alpha).wronskian
 
 
 class TestSpeedOfSet:

@@ -4,6 +4,7 @@ import dataclasses
 import decimal
 import math
 import pickle
+import re
 import tracemalloc
 import warnings
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from diffstop import oracle
-from diffstop.diffusion import (Family, make_drift_bm,
+from diffstop.diffusion import (DiffusionSpec, Family, Interval, make_drift_bm,
                                 make_reflected_killed_bm, make_sticky_bm)
 from diffstop.errors import ConvergenceError, DomainError, ParameterError
 from diffstop.oracle import (_continuation, _edge_roots, _harmonic_logs,
@@ -178,7 +179,7 @@ class TestDiscretize:
     def test_window_and_size_validation(self):
         with pytest.raises(ParameterError):
             discretize(STICKY, -5.0, 5.0, 49)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="speed atom at 0.0 must snap onto an interior"):
             discretize(STICKY, 0.5, 5.0, 101)    # atom outside window
         rk = __import__("diffstop").make_reflected_killed_bm()
         with pytest.raises(DomainError):
@@ -191,6 +192,26 @@ class TestDiscretize:
                     discretize(STICKY, lo, hi, 100)
             with pytest.raises(DomainError, match="outside the interval"):
                 discretize(STICKY, np.nan, 6.0, 100)
+
+    @pytest.mark.parametrize("lo, hi", [(-0.0005, 6.0), (-6.0, 0.0005)])
+    def test_atom_on_a_truncation_node_rejected(self, lo, hi):
+        # at n = 4001 the atom at 0 lies nearest the edge node, which has no
+        # rates: snapped there it would read as the window's end
+        with pytest.raises(DomainError, match=re.escape(
+                f"speed atom at 0.0 must snap onto an interior node of window [{lo}, {hi}] "
+                "at n = 4001")):
+            discretize(STICKY, lo, hi, 4001)
+
+    def test_hand_built_two_atom_spec_solves(self):
+        # fundamental refuses this spec, but the chain reads the atoms alone
+        spec = DiffusionSpec(Family.STICKY_BM, Interval(-math.inf, math.inf),
+                             speed_atoms=((-1.0, 0.8), (1.0, 3.0)))
+        chain = discretize(spec, -12.0, 12.0, 2001)
+        for loc, w in spec.speed_atoms:
+            i = chain.node_index(loc)
+            h = chain.nodes[i + 1] - chain.nodes[i - 1]
+            assert chain.node_mass[i] == pytest.approx(h + w, rel=1e-12)
+        assert solve_chain_stopping(chain, 0.3).residual <= 1e-12
 
     def test_scalar_reward_broadcast(self):
         # a reward that returns a scalar is one value on every node

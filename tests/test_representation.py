@@ -158,6 +158,24 @@ class TestMartinMeasure:
                 ds_left=g.ds_left, x0=0.0, kinks=g.kinks))
 
 
+class TestCandidateBuilder:
+    @pytest.mark.parametrize("cand, kinks", [
+        (green_candidate(STICKY, 0.3, 0.5), (0.0, 0.5)),
+        (green_candidate(STICKY, 0.3, 0.0), (0.0,)),
+        (green_candidate(make_reflected_killed_bm(), 0.3, 0.5), (0.5,)),
+        (psi_candidate(STICKY, 0.3), (0.0,)),
+        (phi_candidate(make_reflected_killed_bm(), 0.3, x0=0.5), ()),
+        (value_candidate(0.1, 1.0), (0.0, 0.8976069230774729)),
+        (value_candidate(0.3, 1.0), (0.0,)),
+        (value_candidate(0.8, 1.0), (1.0 / math.sqrt(1.6) - 1.0, 0.0)),
+        (candidate_from_callable(STICKY, np.cosh, 0.5, kinks=(1.0, 0.0)), (0.0, 1.0)),
+    ], ids=["green", "green-at-atom", "green-rk", "psi", "phi-rk", "value-0.1",
+            "value-0.3", "value-0.8", "callable"])
+    def test_kinks_hold_the_speed_atoms_once_in_order(self, cand, kinks):
+        assert cand.kinks == pytest.approx(kinks, rel=1e-15)
+        assert list(cand.kinks) == sorted(set(cand.kinks))
+
+
 def _combination(a, b, eps, kinks):
     """The candidate a - eps * b, normalized at a's x0, with the given kinks."""
     return ExcessiveCandidate(lambda x: a.value(x) - eps * b.value(x),
@@ -1458,6 +1476,69 @@ class TestSerialization:
         del doc[key]
         with pytest.raises(ParameterError, match=f"'{key}'"):
             measure_from_doc(doc, STICKY)
+
+    @staticmethod
+    def value_doc(kind="martin"):
+        m = martin_measure(STICKY, 0.3, value_candidate(0.3, 1.0))
+        return measure_to_doc(m if kind == "martin" else riesz_from_martin(m, STICKY, 0.3))
+
+    @pytest.mark.parametrize("kind", ["martin", "riesz"])
+    @pytest.mark.parametrize("field, edit", [
+        ("x0", lambda d: d.update(x0=math.nan)),
+        ("normalization", lambda d: d.update(normalization=math.inf)),
+        ("mass_left_boundary", lambda d: d.update(mass_left_boundary=-math.inf)),
+        ("mass_right_boundary", lambda d: d.update(mass_right_boundary=math.nan)),
+        ("atoms", lambda d: d["atoms"][0].update(weight=math.nan)),
+        ("atoms", lambda d: d["atoms"][0].update(location=math.inf)),
+        ("tail_samples.left", lambda d: d["tail_samples"]["left"][5].__setitem__(0, -math.inf)),
+        ("tail_samples.right", lambda d: d["tail_samples"]["right"][3].__setitem__(1, math.nan)),
+    ], ids=["x0", "normalization", "mass_left", "mass_right", "atom-weight",
+            "atom-location", "left-abscissa", "right-value"])
+    def test_non_finite_number_rejected(self, kind, field, edit):
+        doc = self.value_doc(kind)
+        edit(doc)
+        with pytest.raises(ParameterError, match=f"'{field}' holds a non-finite number"):
+            measure_from_doc(doc, STICKY)
+
+    def test_non_finite_martin_total_rejected(self):
+        doc = self.value_doc()
+        doc["total_mass"] = math.nan
+        with pytest.raises(ParameterError, match="'total_mass' holds a non-finite number"):
+            measure_from_doc(doc, STICKY)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_decreasing_sample_locations_rejected(self, side):
+        # np.interp would read reversed samples as another cumulative
+        doc = self.value_doc()
+        doc["tail_samples"][side].reverse()
+        with pytest.raises(ParameterError, match=f"'tail_samples.{side}' has decreasing"):
+            measure_from_doc(doc, STICKY)
+
+    def test_atoms_out_of_location_order_rejected(self):
+        # the atom sums search the locations, so they must be sorted
+        doc = self.value_doc()
+        assert [a["location"] for a in doc["atoms"]] == [0.0]
+        doc["atoms"].append({"location": -0.5, "weight": 0.0})
+        with pytest.raises(ParameterError, match="'atoms' has decreasing locations"):
+            measure_from_doc(doc, STICKY)
+
+    def test_x0_outside_the_state_space_rejected(self):
+        rk = make_reflected_killed_bm()
+        doc = measure_to_doc(martin_measure(rk, 0.5, phi_candidate(rk, 0.5, x0=0.5)))
+        doc["x0"] = 1.0     # the killing endpoint is not in the state space
+        with pytest.raises(DomainError,
+                           match=re.escape("normalization point 1.0 outside the state space")):
+            measure_from_doc(doc, rk)
+
+    def test_equal_sample_locations_allowed(self):
+        # from x0 at an included endpoint, every sample on that side sits there
+        rk = make_reflected_killed_bm()
+        cand = green_candidate(rk, 0.5, 0.6, x0=0.0)
+        doc = measure_to_doc(martin_measure(rk, 0.5, cand))
+        assert {t for t, _ in doc["tail_samples"]["left"]} == {0.0}
+        back = measure_from_doc(doc, rk)
+        assert reconstruct(back, rk, 0.5, 0.3) == \
+            pytest.approx(cand.value(0.3) / cand.value(0.0), abs=1e-3)
 
     def test_riesz_doc_round_trip_pure_atom(self):
         rk = make_reflected_killed_bm()

@@ -57,6 +57,26 @@ class TestSTFunctions:
         with pytest.raises(DomainError):
             st_functions(0.25, 1.0, -1.0)
 
+    @pytest.mark.parametrize("side", ["left", "right", None])
+    def test_arrays_give_arrays_and_scalars_floats(self, side):
+        xs = np.array([-1.5, -0.4, 0.1, 0.2, 3.0])
+        s, t = st_functions(0.3, 1.0, xs, side)
+        assert isinstance(s, np.ndarray) and isinstance(t, np.ndarray)
+        for i, x in enumerate(xs.tolist()):
+            got = st_functions(0.3, 1.0, x, side)
+            assert type(got[0]) is float and type(got[1]) is float
+            assert got == (s[i], t[i])
+
+    def test_array_with_right_side_is_st_table(self):
+        xs = np.linspace(-2.0, 2.0, 41)     # holds -1 and 0
+        for got, want in zip(st_functions(0.3, 1.0, xs, side="right"), st_table(0.3, 1.0, xs)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("x", [0.0, -1.0])
+    def test_array_needs_side_at_discontinuities(self, x):
+        with pytest.raises(DomainError, match=f"discontinuous at {x}"):
+            st_functions(0.3, 1.0, np.array([0.5, x, 2.0]))
+
     @pytest.mark.parametrize("x", [0.5, 0.0, -1.0])
     def test_unknown_side_is_one_parameter_error(self, x):
         # the check of psi_ds and f_derivative, at a kink or away from it
@@ -170,6 +190,23 @@ class TestThreshold:
     def test_nonpositive_parameter_rejected(self, call, message):
         with pytest.raises(ParameterError, match=message):
             call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("call, message", [
+        (lambda v: solve_threshold(v, 1.0), "alpha and c must be positive"),
+        (lambda v: solve_threshold(0.3, v), "alpha and c must be positive"),
+        (lambda v: st_functions(v, 1.0, 0.5), "alpha and c must be positive"),
+        (lambda v: st_table(0.3, v, [0.5]), "alpha and c must be positive"),
+        (lambda v: value_function(v, 1.0, 0.5), "alpha and c must be positive"),
+        (lambda v: alpha_thresholds(v), "stickiness must be positive"),
+        (lambda v: solve_alpha_zero(-0.25, c=v), "stickiness must be positive"),
+    ], ids=["solve_threshold-alpha", "solve_threshold-c", "st_functions-alpha",
+            "st_table-c", "value_function-alpha", "alpha_thresholds-c",
+            "solve_alpha_zero-c"])
+    def test_non_finite_parameter_rejected(self, call, message, bad):
+        # each check is 0 < v < inf, so NaN and inf stop there too
+        with pytest.raises(ParameterError, match=message):
+            call(bad)
 
 
 class TestValueFunction:
