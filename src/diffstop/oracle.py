@@ -67,8 +67,9 @@ is the argmax of log g - log phi.  log psi and log phi themselves come from
 one vectorised scan of the ratio complements, whose recurrences are Moebius
 maps with positive coefficients, so nothing cancels.  A solve forms the
 edge roots, log F = log psi - log phi and alpha + up + down once each.  Its
-working set stays small: the scan builds its coefficients and steps in
-place, and the hull pass keeps its vertices in one index buffer, so no
+working set stays small: the scan takes all of its scratch from one block
+and forms its steps in place, the hull pass keeps its vertices in one index
+buffer, and the policy's values are read one stop segment at a time, so no
 Python object is made per node.
 Everything is deterministic: fixed summation order, no randomness.
 """
@@ -121,7 +122,7 @@ class ChainModel:
 def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
                reward: Callable | None = None) -> ChainModel:
     """Uniform-in-x grid of n nodes, snapped so every speed atom is an
-    interior node (else :class:`DomainError`).
+    interior node of its own (else :class:`DomainError`).
 
     Node masses integrate the speed density exactly over the surrounding
     half-cells and add the atom weight at the atom's node; they and the
@@ -140,15 +141,20 @@ def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise DomainError(f"window [{lower}, {upper}] is not finite")
     nodes = np.linspace(lower, upper, n)
-    at = []
+    at = {}
     for loc, _ in spec.speed_atoms:
-        # an atom outside the window or near its end lands on an edge node, which has no rates
-        at.append(int(np.argmin(np.abs(nodes - loc))))
-        if at[-1] in (0, n - 1):
+        # an atom outside the window or near its end lands on an edge node,
+        # which has no rates; a node holds one atom, else the other is lost
+        i = int(np.argmin(np.abs(nodes - loc)))
+        if i in (0, n - 1):
             raise DomainError(f"speed atom at {loc} must snap onto an interior node of "
                               f"window [{lower}, {upper}] at n = {n}")
-        nodes[at[-1]] = loc
-    if np.any(np.diff(nodes) <= 0):
+        if i in at:
+            raise DomainError(f"speed atoms at {at[i]} and {loc} snap onto the same node "
+                              f"of window [{lower}, {upper}] at n = {n}; increase n")
+        at[i] = nodes[i] = loc
+    h = nodes[1:] - nodes[:-1]
+    if np.any(h <= 0):
         raise ParameterError("atom snapping collapsed the grid; increase n")
 
     edges = np.empty(n + 1)
@@ -163,7 +169,6 @@ def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
     for i, (loc, w) in zip(at, spec.speed_atoms):
         mass[i] += w
         scaled[i] += w * spec.scale_deriv(loc)
-    h = nodes[1:] - nodes[:-1]
     up = 1.0 / (scaled[1:-1] * spec._scale_increment(0.0, h[1:]))
     down = 1.0 / (scaled[1:-1] * spec._scale_increment(-h[:-1], 0.0))
     if not (np.all(np.isfinite(up)) and np.all(up > 0)
@@ -231,38 +236,63 @@ def _continuation(chain: ChainModel, v: np.ndarray, denom: np.ndarray,
 
 
 def _mobius_scan(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                 start: np.ndarray, out: np.ndarray) -> None:
-    """Orbit ``x_i = (a_i x_{i-1} + b_i) / (c_i x_{i-1} + 1)`` of ``x_0 = start``.
+                 start: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """Orbits ``x_i = (a_i x_{i-1} + b_i) / (c_i x_{i-1} + 1)`` of ``x_0 = start``.
 
-    The maps run along the last axis; each row is its own orbit, and
-    ``x_1, x_2, ...`` are written to ``out``.  Adjacent maps are composed in
-    pairs and renormalised to a bottom-right coefficient of 1, the same scan
-    at half the length gives every second point, and one more map fills in
-    the points between: O(n) work in log2(n) array steps.  Each level holds
-    three composed coefficient arrays of half its length and forms the
-    points between in ``out`` itself.  With positive coefficients nothing is
-    subtracted, so no step cancels.
+    The maps run along the rows of the ``(rows, m)`` coefficient arrays,
+    each row its own orbit, and ``x_1, x_2, ...`` are written to ``out``.
+    Adjacent maps are composed in pairs and renormalised to a bottom-right
+    coefficient of 1, the same scan at half the length gives every second
+    point, and one more map fills in the points between: O(m) work in
+    log2(m) array steps.  All scratch is the flat array ``work``, which
+    needs ``3 m`` entries per row: each level puts its three composed
+    coefficient arrays at the front, its normaliser just after them, and
+    leaves the rest to the next level; on the way back up, once the level
+    below is done, its spent slots hold the even points' previous values
+    and denominators.  So the scan allocates nothing of the orbit's length.
+    With positive coefficients nothing is subtracted, so no step cancels.
     """
-    m = a.shape[-1]
-    if m > 1:
-        a1, b1, c1 = a[..., :m - 1:2], b[..., :m - 1:2], c[..., :m - 1:2]
-        a2, b2, c2 = a[..., 1::2], b[..., 1::2], c[..., 1::2]
-        norm = 1.0 / (c2 * b1 + 1.0)
-        pa, pb, pc = a2 * a1, a2 * b1, c2 * a1
-        pa += b2 * c1
+    levels = []
+    while a.shape[1] > 1:
+        rows, m = a.shape
+        size = rows * (m // 2)
+        coef = work[:3 * size].reshape(3, rows, m // 2)
+        norm = work[3 * size:4 * size].reshape(rows, m // 2)
+        pa, pb, pc = coef
+        a1, b1, c1 = a[:, :m - 1:2], b[:, :m - 1:2], c[:, :m - 1:2]
+        a2, b2, c2 = a[:, 1::2], b[:, 1::2], c[:, 1::2]
+        np.multiply(c2, b1, norm)
+        norm += 1.0
+        np.divide(1.0, norm, norm)
+        np.multiply(a2, a1, pa)
+        pa += np.multiply(b2, c1, pb)       # pb's slot, before pb is formed
+        np.multiply(a2, b1, pb)
         pb += b2
+        np.multiply(c2, a1, pc)
         pc += c1
-        for part in (pa, pb, pc):
-            part *= norm
-        del norm
-        _mobius_scan(pa, pb, pc, start, out[..., 1::2])
-        del pa, pb, pc
-        start = np.concatenate((start, out[..., 1:m - 1:2]), axis=-1)
-    even, den = out[..., ::2], c[..., ::2] * start
-    np.multiply(a[..., ::2], start, out=even)
-    even += b[..., ::2]
+        coef *= norm
+        levels.append((a, b, c, out, work))
+        a, b, c, out, work = pa, pb, pc, out[:, 1::2], work[3 * size:]
+    den = work[:a.shape[0], None]
+    np.multiply(a, start, out)
+    out += b
+    np.multiply(c, start, den)
     den += 1.0
-    even /= den
+    out /= den
+    # back up: each level's even points continue the odd points just found
+    for a, b, c, out, work in reversed(levels):
+        rows, m = a.shape
+        size = rows * ((m + 1) // 2)
+        prev = work[:size].reshape(rows, -1)
+        den = work[size:2 * size].reshape(rows, -1)
+        prev[:, :1] = start
+        prev[:, 1:] = out[:, 1:m - 1:2]
+        even = out[:, ::2]
+        np.multiply(a[:, ::2], prev, even)
+        even += b[:, ::2]
+        np.multiply(c[:, ::2], prev, den)
+        den += 1.0
+        even /= den
 
 
 def _harmonic_logs(chain: ChainModel, alpha: float, roots: tuple
@@ -286,36 +316,43 @@ def _harmonic_logs(chain: ChainModel, alpha: float, roots: tuple
     ratio itself, ``1 - q_i = (up / (alpha + up)) / (down q_{i-1} / (alpha +
     up) + 1)``, which cancels nothing either.  The logs are summed and
     normalised to 0 at the middle node; they stay finite where psi and phi
-    themselves would overflow.  The coefficients and the steps are formed in
-    place, in three arrays of two rows.
+    themselves would overflow.
+
+    All of the scan's scratch is one block of about 10 n floats, taken
+    once and freed before the logs are formed: two rows each of scales and
+    slopes, then the scan's composed coefficients.  The steps and their
+    sums are formed in place in the two rows of the result.  One block
+    that holds most of a solve's scratch also keeps the allocator's heap
+    between solves: on glibc, freeing a block this large raises the
+    threshold above which memory is mapped afresh and trimmed, so later
+    solves reuse pages instead of faulting them in again.
     """
     up, down = chain.up_rate, chain.down_rate
     ratios, comps = roots
-    start = np.array(comps)[:, None]
+    m = chain.size - 2
+    block = np.empty(10 * m)
     # psi's maps run left to right, phi's right to left, each divided by
     # alpha + up (alpha + down for phi) so its bottom-right coefficient is 1;
     # scale holds 1 / (alpha + up) and then alpha / (alpha + up)
-    scale = np.empty((2, chain.size - 2))
+    scale, slope = block[:4 * m].reshape(2, 2, m)
     scale[0], scale[1] = up, down[::-1]
     np.divide(1.0, np.add(alpha, scale, out=scale), out=scale)
-    slope = np.empty_like(scale)
     slope[0], slope[1] = down, up[::-1]
     slope *= scale
     # the complements, then their steps and sums, in the rows of logs
     logs = np.empty((2, chain.size))
     logs[:, 0] = 0.0
     comp = logs[:, 1:]
-    comp[:, :1] = start
-    _mobius_scan(slope, np.multiply(alpha, scale, out=scale), slope, start,
-                 comp[:, 1:])
-    del scale               # each array freed early keeps the heap smaller
+    comp[:, 0] = comps
+    _mobius_scan(slope, np.multiply(alpha, scale, out=scale), slope,
+                 comp[:, :1], comp[:, 1:], block[4 * m:])
     far = comp > 0.5
     if far.any():
         lead = np.stack((up, down[::-1]))
         ratio = np.empty_like(comp)
         ratio[:, 0] = ratios
         ratio[:, 1:] = lead * (1.0 / (alpha + lead)) / (slope * comp[:, :-1] + 1.0)
-    del slope
+    del block, scale, slope
     with np.errstate(divide="ignore"):     # q = 1 only where far is set
         np.negative(np.log1p(np.negative(comp, out=comp), out=comp), out=comp)
     if far.any():
@@ -457,24 +494,29 @@ def _policy_values(g: np.ndarray, log_psi: np.ndarray, log_phi: np.ndarray,
     only ``g_k psi_i/psi_k``, a continuing right edge only ``g_j phi_i/phi_j``
     (psi and phi satisfy those edge rows), and a policy that never stops has
     value 0.  Stop nodes return the reward exactly.
+
+    The policy is read one stop segment at a time: the stops give the
+    segments, every continuing node between two stops takes its segment's
+    (j, k) and denominator by repetition, and the two edge runs are slices.
     """
-    n = len(g)
-    idx = np.arange(n)
-    stop = ~continue_mask
-    prev = np.maximum.accumulate(np.where(stop, idx, -1))
-    nxt = np.minimum.accumulate(np.where(stop, idx, n)[::-1])[::-1]
-    v = np.where(stop, g, 0.0)
-    both = continue_mask & (prev >= 0) & (nxt < n)
-    i, j, k = idx[both], prev[both], nxt[both]
-    v[both] = (g[j] * np.exp(log_phi[i] - log_phi[j]) * -np.expm1(log_f[i] - log_f[k])
-               + g[k] * np.exp(log_psi[i] - log_psi[k]) * -np.expm1(log_f[j] - log_f[i])
-               ) / -np.expm1(log_f[j] - log_f[k])
-    left = continue_mask & (prev < 0) & (nxt < n)
-    i, k = idx[left], nxt[left]
-    v[left] = g[k] * np.exp(log_psi[i] - log_psi[k])
-    right = continue_mask & (prev >= 0) & (nxt == n)
-    i, j = idx[right], prev[right]
-    v[right] = g[j] * np.exp(log_phi[i] - log_phi[j])
+    stops = np.flatnonzero(~continue_mask)
+    v = np.where(continue_mask, 0.0, g)
+    if not len(stops):
+        return v
+    first, last = stops[0], stops[-1]
+    v[:first] = g[first] * np.exp(log_psi[:first] - log_psi[first])
+    v[last + 1:] = g[last] * np.exp(log_phi[last + 1:] - log_phi[last])
+    gaps = np.diff(stops) - 1
+    seg = np.flatnonzero(gaps)
+    if len(seg):
+        lengths = gaps[seg]
+        j, k = stops[seg], stops[seg + 1]
+        chord = np.repeat(-np.expm1(log_f[j] - log_f[k]), lengths)
+        j, k = np.repeat(j, lengths), np.repeat(k, lengths)
+        i = np.flatnonzero(continue_mask[first:last]) + first
+        v[i] = (g[j] * np.exp(log_phi[i] - log_phi[j]) * -np.expm1(log_f[i] - log_f[k])
+                + g[k] * np.exp(log_psi[i] - log_psi[k]) * -np.expm1(log_f[j] - log_f[i])
+                ) / chord
     return v
 
 

@@ -148,9 +148,10 @@ def st_functions(alpha: float, c: float, x, side: str | None = None) -> tuple:
     return (s, t) if x.ndim else (float(s), float(t))
 
 
-def st_table(alpha: float, c: float, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (s, t) with the right-limit convention at 0 and -1."""
-    return _st(alpha, c, xs, "right")
+def st_table(alpha: float, c: float, xs) -> tuple:
+    """(s, t) with the right-limit convention at 0 and -1: ``st_functions``
+    with ``side="right"``, so floats for a scalar xs and arrays for an array."""
+    return st_functions(alpha, c, xs, side="right")
 
 
 def solve_threshold(alpha: float, c: float) -> float:

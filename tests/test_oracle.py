@@ -202,6 +202,22 @@ class TestDiscretize:
                 "at n = 4001")):
             discretize(STICKY, lo, hi, 4001)
 
+    def test_two_atoms_on_one_node_rejected(self):
+        # nearest the same node, the second atom would take the first one's
+        # place, and the first atom's location would leave the grid
+        spec = DiffusionSpec(Family.STICKY_BM, Interval(-math.inf, math.inf),
+                             speed_atoms=((0.0, 1.0), (0.01, 1.0)))
+        with pytest.raises(DomainError, match=re.escape(
+                "speed atoms at 0.0 and 0.01 snap onto the same node of window "
+                "[-6.0, 6.0] at n = 201; increase n")):
+            discretize(spec, -6.0, 6.0, 201)
+        # a grid fine enough to part them keeps both, each with its weight
+        chain = discretize(spec, -6.0, 6.0, 4001)
+        for loc, w in spec.speed_atoms:
+            i = chain.node_index(loc)
+            h = chain.nodes[i + 1] - chain.nodes[i - 1]
+            assert chain.node_mass[i] == pytest.approx(h + w, rel=1e-12)
+
     def test_hand_built_two_atom_spec_solves(self):
         # fundamental refuses this spec, but the chain reads the atoms alone
         spec = DiffusionSpec(Family.STICKY_BM, Interval(-math.inf, math.inf),
@@ -702,6 +718,24 @@ class TestRandomChains:
         assert compared >= 20
 
 
+class TestMobiusScan:
+    """The scan in its scratch block gives the allocating scan's points."""
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_scratch_of_three_per_map_suffices(self, rows):
+        # every length up to 130 and a few around powers of two: each
+        # level's slots and the way back up fit in 3 m entries per row (a
+        # slot cut short fails to reshape or to broadcast), and every point
+        # keeps its bits
+        rng = np.random.default_rng(rows)
+        for m in [*range(1, 131), 255, 256, 257, 1023, 1024, 1025, 7999]:
+            a, b, c = rng.uniform(0.01, 1.0, (3, rows, m))
+            start = rng.uniform(0.0, 1.0, (rows, 1))
+            out = np.full((rows, m), np.nan)
+            oracle._mobius_scan(a, b, c, start, out, np.full(3 * m * rows, np.nan))
+            assert np.array_equal(out, allocating_mobius_scan(a, b, c, start))
+
+
 class TestHarmonicLogs:
     """log psi and log phi from the Moebius scan of the ratio complements."""
 
@@ -758,13 +792,40 @@ class TestDiscountRange:
         assert np.all(sol.values[g == 0] <= 1e-190)
 
 
+def prefix_policy_values(g, log_psi, log_phi, log_f, continue_mask):
+    """Reference: a policy's values with every node's stop neighbours.
+
+    The previous and next stop node of each node come from prefix maxima
+    and minima of the stop indices; boolean masks then pick the nodes
+    between two stops and the two edge runs, each gathered whole.
+    """
+    n = len(g)
+    idx = np.arange(n)
+    stop = ~continue_mask
+    prev = np.maximum.accumulate(np.where(stop, idx, -1))
+    nxt = np.minimum.accumulate(np.where(stop, idx, n)[::-1])[::-1]
+    v = np.where(stop, g, 0.0)
+    both = continue_mask & (prev >= 0) & (nxt < n)
+    i, j, k = idx[both], prev[both], nxt[both]
+    v[both] = (g[j] * np.exp(log_phi[i] - log_phi[j]) * -np.expm1(log_f[i] - log_f[k])
+               + g[k] * np.exp(log_psi[i] - log_psi[k]) * -np.expm1(log_f[j] - log_f[i])
+               ) / -np.expm1(log_f[j] - log_f[k])
+    left = continue_mask & (prev < 0) & (nxt < n)
+    i, k = idx[left], nxt[left]
+    v[left] = g[k] * np.exp(log_psi[i] - log_psi[k])
+    right = continue_mask & (prev >= 0) & (nxt == n)
+    i, j = idx[right], prev[right]
+    v[right] = g[j] * np.exp(log_phi[i] - log_phi[j])
+    return v
+
+
 def reference_solve(chain, alpha):
     """Reference: logs, mask and values from the allocating scan, the list
-    hull and the policy values they give."""
+    hull and the prefix form of the policy values."""
     log_psi, log_phi = allocating_harmonic_logs(chain, alpha)
     logs = (log_psi, log_phi, log_psi - log_phi)
     mask = list_majorant_policy(chain, alpha, _edge_roots(chain, alpha)[0], logs)
-    return logs, mask, _policy_values(chain.reward, *logs, mask)
+    return logs, mask, prefix_policy_values(chain.reward, *logs, mask)
 
 
 class TestSolveMatchesReferences:
@@ -804,6 +865,27 @@ class TestSolveMatchesReferences:
                            reward=reward)
         for alpha in (0.1, 0.4, 1.5, 1e3):
             self.check(chain, alpha)
+
+    @pytest.mark.parametrize("reward", REWARDS, ids=IDS)
+    @pytest.mark.parametrize("lo, hi", [(-6.0, 6.0), (-200.0, 200.0)])
+    def test_policy_values_by_segments(self, lo, hi, reward):
+        # the segment form repeats each stop pair where the prefix form
+        # gathers it per node; every value keeps its bits, on the
+        # majorant's policy, on random stops, and on policies that stop at
+        # the edges only or never
+        chain = discretize(make_sticky_bm(0.0, 1.0), lo, hi, 8001, reward=reward)
+        n = chain.size
+        edge_only = [np.ones(n, dtype=bool) for _ in range(4)]
+        edge_only[1][0] = edge_only[2][-1] = False
+        edge_only[3][[0, -1]] = False
+        scattered = np.random.default_rng(5).random(n) < 0.9
+        for alpha in (0.1, 0.4, 1.5, 1e3):
+            denom, ratios, logs = policy_inputs(chain, alpha)
+            for mask in [_majorant_policy(chain, denom, ratios, logs), scattered,
+                         *edge_only]:
+                got = _policy_values(chain.reward, *logs, mask)
+                want = prefix_policy_values(chain.reward, *logs, mask)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_two_sided_solve_working_set(self):
         # one solve's tracemalloc peak measured 849,352 bytes (numpy 2.4;

@@ -72,6 +72,13 @@ class TestSTFunctions:
         for got, want in zip(st_functions(0.3, 1.0, xs, side="right"), st_table(0.3, 1.0, xs)):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("x", [0.3, 0.0, -1.0, -2.5])
+    def test_scalar_st_table_gives_floats(self, x):
+        got = st_table(0.3, 1.0, x)
+        assert type(got[0]) is float and type(got[1]) is float
+        assert got == st_functions(0.3, 1.0, x, side="right")
+        assert got == tuple(float(v[0]) for v in st_table(0.3, 1.0, [x]))
+
     @pytest.mark.parametrize("x", [0.0, -1.0])
     def test_array_needs_side_at_discontinuities(self, x):
         with pytest.raises(DomainError, match=f"discontinuous at {x}"):
