@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -99,16 +100,45 @@ class Interval:
 def _scalar_aware(fn):
     """The package's scalar convention: a scalar gives a float, an array an array.
 
-    The wrapped function receives its positional arguments as float64 arrays,
-    except the ``self`` of a method, and a 0-d result comes back as a Python
-    float.  Every closed-form evaluator goes through here.
+    The wrapped function receives its arguments as float64 arrays, except
+    the ``self`` of a method and the arguments that have a default (such as
+    ``side``), which pass as given; an argument that already is a float64
+    array passes as it is.  A 0-d result comes back as a Python float.
+    Every closed-form evaluator goes through here once per public call:
+    code of the package that already holds float64 arrays calls the wrapped
+    function, ``__wrapped__``, directly (see :func:`_formula`), and the
+    public convention is unchanged.
     """
-    skip = 1 if fn.__code__.co_varnames[:1] == ("self",) else 0
+    code = fn.__code__
+    skip = 1 if code.co_varnames[:1] == ("self",) else 0
+    stop = code.co_argcount - len(fn.__defaults__ or ())
+    arrays = code.co_varnames[skip:stop]
 
-    def wrapped(*args):
-        out = fn(*args[:skip], *[np.asarray(a, dtype=float) for a in args[skip:]])
+    @functools.wraps(fn)
+    def wrapped(*args, **kwargs):
+        if kwargs:
+            kwargs = {k: np.asarray(v, dtype=float) if k in arrays else v
+                      for k, v in kwargs.items()}
+        out = fn(*args[:skip], *[a if type(a) is np.ndarray and a.dtype is _FLOAT
+                                 else np.asarray(a, dtype=float) for a in args[skip:stop]],
+                 *args[stop:], **kwargs)
         return out if isinstance(out, np.ndarray) and out.ndim else float(out)
     return wrapped
+
+
+_FLOAT = np.dtype(float)
+_WRAPPER = _scalar_aware(lambda x: x).__code__
+
+
+def _formula(f: Callable) -> Callable:
+    """The array formula behind f: the function that :func:`_scalar_aware`
+    wrapped (bound to the instance of a method), or f itself when it is any
+    other callable.  Call it only on float64 arrays."""
+    if getattr(f, "__code__", None) is not _WRAPPER:
+        return f
+    if isinstance(f, types.MethodType):
+        return f.__wrapped__.__get__(f.__self__)
+    return f.__wrapped__
 
 
 def _values(u: Callable, ys: np.ndarray) -> np.ndarray:
@@ -338,30 +368,22 @@ class FundamentalSolutions:
     psi_dx_left: Callable
     phi_dx_right: Callable
     phi_dx_left: Callable
-
-    # scale derivatives: d/dS = (d/dx) / S'(x)
-    def psi_ds(self, x, side: str = "right"):
-        return self._ds(self.psi_dx_right, self.psi_dx_left, x, side)
-
-    def phi_ds(self, x, side: str = "right"):
-        return self._ds(self.phi_dx_right, self.phi_dx_left, x, side)
-
-    def _ds(self, right, left, x, side):
-        _check_side(side)
-        dx = right(x) if side == "right" else left(x)
-        return dx if self.spec.identity_scale else dx / self.spec.scale_deriv(x)
+    psi_ds: Callable        # d/dS = (d/dx) / S'(x), called as (x, side="right")
+    phi_ds: Callable
 
     @_scalar_aware
     def green(self, x, y):
         """Resolvent kernel w.r.t. the speed measure; symmetric, positive."""
-        return self.psi(np.minimum(x, y)) * self.phi(np.maximum(x, y)) / self.wronskian
+        return self.psi.__wrapped__(np.minimum(x, y)) \
+            * self.phi.__wrapped__(np.maximum(x, y)) / self.wronskian
 
     @_scalar_aware
     def hitting_laplace(self, x, y):
         """E_x[exp(-alpha * hitting time of y)]; in (0, 1], and 1 iff x == y.
         Each point takes its own branch's ratio, checked by :func:`_finite`."""
+        psi, phi = self.psi.__wrapped__, self.phi.__wrapped__
         with np.errstate(all="ignore"):
-            ratio = np.divide(*(np.where(x <= y, self.psi(p), self.phi(p)) for p in (x, y)))
+            ratio = np.divide(*(np.where(x <= y, psi(p), phi(p)) for p in (x, y)))
         return _finite("hitting transform", ratio, x, y, self.alpha)
 
 
@@ -380,13 +402,23 @@ def _solutions(spec: DiffusionSpec, alpha: float, theta: float, gamma: float,
     """A family's :class:`FundamentalSolutions` from its four formulas: psi
     and phi as array functions of x, and their x-derivatives as array
     functions of (x, side) that choose their branch at a kink by
-    :func:`_below`."""
+    :func:`_below`.  The scale derivatives divide them by S'(x)."""
     def one_sided(d, side):
         return _scalar_aware(lambda x: d(x, side))
 
+    def per_scale(d):
+        scale_deriv = _formula(spec.scale_deriv)
+
+        def ds(x, side="right"):
+            _check_side(side)
+            dx = d(x, side)
+            return dx if spec.identity_scale else dx / scale_deriv(x)
+        return _scalar_aware(ds)
+
     return FundamentalSolutions(
         spec, alpha, theta, gamma, wronskian, _scalar_aware(psi), _scalar_aware(phi),
-        *(one_sided(d, side) for d in (dpsi, dphi) for side in ("right", "left")))
+        *(one_sided(d, side) for d in (dpsi, dphi) for side in ("right", "left")),
+        per_scale(dpsi), per_scale(dphi))
 
 
 def _sticky_solutions(spec: DiffusionSpec, alpha: float) -> FundamentalSolutions:

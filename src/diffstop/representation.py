@@ -88,7 +88,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diffusion import (DiffusionSpec, FundamentalSolutions, _atom_at, _below,
-                        _check_side, _scalar_aware, _values, fundamental)
+                        _check_side, _formula, _scalar_aware, _values, fundamental)
 from .errors import ConvergenceError, DomainError, NotExcessiveError, ParameterError
 
 _ATOM_THRESHOLD = 1e-12     # tail jumps below this fraction of total mass are noise
@@ -132,22 +132,24 @@ def green_candidate(spec: DiffusionSpec, alpha: float, y0: float,
     if not spec.interval.contains(y0):
         raise DomainError(f"pole {y0} outside the state space")
     w, psi_y0, phi_y0 = fs.wronskian, fs.psi(y0), fs.phi(y0)
+    green, psi_ds, phi_ds = _formula(fs.green), fs.psi_ds.__wrapped__, fs.phi_ds.__wrapped__
 
     def ds(x, side):
-        return np.where(_below(x, y0, side), fs.psi_ds(x, side) * phi_y0,
-                        psi_y0 * fs.phi_ds(x, side)) / w
+        return np.where(_below(x, y0, side), psi_ds(x, side) * phi_y0,
+                        psi_y0 * phi_ds(x, side)) / w
 
-    return _candidate(spec, lambda x: fs.green(x, y0), ds, x0, (y0,), f"green(. , {y0})")
+    return _candidate(spec, _scalar_aware(lambda x: green(x, y0)), ds, x0, (y0,),
+                      f"green(. , {y0})")
 
 
 def psi_candidate(spec: DiffusionSpec, alpha: float, x0: float = 0.0) -> ExcessiveCandidate:
     fs = fundamental(spec, alpha)
-    return _candidate(spec, fs.psi, fs.psi_ds, x0, label="psi")
+    return _candidate(spec, fs.psi, fs.psi_ds.__wrapped__, x0, label="psi")
 
 
 def phi_candidate(spec: DiffusionSpec, alpha: float, x0: float = 0.0) -> ExcessiveCandidate:
     fs = fundamental(spec, alpha)
-    return _candidate(spec, fs.phi, fs.phi_ds, x0, label="phi")
+    return _candidate(spec, fs.phi, fs.phi_ds.__wrapped__, x0, label="phi")
 
 
 def candidate_from_callable(spec: DiffusionSpec, fn: Callable, x0: float,
@@ -277,15 +279,16 @@ class RepresentingMeasure:
         # at x0 takes the left tail for Martin and the right one for Riesz
         flat = y.ravel()
         out = np.empty(flat.shape)
+        left_tail, right_tail = _formula(self.left_tail), _formula(self.right_tail)
         if self.kind == "martin":
             low = flat <= self.x0
             if low.any():
                 below = flat[low]
-                out[low] = self.left_tail(below) \
+                out[low] = left_tail(below) \
                     - _atoms_below(self.atoms, below, strict=True) - self.mass_left_boundary
             if not low.all():
                 above = flat[~low]
-                out[~low] = self.total_mass - self.right_tail(above) \
+                out[~low] = self.total_mass - right_tail(above) \
                     - _atoms_below(self.atoms, above, strict=False) - self.mass_left_boundary
             # the tail formulas are only meaningful strictly inside the
             # interval; at an included endpoint the AC mass so far is zero
@@ -293,9 +296,9 @@ class RepresentingMeasure:
         else:
             high = flat >= self.x0
             if high.any():
-                out[high] = self.right_tail(flat[high])
+                out[high] = right_tail(flat[high])
             if not high.all():
-                out[~high] = -self.left_tail(flat[~high])
+                out[~high] = -left_tail(flat[~high])
         return out.reshape(y.shape)
 
 
@@ -359,13 +362,14 @@ def _check_monotone_tail(vals: np.ndarray, what: str):
 
 def _read_side(tail: Callable, closed: Callable, x0: float, endpoint: float,
                probe: list[float], cap: float):
-    """One side of x0 for :func:`martin_measure`: the open tail called once,
-    on the :func:`_ladder` from the outermost kink (or x0), the scan, the
-    kinks (points of ``probe`` between x0 and the endpoint) and x0, and the
-    closed tail at the kinks.  Returns the ladder's values, the tail at its
-    start, the scan's values, the kinks, their atom jumps and the tail at
-    x0.  A side from x0 at an included endpoint holds no mass: it is not
-    read, and any mass there surfaces through the x0 defect."""
+    """One side of x0 for :func:`martin_measure`: the open tail (an array
+    formula) called once, on the :func:`_ladder` from the outermost kink (or
+    x0), the scan, the kinks (points of ``probe`` between x0 and the
+    endpoint) and x0, and the closed tail at the kinks.  Returns the
+    ladder's values, the tail at its start, the scan's values, the kinks,
+    their atom jumps and the tail at x0.  A side from x0 at an included
+    endpoint holds no mass: it is not read, and any mass there surfaces
+    through the x0 defect."""
     if x0 == endpoint:
         return [], 0.0, np.zeros(0), [], [], 0.0
     sgn = math.copysign(1.0, endpoint - x0)
@@ -378,7 +382,7 @@ def _read_side(tail: Callable, closed: Callable, x0: float, endpoint: float,
     ladder, near = _ladder(outer, endpoint, cap), [*kinks, x0]
     vals = tail(np.concatenate((ladder, scan, near)))
     n = len(ladder) + len(scan)
-    jumps = (closed(np.array(kinks)) - vals[n:-1]).tolist() if kinks else []
+    jumps = (closed(np.array(kinks, dtype=float)) - vals[n:-1]).tolist() if kinks else []
     return (vals[:len(ladder)].tolist(), float(vals[n + near.index(outer)]),
             vals[len(ladder):n], kinks, jumps, float(vals[-1]))
 
@@ -407,31 +411,36 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
 
     w = fs.wronskian
     psi_x0, phi_x0 = float(fs.psi(x0)), float(fs.phi(x0))
-    u = candidate.value
-    ds = {"right": candidate.ds_right, "left": candidate.ds_left}
+    psi, phi = fs.psi.__wrapped__, fs.phi.__wrapped__
+    psi_ds, phi_ds = fs.psi_ds.__wrapped__, fs.phi_ds.__wrapped__
+    u = _formula(candidate.value)
+    ds = {"right": _formula(candidate.ds_right), "left": _formula(candidate.ds_left)}
     l, r = spec.interval.left, spec.interval.right
 
     # With right derivatives the formulas give nu((x, r]) and nu([l, x]),
     # with left ones nu([x, r]) and nu([l, x)).
     def above(x, side):
-        return (psi_x0 / w) * (fs.phi(x) * ds[side](x) - u(x) * fs.phi_ds(x, side)) / u0
+        return (psi_x0 / w) * (phi(x) * ds[side](x) - u(x) * phi_ds(x, side)) / u0
 
     def below(x, side):
-        return (phi_x0 / w) * (u(x) * fs.psi_ds(x, side) - fs.psi(x) * ds[side](x)) / u0
+        return (phi_x0 / w) * (u(x) * psi_ds(x, side) - psi(x) * ds[side](x)) / u0
 
     # The tail formulas are meaningful strictly inside (l, r).  Exactly at an
     # included endpoint they report the one-sided limit (which carries any
     # endpoint atom), while the set being measured is empty there, so the
     # exposed tails nu((x, r]) and nu([l, x)) clamp to zero at the endpoints.
-    right_tail = _scalar_aware(lambda x: np.where(x >= r, 0.0, above(x, "right")))
-    left_tail = _scalar_aware(lambda x: np.where(x <= l, 0.0, below(x, "left")))
+    def right(x):
+        return np.where(x >= r, 0.0, above(x, "right"))
+
+    def left(x):
+        return np.where(x <= l, 0.0, below(x, "left"))
 
     # kinks at an included endpoint are picked up by the boundary limit
     cap = 600.0 / _exp_rate(fs)
     probe = sorted({*candidate.kinks, *spec.atom_locations})
     ladders, starts, scans, inside, jumps, (left_x0, right_x0) = zip(
-        _read_side(left_tail, lambda x: below(x, "right"), x0, l, probe, cap),
-        _read_side(right_tail, lambda x: above(x, "left"), x0, r, probe, cap))
+        _read_side(left, lambda x: below(x, "right"), x0, l, probe, cap),
+        _read_side(right, lambda x: above(x, "left"), x0, r, probe, cap))
     limits = list(map(_boundary_limit, ladders, starts, (l, r)))
     for scan, what in zip(scans, ("left", "right")):
         _check_monotone_tail(scan, what)
@@ -464,7 +473,7 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
         mass_left_boundary=mass_left, mass_right_boundary=mass_right,
         atoms=tuple(atoms), kinks=kinks,
         interval_left=l, interval_right=r,
-        left_tail=left_tail, right_tail=right_tail, candidate=candidate,
+        left_tail=_scalar_aware(left), right_tail=_scalar_aware(right), candidate=candidate,
     )
 
 
@@ -497,10 +506,9 @@ def _gap_integrals(f: Callable, pts: np.ndarray, width: float) -> np.ndarray:
         return np.zeros(0)
     gaps = pts[1:] - pts[:-1]
     pieces = np.maximum(1, np.ceil(gaps / width)).astype(int)
-    first = np.cumsum(pieces) - pieces
-    step = np.repeat(gaps / pieces, pieces)
-    starts = np.repeat(pts[:-1], pieces) \
-        + step * (np.arange(pieces.sum()) - np.repeat(first, pieces))
+    first = pieces.cumsum() - pieces
+    step = (gaps / pieces).repeat(pieces)
+    starts = pts[:-1].repeat(pieces) + step * (np.arange(len(step)) - first.repeat(pieces))
     half = 0.5 * step
     nodes = (starts + half)[:, None] + half[:, None] * _GL_NODES
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
@@ -523,9 +531,9 @@ def _between(f: Callable, anchor: float, ys, splits, width: float) -> np.ndarray
     sums, cum = _gap_integrals(f, pts, width), np.zeros(len(pts))
     # the anchor's own entry stays 0: last below it, first above it
     if lo < anchor:
-        np.cumsum(sums[::-1], out=cum[-2::-1])
+        sums[::-1].cumsum(out=cum[-2::-1])
     else:
-        np.cumsum(sums, out=cum[1:])
+        sums.cumsum(out=cum[1:])
     return cum[pts.searchsorted(ys)]
 
 
@@ -571,10 +579,12 @@ def riesz_from_martin(measure: RepresentingMeasure, spec: DiffusionSpec,
     kinks = [k for k in measure.kinks if l < k < r]
     width = 2.0 / _exp_rate(fs)
 
+    value, ds_right, ds_left = map(_formula, (cand.value, cand.ds_right, cand.ds_left))
+    speed_density = _formula(spec.speed_density)
+
     def scale_deriv(ys, side):
         # u+ on the right, u- on the left; at an endpoint, the inside one
-        usual, inside = (cand.ds_right, cand.ds_left) if side == "right" \
-            else (cand.ds_left, cand.ds_right)
+        usual, inside = (ds_right, ds_left) if side == "right" else (ds_left, ds_right)
         at_end = (ys >= r) if side == "right" else (ys <= l)
         d = np.empty_like(ys)
         for mask, fn in ((~at_end, usual), (at_end, inside)):
@@ -583,7 +593,7 @@ def riesz_from_martin(measure: RepresentingMeasure, spec: DiffusionSpec,
         return d
 
     def u_dm(y):
-        return cand.value(y) * spec.speed_density(y)
+        return value(y) * speed_density(y)
 
     def tail(y, side):
         # sigma_ac((x0, y]) on the right, sigma_ac([y, x0)) on the left; a
@@ -594,8 +604,9 @@ def riesz_from_martin(measure: RepresentingMeasure, spec: DiffusionSpec,
         ys = np.maximum(y, x0).ravel() if side == "right" else np.minimum(y, x0).ravel()
 
         def in_range(atom_list):
-            return sgn * (_atoms_below(atom_list, ys, strict)
-                          - _atoms_below(atom_list, x0, strict))
+            # the atoms' weight from x0 to each of ys, from one lookup
+            below = _atoms_below(atom_list, np.append(ys, x0), strict)
+            return sgn * (below[:-1] - below[-1])
 
         d = scale_deriv(np.append(ys, x0), side)
         out = (sgn * (d[-1] - d[:-1]) + alpha * _between(u_dm, x0, ys, kinks, width)
@@ -611,9 +622,10 @@ def riesz_from_martin(measure: RepresentingMeasure, spec: DiffusionSpec,
 
 
 def _coefficients(measure: RepresentingMeasure, fs: FundamentalSolutions,
-                  x: float) -> tuple[float, float]:
+                  x: float) -> tuple[float, float, list[float], list[float]]:
     """(A, B) with u(x) / u(x0) = A phi(x) + B psi(x), as in the module
-    docstring.  Each integral is one :func:`_between` on panels split at the
+    docstring, with [psi(x0), psi(x)] and [phi(x0), phi(x)], each from one
+    call.  Each integral is one :func:`_between` on panels split at the
     kinks, which hold the speed atoms, and no wider than 0.25 / (theta + |mu|).
 
     A measure with a Martin source takes the pair from the by-parts
@@ -631,34 +643,50 @@ def _coefficients(measure: RepresentingMeasure, fs: FundamentalSolutions,
     nu = measure.base if measure.base is not None else measure
     x0, w = nu.x0, fs.wronskian
     m_l, m_r = nu.mass_left_boundary, nu.mass_right_boundary
-    psi_x0, phi_x0 = float(fs.psi(x0)), float(fs.phi(x0))
+    psi, phi = fs.psi.__wrapped__, fs.phi.__wrapped__
+    ends = np.array([x0, x])
+    psi_at, phi_at = psi(ends).tolist(), phi(ends).tolist()
+    psi_x0, phi_x0 = psi_at[0], phi_at[0]
     c1, c2 = m_l / phi_x0, m_r / psi_x0
     width = 0.25 / _exp_rate(fs)
     if nu.kind == "martin":
         low = x <= x0
-        end, tail, mass, kernel = (nu.interval_left, nu.left_tail, m_l, fs.psi) if low \
-            else (nu.interval_right, nu.right_tail, m_r, fs.phi)
+        end, tail, mass, kernel = (nu.interval_left, nu.left_tail, m_l, psi) if low \
+            else (nu.interval_right, nu.right_tail, m_r, phi)
+        tail = _formula(tail)
         splits = list(nu.kinks)
         if math.isfinite(end) and not fs.spec.interval.contains(end):
             splits += _ladder(x0, end, math.inf).tolist()
-        part = w * float(_between(
-            lambda y: (tail(y) - mass) / kernel(y) ** 2 * fs.spec.scale_deriv(y),
-            x0, [x], splits, width)[0])
-        if low:
-            return c1, (nu.total_mass - m_l) / psi_x0 + part / phi_x0
-        return (nu.total_mass - m_r) / phi_x0 + part / psi_x0, c2
+        scale_deriv = None if fs.spec.identity_scale else _formula(fs.spec.scale_deriv)
 
-    knots = np.asarray(nu.kinks)
-    density = np.diff(nu.ac_cdf(knots)) / np.diff(knots)
+        def integrand(y):
+            # divided by the kernel twice, not by its square, which underflows
+            # far from x0 while the quotient is still finite; S' = 1 in
+            # natural scale
+            k = kernel(y)
+            f = (tail(y) - mass) / k / k
+            return f if scale_deriv is None else f * scale_deriv(y)
+        part = w * float(_between(integrand, x0, [x], splits, width)[0])
+        if low:
+            A, B = c1, (nu.total_mass - m_l) / psi_x0 + part / phi_x0
+        else:
+            A, B = (nu.total_mass - m_r) / phi_x0 + part / psi_x0, c2
+        return A, B, psi_at, phi_at
+
+    knots = np.asarray(nu.kinks, dtype=float)
+    density = np.diff(_formula(nu.ac_cdf)(knots)) / np.diff(knots)
     y = min(max(x, nu.kinks[0]), nu.kinks[-1])
     k = int(knots.searchsorted(y))
     # k = 0 only where y is the first kink, so the piece below y is empty
     pts, density = np.insert(knots, k, y), np.insert(density, k, density[max(k - 1, 0)])
-    below = float(_gap_integrals(fs.psi, pts[:k + 1], width) @ density[:k]) \
-        + sum(wt * float(fs.psi(z)) for z, wt in nu.atoms if z <= x)
-    above = float(_gap_integrals(fs.phi, pts[k:], width) @ density[k:]) \
-        + sum(wt * float(fs.phi(z)) for z, wt in nu.atoms if z > x)
-    return c1 + below / w, c2 + above / w
+    locs = np.array([z for z, _ in nu.atoms], dtype=float)
+    weights = np.array([wt for _, wt in nu.atoms], dtype=float)
+    low = locs <= x
+    below = float(_gap_integrals(psi, pts[:k + 1], width) @ density[:k]) \
+        + sum((weights[low] * psi(locs[low])).tolist())
+    above = float(_gap_integrals(phi, pts[k:], width) @ density[k:]) \
+        + sum((weights[~low] * phi(locs[~low])).tolist())
+    return c1 + below / w, c2 + above / w, psi_at, phi_at
 
 
 def reconstruct(measure: RepresentingMeasure, spec: DiffusionSpec,
@@ -670,13 +698,13 @@ def reconstruct(measure: RepresentingMeasure, spec: DiffusionSpec,
     built from one.  A Riesz measure rebuilt by :func:`measure_from_doc`
     integrates psi and phi against its sigma as :func:`_coefficients`
     describes; the result is as accurate as the document's piecewise-linear
-    cumulative.
+    cumulative.  psi and phi are formed once per call, at x0 and x together.
     """
     fs = fundamental(spec, alpha)
     if not spec.interval.contains(x):
         raise DomainError(f"evaluation point {x} outside the state space")
-    A, B = _coefficients(measure, fs, x)
-    return A * float(fs.phi(x)) + B * float(fs.psi(x))
+    A, B, psi_at, phi_at = _coefficients(measure, fs, x)
+    return A * phi_at[1] + B * psi_at[1]
 
 
 # ---------------------------------------------------------------------------
@@ -722,19 +750,25 @@ def derivative_jump(spec: DiffusionSpec, alpha: float,
     if not (measure.interval_left < z < measure.interval_right):
         raise DomainError(f"z = {z} must be an interior point")
     fs = fundamental(spec, alpha)
-    A, B = _coefficients(measure, fs, z)
+    A, B, (psi_x0, psi_z), (phi_x0, phi_z) = _coefficients(measure, fs, z)
     nu, x0, w = measure.base, measure.x0, fs.wronskian
+    at = np.array(z, dtype=float)
     s = 0.0
     if nu is not None and z <= x0:
-        below = float(nu.left_tail(z)) + nu.atom_at(z) - nu.mass_left_boundary
-        s = -w * below / (float(fs.psi(z)) * float(fs.phi(x0)))
+        below = float(_formula(nu.left_tail)(at)) + nu.atom_at(z) - nu.mass_left_boundary
+        s = -w * below / (psi_z * phi_x0)
     elif nu is not None:
-        above = float(nu.right_tail(z)) - nu.mass_right_boundary
-        s = w * above / (float(fs.phi(z)) * float(fs.psi(x0)))
+        above = float(_formula(nu.right_tail)(at)) - nu.mass_right_boundary
+        s = w * above / (phi_z * psi_x0)
     scale = measure.normalization
     sigma_z = measure.atom_at(z)
-    right = scale * (A * fs.phi_ds(z, "right") + B * fs.psi_ds(z, "right") + s)
-    left = scale * (A * fs.phi_ds(z, "left") + B * fs.psi_ds(z, "left") + s + sigma_z)
+    psi_ds, phi_ds = fs.psi_ds.__wrapped__, fs.phi_ds.__wrapped__
+
+    def slope(side):
+        return A * float(phi_ds(at, side)) + B * float(psi_ds(at, side)) + s
+
+    right = scale * slope("right")
+    left = scale * (slope("left") + sigma_z)
     jump = left - right
     sigma_atom = scale * sigma_z
     speed_term = spec.speed_atom_at(z) * alpha * float(candidate.value(z))
@@ -780,14 +814,15 @@ def _resolvent_rows(spec: DiffusionSpec, rates: list[FundamentalSolutions],
     lo = np.maximum(spec.interval.left, xs - reach).ravel()
     hi = np.minimum(spec.interval.right, xs + reach).ravel()
     span = hi - lo
-    edges = np.array(sorted({*lo, *hi, *(p for p in split_points
-                                          if lo.min() < p < hi.max())}))
+    first, last = lo.min(), hi.max()
+    edges = np.array(sorted({*lo, *hi, *(p for p in split_points if first < p < last)}))
     a, b = edges[:-1], edges[1:]
     inside = (lo[:, None] <= a) & (b <= hi[:, None])      # (rows, panels)
     left = b[None, :] <= np.tile(xs, nb)[:, None]
     rate = np.repeat(np.arange(nb), nx)
-    by_left = np.concatenate([fs.phi(xs) / fs.wronskian for fs in rates])[:, None]
-    by_right = np.concatenate([fs.psi(xs) / fs.wronskian for fs in rates])[:, None]
+    by_left = np.concatenate([fs.phi.__wrapped__(xs) / fs.wronskian for fs in rates])[:, None]
+    by_right = np.concatenate([fs.psi.__wrapped__(xs) / fs.wronskian for fs in rates])[:, None]
+    speed_density = _formula(spec.speed_density)
     cut = np.arange(_MESH_SPLIT + 1) / _MESH_SPLIT
 
     def pieces(a, b):
@@ -799,23 +834,23 @@ def _resolvent_rows(spec: DiffusionSpec, rates: list[FundamentalSolutions],
         # (P, Q), each of shape (rates, panels); zero where no row reaches
         half = 0.5 * (b - a)
         ys = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
-        f = (_values(u, ys.ravel()) * spec.speed_density(ys.ravel())).reshape(ys.shape)
+        f = (_values(u, ys.ravel()) * speed_density(ys.ravel())).reshape(ys.shape)
         f *= half[:, None] * _GL_WEIGHTS
         P, Q = np.zeros((nb, len(a))), np.zeros((nb, len(a)))
         for i, fs in enumerate(rates):
             m = reached[i]
             if m.any():
                 y, fm = ys[m], f[m]
-                P[i, m] = (fs.psi(y.ravel()).reshape(y.shape) * fm).sum(axis=1)
-                Q[i, m] = (fs.phi(y.ravel()).reshape(y.shape) * fm).sum(axis=1)
+                P[i, m] = (fs.psi.__wrapped__(y.ravel()).reshape(y.shape) * fm).sum(axis=1)
+                Q[i, m] = (fs.phi.__wrapped__(y.ravel()).reshape(y.shape) * fm).sum(axis=1)
         return P, Q
 
-    def row_sums(P, Q):
+    def row_sums(P, Q, use_left, use_right):
         # each row's share of each panel, multiplied only where it is used,
         # so that an unused product can neither overflow nor add a NaN
-        out = np.zeros(inside.shape)
-        np.multiply(by_left, P[rate], out=out, where=inside & left)
-        np.multiply(by_right, Q[rate], out=out, where=inside & ~left)
+        out = np.zeros(use_left.shape)
+        np.multiply(by_left, P[rate], out=out, where=use_left)
+        np.multiply(by_right, Q[rate], out=out, where=use_right)
         return out
 
     def reached(inside):
@@ -834,8 +869,9 @@ def _resolvent_rows(spec: DiffusionSpec, rates: list[FundamentalSolutions],
         n = len(a)
         split_P = P.reshape(nb, n, _MESH_SPLIT)
         split_Q = Q.reshape(nb, n, _MESH_SPLIT)
-        refined = row_sums(split_P.sum(axis=2), split_Q.sum(axis=2))
-        change = np.abs(refined - row_sums(whole_P, whole_Q))
+        use_left, use_right = inside & left, inside & ~left
+        refined = row_sums(split_P.sum(axis=2), split_Q.sum(axis=2), use_left, use_right)
+        change = np.abs(refined - row_sums(whole_P, whole_Q, use_left, use_right))
         tol = np.maximum(1e-13, 1e-11 * np.abs(total + refined.sum(axis=1)))
         bad = np.any(change > tol[:, None] * ((b - a) / span[:, None]), axis=0)
         total += refined[:, ~bad].sum(axis=1)
@@ -846,7 +882,7 @@ def _resolvent_rows(spec: DiffusionSpec, rates: list[FundamentalSolutions],
         tiny = (b - a)[bad] <= _MESH_MIN_ULPS * np.spacing(np.abs(mid) + 1.0)
         if tiny.any() or np.count_nonzero(bad) > _MESH_MAX_PANELS:
             raise ConvergenceError(
-                f"resolvent mesh on [{lo.min()}, {hi.max()}] at rates "
+                f"resolvent mesh on [{first}, {last}] at rates "
                 f"{[fs.alpha for fs in rates]} did not converge: "
                 f"{np.count_nonzero(bad)} panels still change when split",
                 achieved=float(np.max(change[:, bad].sum(axis=1))))
@@ -920,12 +956,13 @@ def excessivity_check(spec: DiffusionSpec, alpha: float, u: Callable,
             raise DomainError(f"grid point {x} outside the state space")
     xs = np.array(grid)
     locs = spec.atom_locations
+    u = _formula(u)
     at = _values(u, np.concatenate((xs, locs)))
     bounds = at[:len(grid)]
     rates = [fundamental(spec, alpha + beta) for beta in betas]
     vals = _resolvent_rows(spec, rates, u, xs, sorted({*kinks, *locs, *grid}))
     for (loc, wt), u_loc in zip(spec.speed_atoms, at[len(grid):].tolist()):
-        vals = vals + np.array([fs.green(xs, loc) for fs in rates]) * u_loc * wt
+        vals = vals + np.array([_formula(fs.green)(xs, loc) for fs in rates]) * u_loc * wt
     vals = np.array(betas)[:, None] * vals          # (beta, x)
     bad = np.argwhere(~np.isfinite(vals.T))
     if bad.size:
@@ -954,14 +991,18 @@ def measure_to_doc(measure: RepresentingMeasure, tail_points: int = 65) -> dict:
     Atom locations and weights round-trip exactly.  ``tail_samples`` hold the
     atom-free tail component on a finite sampling range (the absolutely
     continuous part is interpolated on reload, so it is resolution-limited by
-    ``tail_points``).
+    ``tail_points``, the number of samples per side: an int >= 2, or
+    :class:`ParameterError`).
     """
+    if isinstance(tail_points, bool) or not isinstance(tail_points, (int, np.integer)) \
+            or tail_points < 2:
+        raise ParameterError(f"tail_points must be an int >= 2, got {tail_points!r}")
     x0 = measure.x0
     span = max(1.0, abs(x0)) * 8.0
     lo, hi = max(measure.interval_left, x0 - span), min(measure.interval_right, x0 + span)
     left_xs = np.linspace(lo, x0, tail_points)
     right_xs = np.linspace(x0, hi, tail_points)
-    vals = measure.ac_cdf(np.concatenate((left_xs, right_xs)))
+    vals = _formula(measure.ac_cdf)(np.concatenate((left_xs, right_xs)))
     left_vals, right_vals = vals[:tail_points], vals[tail_points:]
     if measure.kind != "martin":
         left_vals = -left_vals
@@ -986,8 +1027,8 @@ def measure_from_doc(doc: dict, spec: DiffusionSpec) -> RepresentingMeasure:
     Atoms are restored exactly; the absolutely continuous part becomes a
     piecewise-linear interpolant of the stored samples.  A document with a
     missing field, a ``kind`` other than "martin" and "riesz", a non-finite
-    number, or decreasing atom or sample locations raises
-    :class:`ParameterError` naming the field; an x0 outside the state space
+    number, an empty side of ``tail_samples``, or decreasing atom or sample
+    locations raises :class:`ParameterError` naming the field; an x0 outside the state space
     raises :class:`DomainError`, as in :func:`martin_measure`.
     """
     try:
@@ -1017,6 +1058,8 @@ def measure_from_doc(doc: dict, spec: DiffusionSpec) -> RepresentingMeasure:
                         ("tail_samples.right", right_samples)):
         if not np.isfinite(value).all():
             raise ParameterError(f"measure document field {name!r} holds a non-finite number")
+        if name.startswith("tail_samples") and not value.size:
+            raise ParameterError(f"measure document field {name!r} is empty")
         if isinstance(value, np.ndarray) and (value[1:, 0] < value[:-1, 0]).any():
             raise ParameterError(f"measure document field {name!r} has decreasing locations")
     if not spec.interval.contains(x0):

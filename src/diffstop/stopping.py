@@ -205,9 +205,11 @@ def _value_setup(alpha: float, c: float) -> tuple[float, Callable, Callable]:
     deep = math.log(np.finfo(float).tiny) / up if xs <= 0.0 else -math.inf
     coef = (1.0 + xs) / psi_xs if xs >= deep else 0.0
 
+    psi, psi_ds = fs.psi.__wrapped__, fs.psi_ds.__wrapped__
+
     def below(x, side=None):
         x = np.minimum(x, xs)
-        out = coef * (fs.psi(x) if side is None else fs.psi_ds(x, side))
+        out = coef * (psi(x) if side is None else psi_ds(x, side))
         far = x < deep
         if far.any():
             ratio = np.exp(up * (x - xs))

@@ -13,6 +13,7 @@ from diffstop import representation
 from diffstop.diffusion import (
     _values,
     fundamental,
+    make_drift_bm,
     make_reflected_killed_bm,
     make_sticky_bm,
 )
@@ -28,8 +29,10 @@ from diffstop.representation import (
     _GL_NODES,
     _GL_WEIGHTS,
     _atoms_below,
+    _between,
     _boundary_limit,
     _exp_rate,
+    _gap_integrals,
     _ladder,
     candidate_from_callable,
     derivative_jump,
@@ -846,6 +849,132 @@ class TestCoefficients:
                 assert _close(dj.jump, left - right), (z, nu.base)
 
 
+# A reference reconstruct and derivative_jump built from the public
+# evaluators alone: psi, phi, psi_ds, phi_ds, scale_deriv, the measure tails
+# and ac_cdf are called through their scalar-convention wrappers, one point
+# or one array at a time, on the package's panels (_between, _gap_integrals).
+# The package calls the array formulas behind the same evaluators, so the
+# two must agree bit for bit.
+
+def _public_coefficients(measure, fs, x):
+    nu = measure.base if measure.base is not None else measure
+    x0, w = nu.x0, fs.wronskian
+    m_l, m_r = nu.mass_left_boundary, nu.mass_right_boundary
+    psi_x0, phi_x0 = fs.psi(x0), fs.phi(x0)
+    c1, c2 = m_l / phi_x0, m_r / psi_x0
+    width = 0.25 / _exp_rate(fs)
+    if nu.kind == "martin":
+        low = x <= x0
+        end, tail, mass, kernel = (nu.interval_left, nu.left_tail, m_l, fs.psi) if low \
+            else (nu.interval_right, nu.right_tail, m_r, fs.phi)
+        splits = list(nu.kinks)
+        if math.isfinite(end) and not fs.spec.interval.contains(end):
+            splits += _ladder(x0, end, math.inf).tolist()
+        part = w * float(_between(
+            lambda y: (tail(y) - mass) / kernel(y) / kernel(y) * fs.spec.scale_deriv(y),
+            x0, [x], splits, width)[0])
+        if low:
+            return c1, (nu.total_mass - m_l) / psi_x0 + part / phi_x0
+        return (nu.total_mass - m_r) / phi_x0 + part / psi_x0, c2
+    knots = np.asarray(nu.kinks)
+    density = np.diff(nu.ac_cdf(knots)) / np.diff(knots)
+    y = min(max(x, nu.kinks[0]), nu.kinks[-1])
+    k = int(knots.searchsorted(y))
+    pts, density = np.insert(knots, k, y), np.insert(density, k, density[max(k - 1, 0)])
+    below = float(_gap_integrals(fs.psi, pts[:k + 1], width) @ density[:k]) \
+        + sum(wt * fs.psi(z) for z, wt in nu.atoms if z <= x)
+    above = float(_gap_integrals(fs.phi, pts[k:], width) @ density[k:]) \
+        + sum(wt * fs.phi(z) for z, wt in nu.atoms if z > x)
+    return c1 + below / w, c2 + above / w
+
+
+def _public_reconstruct(measure, spec, alpha, x):
+    fs = fundamental(spec, alpha)
+    A, B = _public_coefficients(measure, fs, x)
+    return A * fs.phi(x) + B * fs.psi(x)
+
+
+def _public_slopes(spec, alpha, measure, z):
+    """(left, right) of derivative_jump."""
+    fs = fundamental(spec, alpha)
+    A, B = _public_coefficients(measure, fs, z)
+    nu, x0, w = measure.base, measure.x0, fs.wronskian
+    s = 0.0
+    if nu is not None and z <= x0:
+        below = nu.left_tail(z) + nu.atom_at(z) - nu.mass_left_boundary
+        s = -w * below / (fs.psi(z) * fs.phi(x0))
+    elif nu is not None:
+        s = w * (nu.right_tail(z) - nu.mass_right_boundary) / (fs.phi(z) * fs.psi(x0))
+    slope = {side: A * fs.phi_ds(z, side) + B * fs.psi_ds(z, side) + s
+             for side in ("left", "right")}
+    scale = measure.normalization
+    return scale * (slope["left"] + measure.atom_at(z)), scale * slope["right"]
+
+
+def _same_bits(got, want):
+    return np.array_equal(np.float64(got).view(np.int64), np.float64(want).view(np.int64))
+
+
+PUBLIC_CASES = FAMILIES + [
+    (make_sticky_bm(-0.3, 1.0), 0.5, green_candidate(make_sticky_bm(-0.3, 1.0), 0.5, 0.4)),
+    (make_sticky_bm(-0.3, 1.0), 0.5, green_candidate(make_sticky_bm(-0.3, 1.0), 0.5, -1.1)),
+]
+
+
+class TestPublicReference:
+    """reconstruct and derivative_jump give the bits of the same formulas
+    evaluated through the public, scalar-convention evaluators."""
+
+    @pytest.mark.parametrize("case", PUBLIC_CASES, ids=_family_id)
+    def test_reconstruct_bit_for_bit(self, case):
+        spec, alpha, cand = case
+        m, r, back = TestCoefficients.measures(case)
+        martin_doc = measure_from_doc(measure_to_doc(m), spec)
+        for x in TestCoefficients.points(case):
+            for nu in (m, r, back, martin_doc):
+                got = reconstruct(nu, spec, alpha, x)
+                assert type(got) is float
+                assert _same_bits(got, _public_reconstruct(nu, spec, alpha, x)), (x, nu.kind)
+
+    @pytest.mark.parametrize("case", PUBLIC_CASES, ids=_family_id)
+    def test_derivative_jump_bit_for_bit(self, case):
+        spec, alpha, cand = case
+        _, r, back = TestCoefficients.measures(case)
+        for z in TestCoefficients.points(case):
+            for nu in (r, back):
+                dj = derivative_jump(spec, alpha, cand, nu, z)
+                left, right = _public_slopes(spec, alpha, nu, z)
+                assert _same_bits(dj.left, left) and _same_bits(dj.right, right), (z, nu.base)
+                assert _same_bits(dj.jump, left - right), (z, nu.base)
+
+
+class TestFarField:
+    """The by-parts integrand divides by the kernel twice, so it stays
+    finite after the kernel's square underflows: at z = 550 phi(z)^2 is
+    below the smallest subnormal, while 1/phi(z)^2 is about 1e338."""
+
+    ALPHA = 0.25
+    CAND = value_candidate(0.25, 1.0)     # x* = 0, x0 = 1, u = 1 + x above 0
+
+    @pytest.mark.parametrize("z", [550.0, 800.0])
+    def test_reconstruct(self, z):
+        m = martin_measure(STICKY, self.ALPHA, self.CAND)
+        assert self.CAND.x0 == 1.0
+        with np.errstate(all="raise"):
+            for nu in (m, riesz_from_martin(m, STICKY, self.ALPHA)):
+                assert reconstruct(nu, STICKY, self.ALPHA, z) == \
+                    pytest.approx((1.0 + z) / 2.0, rel=1e-13)
+
+    @pytest.mark.parametrize("z", [550.0, 800.0])
+    def test_derivative_jump(self, z):
+        r = riesz_from_martin(martin_measure(STICKY, self.ALPHA, self.CAND), STICKY, self.ALPHA)
+        with np.errstate(all="raise"):
+            dj = derivative_jump(STICKY, self.ALPHA, self.CAND, r, z)
+        assert dj.left == pytest.approx(1.0, abs=1e-10)
+        assert dj.right == pytest.approx(1.0, abs=1e-10)
+        assert dj.residual <= 1e-12
+
+
 def _ladder_limit(tail, start, endpoint, cap):
     """Reference: the boundary-limit ladder evaluated one point at a time."""
     vals = []
@@ -1514,6 +1643,29 @@ class TestSerialization:
         with pytest.raises(ParameterError, match=f"'tail_samples.{side}' has decreasing"):
             measure_from_doc(doc, STICKY)
 
+    @pytest.mark.parametrize("tail_points", [0, -1, 1, 2.5, True, "65"])
+    def test_tail_points_must_be_an_int_from_2(self, tail_points):
+        # 0 once gave a document whose rebuilt measure failed on first use,
+        # -1 numpy's ValueError from linspace and 2.5 a TypeError
+        m = martin_measure(STICKY, 0.3, value_candidate(0.3, 1.0))
+        with pytest.raises(ParameterError, match="tail_points must be an int >= 2"):
+            measure_to_doc(m, tail_points=tail_points)
+
+    def test_two_tail_points(self):
+        m = martin_measure(STICKY, 0.3, value_candidate(0.3, 1.0))
+        doc = measure_to_doc(m, tail_points=np.int64(2))
+        assert [len(doc["tail_samples"][side]) for side in ("left", "right")] == [2, 2]
+        back = measure_from_doc(doc, STICKY)
+        assert math.isfinite(reconstruct(back, STICKY, 0.3, 0.5))
+
+    @pytest.mark.parametrize("kind", ["martin", "riesz"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_empty_tail_samples_rejected(self, kind, side):
+        doc = self.value_doc(kind)
+        doc["tail_samples"][side] = []
+        with pytest.raises(ParameterError, match=f"'tail_samples.{side}' is empty"):
+            measure_from_doc(doc, STICKY)
+
     def test_atoms_out_of_location_order_rejected(self):
         # the atom sums search the locations, so they must be sorted
         doc = self.value_doc()
@@ -1563,9 +1715,11 @@ def _scalar_convention_cases():
         cases.append((f"speed_density_integral[mu={mu}]",
                       spec.speed_density_integral, 2, 0.5))
     rk = make_reflected_killed_bm()
-    for label, spec, x in (("sticky", make_sticky_bm(-0.3, 1.0), 0.5),
-                           ("reflected_killed", rk, 0.4)):
-        fs = fundamental(spec, 0.5)
+    for label, spec, alpha, x in (("sticky", make_sticky_bm(-0.3, 1.0), 0.5, 0.5),
+                                  ("sticky0", STICKY, 0.5, 0.5),
+                                  ("reflected_killed", rk, 0.5, 0.4),
+                                  ("drift", make_drift_bm(-0.5), 0.0, 0.5)):
+        fs = fundamental(spec, alpha)
         for name in ("psi", "phi", "psi_dx_right", "psi_dx_left",
                      "phi_dx_right", "phi_dx_left", "psi_ds", "phi_ds"):
             cases.append((f"{name}[{label}]", getattr(fs, name), 1, x))
@@ -1585,10 +1739,12 @@ def _scalar_convention_cases():
         for name in ("ds_right", "ds_left"):
             cases.append((f"{label}.{name}", getattr(cand, name), 1, -0.5))
     martin = martin_measure(STICKY, 0.5, cands["value"])
+    riesz = riesz_from_martin(martin, STICKY, 0.5)
     measures = {
         "martin": martin,
-        "riesz": riesz_from_martin(martin, STICKY, 0.5),
+        "riesz": riesz,
         "martin_doc": measure_from_doc(measure_to_doc(martin), STICKY),
+        "riesz_doc": measure_from_doc(measure_to_doc(riesz), STICKY),
     }
     for label, m in measures.items():
         for name in ("left_tail", "right_tail", "ac_cdf"):
@@ -1627,3 +1783,37 @@ class TestScalarConvention:
                                            rel=1e-12, abs=1e-15)
         empty = fn(*(np.empty(0) for _ in points))
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+    def test_keyword_arguments(self):
+        # a point passed by keyword is converted as a positional one; side
+        # passes as given
+        fs = fundamental(make_sticky_bm(-0.3, 1.0), 0.5)
+        xs = [0.5, 0.0, -1.0]
+        for name in ("psi_ds", "phi_ds"):
+            fn = getattr(fs, name)
+            for side in ("left", "right"):
+                assert np.array_equal(fn(x=xs, side=side), fn(np.array(xs), side))
+            assert type(fn(x=0.0)) is float and fn(x=0.0) == fn(0.0, "right")
+        assert np.array_equal(fs.green(x=0.3, y=xs), fs.green(0.3, np.array(xs)))
+        assert np.array_equal(fs.psi(x=xs), fs.psi(np.array(xs)))
+
+    @pytest.mark.parametrize("fn, arity, x", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_input_types(self, fn, arity, x):
+        # a float, an int, an np.float64 or a 0-d array gives a float; a
+        # list, an int array or a float32 array gives a float64 array; each
+        # equal to the call on np.asarray(input, dtype=float)
+        points = [x - 0.25 * k for k in range(arity)][::-1]
+        scalars = (float, int, np.float64, np.array)
+        arrays = (lambda p: [p, p - 0.05], lambda p: np.array([0, 1]),
+                  lambda p: np.array([p, p - 0.05], dtype=np.float32))
+        for form in scalars + arrays:
+            args = [form(round(p)) if form is int else form(p) for p in points]
+            got = fn(*args)
+            want = fn(*(np.asarray(a, dtype=float) for a in args))
+            if form in scalars:
+                assert type(got) is float
+            else:
+                assert type(got) is np.ndarray and got.dtype == np.float64
+                assert got.shape == (2,)
+            assert np.array_equal(got, want, equal_nan=True), form
