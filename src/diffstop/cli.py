@@ -97,15 +97,13 @@ def _cmd_solve(args) -> int:
         xs = np.linspace(args.range_from, args.range_to, args.points)
         g = default_reward().value
         rows = zip(xs, value_function(args.alpha, args.c, xs), g(xs))
-        with open(args.samples_out, "w") as fh:
-            fh.write(_csv(["x", "value", "reward"], rows))
+        _write(_csv(["x", "value", "reward"], rows), args.samples_out)
     return 0
 
 
 def _cmd_measure(args) -> int:
     from .representation import (green_candidate, martin_measure, measure_to_doc,
                                  phi_candidate, psi_candidate, riesz_from_martin)
-    from .stopping import value_candidate
 
     spec = _spec_from_args(args)
     x0 = 0.0 if args.x0 is None else args.x0
@@ -119,6 +117,8 @@ def _cmd_measure(args) -> int:
         if args.family != "sticky_bm" or args.mu != 0.0:
             raise DiffstopError("the value candidate is defined for the "
                                 "driftless sticky family only")
+        from .stopping import value_candidate
+
         cand = value_candidate(args.alpha, args.c, x0=args.x0)
     measure = martin_measure(spec, args.alpha, cand)
     if args.kind == "riesz":

@@ -374,14 +374,14 @@ class FundamentalSolutions:
     @_scalar_aware
     def green(self, x, y):
         """Resolvent kernel w.r.t. the speed measure; symmetric, positive."""
-        return self.psi.__wrapped__(np.minimum(x, y)) \
-            * self.phi.__wrapped__(np.maximum(x, y)) / self.wronskian
+        return _formula(self.psi)(np.minimum(x, y)) \
+            * _formula(self.phi)(np.maximum(x, y)) / self.wronskian
 
     @_scalar_aware
     def hitting_laplace(self, x, y):
         """E_x[exp(-alpha * hitting time of y)]; in (0, 1], and 1 iff x == y.
         Each point takes its own branch's ratio, checked by :func:`_finite`."""
-        psi, phi = self.psi.__wrapped__, self.phi.__wrapped__
+        psi, phi = _formula(self.psi), _formula(self.phi)
         with np.errstate(all="ignore"):
             ratio = np.divide(*(np.where(x <= y, psi(p), phi(p)) for p in (x, y)))
         return _finite("hitting transform", ratio, x, y, self.alpha)
@@ -476,12 +476,17 @@ def fundamental(spec: DiffusionSpec, alpha: float) -> FundamentalSolutions:
     Positive discount: supported for sticky_bm and reflected_killed_bm.
     Zero discount: supported only for drift_bm (transient); recurrent
     families have no nonconstant 0-excessive functions and are rejected.
-    A spec that ``make_spec`` would not build raises :class:`ParameterError`.
+    A spec that ``make_spec`` would not build, or an alpha that is not a
+    real number, raises :class:`ParameterError`.
 
     There is one object per (spec, alpha): results are memoised, so callers
     may ask again rather than pass the pair around.
     """
-    return _fundamental(spec, float(alpha))
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError):
+        raise ParameterError(f"discount rate must be a real number, got {alpha!r}") from None
+    return _fundamental(spec, alpha)
 
 
 @functools.lru_cache(maxsize=256)
@@ -512,23 +517,22 @@ def _fundamental(spec: DiffusionSpec, alpha: float) -> FundamentalSolutions:
     )
 
 
-def _require_in_state_space(spec: DiffusionSpec, *points: float):
+def _require(spec: DiffusionSpec, what: str, *points: float):
+    """The one state-space check: DomainError for the first point not in it, NaN too."""
     for p in points:
         if not spec.interval.contains(p):
-            raise DomainError(
-                f"point {p} outside state space "
-                f"[{spec.interval.left}, {spec.interval.right}]"
-            )
+            raise DomainError(f"{what} {p} outside the state space "
+                              f"[{spec.interval.left}, {spec.interval.right}]")
 
 
 def green(spec: DiffusionSpec, alpha: float, x: float, y: float) -> float:
     """G_alpha(x, y), the resolvent kernel w.r.t. the speed measure; see :func:`_finite`."""
-    _require_in_state_space(spec, x, y)
+    _require(spec, "point", x, y)
     with np.errstate(all="ignore"):
         return _finite("G", fundamental(spec, alpha).green(x, y), x, y, alpha)
 
 
 def hitting_laplace(spec: DiffusionSpec, alpha: float, x: float, y: float) -> float:
     """Laplace transform of the first hitting time of y started from x."""
-    _require_in_state_space(spec, x, y)
+    _require(spec, "point", x, y)
     return fundamental(spec, alpha).hitting_laplace(x, y)

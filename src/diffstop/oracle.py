@@ -122,7 +122,9 @@ class ChainModel:
 def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
                reward: Callable | None = None) -> ChainModel:
     """Uniform-in-x grid of n nodes, snapped so every speed atom is an
-    interior node of its own (else :class:`DomainError`).
+    interior node of its own (else :class:`DomainError`).  n is an int
+    >= 50 (a numpy integer counts, a bool does not), else
+    :class:`ParameterError`.
 
     Node masses integrate the speed density exactly over the surrounding
     half-cells and add the atom weight at the atom's node; they and the
@@ -134,6 +136,8 @@ def discretize(spec: DiffusionSpec, lower: float, upper: float, n: int,
     shape or a scalar, which is broadcast.  Any other result shape, or a
     reward that is not finite at every node, raises :class:`ParameterError`.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ParameterError(f"n must be an int >= 50, got {n!r}")
     if n < 50:
         raise ParameterError(f"need at least 50 nodes, got {n}")
     if not (spec.interval.left <= lower < upper <= spec.interval.right):

@@ -87,8 +87,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diffusion import (DiffusionSpec, FundamentalSolutions, _atom_at, _below,
-                        _check_side, _formula, _scalar_aware, _values, fundamental)
+from .diffusion import (DiffusionSpec, FundamentalSolutions, _atom_at, _below, _check_side,
+                        _formula, _require, _scalar_aware, _values, fundamental)
 from .errors import ConvergenceError, DomainError, NotExcessiveError, ParameterError
 
 _ATOM_THRESHOLD = 1e-12     # tail jumps below this fraction of total mass are noise
@@ -129,10 +129,9 @@ def green_candidate(spec: DiffusionSpec, alpha: float, y0: float,
                     x0: float = 0.0) -> ExcessiveCandidate:
     """The potential x -> G_alpha(x, y0), a minimal excessive function."""
     fs = fundamental(spec, alpha)
-    if not spec.interval.contains(y0):
-        raise DomainError(f"pole {y0} outside the state space")
+    _require(spec, "pole", y0)
     w, psi_y0, phi_y0 = fs.wronskian, fs.psi(y0), fs.phi(y0)
-    green, psi_ds, phi_ds = _formula(fs.green), fs.psi_ds.__wrapped__, fs.phi_ds.__wrapped__
+    green, psi_ds, phi_ds = map(_formula, (fs.green, fs.psi_ds, fs.phi_ds))
 
     def ds(x, side):
         return np.where(_below(x, y0, side), psi_ds(x, side) * phi_y0,
@@ -144,12 +143,12 @@ def green_candidate(spec: DiffusionSpec, alpha: float, y0: float,
 
 def psi_candidate(spec: DiffusionSpec, alpha: float, x0: float = 0.0) -> ExcessiveCandidate:
     fs = fundamental(spec, alpha)
-    return _candidate(spec, fs.psi, fs.psi_ds.__wrapped__, x0, label="psi")
+    return _candidate(spec, fs.psi, _formula(fs.psi_ds), x0, label="psi")
 
 
 def phi_candidate(spec: DiffusionSpec, alpha: float, x0: float = 0.0) -> ExcessiveCandidate:
     fs = fundamental(spec, alpha)
-    return _candidate(spec, fs.phi, fs.phi_ds.__wrapped__, x0, label="phi")
+    return _candidate(spec, fs.phi, _formula(fs.phi_ds), x0, label="phi")
 
 
 def candidate_from_callable(spec: DiffusionSpec, fn: Callable, x0: float,
@@ -403,16 +402,14 @@ def martin_measure(spec: DiffusionSpec, alpha: float,
     """
     fs = fundamental(spec, alpha)
     x0 = candidate.x0
-    if not spec.interval.contains(x0):
-        raise DomainError(f"normalization point {x0} outside the state space")
+    _require(spec, "normalization point", x0)
     u0 = float(candidate.value(x0))
     if not (math.isfinite(u0) and u0 > 0.0):
         raise ParameterError(f"candidate must satisfy 0 < u(x0) < inf, got {u0}")
 
     w = fs.wronskian
     psi_x0, phi_x0 = float(fs.psi(x0)), float(fs.phi(x0))
-    psi, phi = fs.psi.__wrapped__, fs.phi.__wrapped__
-    psi_ds, phi_ds = fs.psi_ds.__wrapped__, fs.phi_ds.__wrapped__
+    psi, phi, psi_ds, phi_ds = map(_formula, (fs.psi, fs.phi, fs.psi_ds, fs.phi_ds))
     u = _formula(candidate.value)
     ds = {"right": _formula(candidate.ds_right), "left": _formula(candidate.ds_left)}
     l, r = spec.interval.left, spec.interval.right
@@ -643,7 +640,7 @@ def _coefficients(measure: RepresentingMeasure, fs: FundamentalSolutions,
     nu = measure.base if measure.base is not None else measure
     x0, w = nu.x0, fs.wronskian
     m_l, m_r = nu.mass_left_boundary, nu.mass_right_boundary
-    psi, phi = fs.psi.__wrapped__, fs.phi.__wrapped__
+    psi, phi = _formula(fs.psi), _formula(fs.phi)
     ends = np.array([x0, x])
     psi_at, phi_at = psi(ends).tolist(), phi(ends).tolist()
     psi_x0, phi_x0 = psi_at[0], phi_at[0]
@@ -689,9 +686,20 @@ def _coefficients(measure: RepresentingMeasure, fs: FundamentalSolutions,
     return c1 + below / w, c2 + above / w, psi_at, phi_at
 
 
+def _point(fn: str, what: str, x) -> float:
+    """x as a float; anything but one real number, such as an array, raises
+    :class:`ParameterError`, since ``fn`` takes one point."""
+    if np.ndim(x) == 0:
+        try:
+            return float(x)
+        except (TypeError, ValueError):
+            pass
+    raise ParameterError(f"{fn} takes one point: {what} must be a real number, got {x!r}")
+
+
 def reconstruct(measure: RepresentingMeasure, spec: DiffusionSpec,
                 alpha: float, x: float) -> float:
-    """Evaluate the representation integral at x (normalized scale).
+    """Evaluate the representation integral at one point x (normalized scale).
 
     Returns A phi(x) + B psi(x) with the coefficient pair of the module
     docstring: u(x) / u(x0) for a Martin measure of u or a Riesz measure
@@ -700,9 +708,9 @@ def reconstruct(measure: RepresentingMeasure, spec: DiffusionSpec,
     describes; the result is as accurate as the document's piecewise-linear
     cumulative.  psi and phi are formed once per call, at x0 and x together.
     """
+    x = _point("reconstruct", "x", x)
     fs = fundamental(spec, alpha)
-    if not spec.interval.contains(x):
-        raise DomainError(f"evaluation point {x} outside the state space")
+    _require(spec, "evaluation point", x)
     A, B, psi_at, phi_at = _coefficients(measure, fs, x)
     return A * phi_at[1] + B * psi_at[1]
 
@@ -732,8 +740,8 @@ class DerivativeJump:
 def derivative_jump(spec: DiffusionSpec, alpha: float,
                     candidate: ExcessiveCandidate,
                     measure: RepresentingMeasure, z: float) -> DerivativeJump:
-    """Evaluate the one-sided scale derivatives of the candidate at z from
-    its Riesz measure and decompose their jump into the sigma-atom and
+    """Evaluate the one-sided scale derivatives of the candidate at one point
+    z from its Riesz measure and decompose their jump into the sigma-atom and
     speed-atom contributions.  Values are on the raw (unnormalized) scale of
     the candidate.
 
@@ -747,6 +755,7 @@ def derivative_jump(spec: DiffusionSpec, alpha: float,
     if measure.kind != "riesz":
         raise ParameterError("derivative_jump requires the Riesz measure "
                              "(use riesz_from_martin)")
+    z = _point("derivative_jump", "z", z)
     if not (measure.interval_left < z < measure.interval_right):
         raise DomainError(f"z = {z} must be an interior point")
     fs = fundamental(spec, alpha)
@@ -762,7 +771,7 @@ def derivative_jump(spec: DiffusionSpec, alpha: float,
         s = w * above / (phi_z * psi_x0)
     scale = measure.normalization
     sigma_z = measure.atom_at(z)
-    psi_ds, phi_ds = fs.psi_ds.__wrapped__, fs.phi_ds.__wrapped__
+    psi_ds, phi_ds = _formula(fs.psi_ds), _formula(fs.phi_ds)
 
     def slope(side):
         return A * float(phi_ds(at, side)) + B * float(psi_ds(at, side)) + s
@@ -820,8 +829,9 @@ def _resolvent_rows(spec: DiffusionSpec, rates: list[FundamentalSolutions],
     inside = (lo[:, None] <= a) & (b <= hi[:, None])      # (rows, panels)
     left = b[None, :] <= np.tile(xs, nb)[:, None]
     rate = np.repeat(np.arange(nb), nx)
-    by_left = np.concatenate([fs.phi.__wrapped__(xs) / fs.wronskian for fs in rates])[:, None]
-    by_right = np.concatenate([fs.psi.__wrapped__(xs) / fs.wronskian for fs in rates])[:, None]
+    kernels = [(_formula(fs.psi), _formula(fs.phi), fs.wronskian) for fs in rates]
+    by_left = np.concatenate([phi(xs) / w for _, phi, w in kernels])[:, None]
+    by_right = np.concatenate([psi(xs) / w for psi, _, w in kernels])[:, None]
     speed_density = _formula(spec.speed_density)
     cut = np.arange(_MESH_SPLIT + 1) / _MESH_SPLIT
 
@@ -837,12 +847,12 @@ def _resolvent_rows(spec: DiffusionSpec, rates: list[FundamentalSolutions],
         f = (_values(u, ys.ravel()) * speed_density(ys.ravel())).reshape(ys.shape)
         f *= half[:, None] * _GL_WEIGHTS
         P, Q = np.zeros((nb, len(a))), np.zeros((nb, len(a)))
-        for i, fs in enumerate(rates):
+        for i, (psi, phi, _) in enumerate(kernels):
             m = reached[i]
             if m.any():
                 y, fm = ys[m], f[m]
-                P[i, m] = (fs.psi.__wrapped__(y.ravel()).reshape(y.shape) * fm).sum(axis=1)
-                Q[i, m] = (fs.phi.__wrapped__(y.ravel()).reshape(y.shape) * fm).sum(axis=1)
+                P[i, m] = (psi(y.ravel()).reshape(y.shape) * fm).sum(axis=1)
+                Q[i, m] = (phi(y.ravel()).reshape(y.shape) * fm).sum(axis=1)
         return P, Q
 
     def row_sums(P, Q, use_left, use_right):
@@ -941,19 +951,20 @@ def excessivity_check(spec: DiffusionSpec, alpha: float, u: Callable,
     splitting at one level, as for an endless oscillation.  Raises
     :class:`DomainError`, naming beta and x, when a row is not finite, as
     where psi or phi of rate alpha + beta overflows a float at x.  An empty
-    ``grid`` or ``betas`` raises :class:`ParameterError`, and a grid point
-    outside the state space, or NaN, raises :class:`DomainError`.
+    ``grid`` or ``betas``, a beta that is not positive and finite or a tol
+    that is not finite and >= 0 raises :class:`ParameterError`, and a grid
+    point outside the state space, or NaN, raises :class:`DomainError`.
     """
     grid = [float(x) for x in grid]
     betas = sorted(float(b) for b in betas)
     if not grid or not betas:
         raise ParameterError("excessivity_check needs at least one grid point "
                              "and one beta")
-    if any(b <= 0 for b in betas):
-        raise ParameterError("betas must be positive")
-    for x in grid:
-        if not spec.interval.contains(x):
-            raise DomainError(f"grid point {x} outside the state space")
+    if not all(0.0 < b < math.inf for b in betas):
+        raise ParameterError(f"betas must be positive and finite, got {betas}")
+    if not 0.0 <= tol < math.inf:
+        raise ParameterError(f"tol must be finite and >= 0, got {tol!r}")
+    _require(spec, "grid point", *grid)
     xs = np.array(grid)
     locs = spec.atom_locations
     u = _formula(u)
@@ -1062,8 +1073,7 @@ def measure_from_doc(doc: dict, spec: DiffusionSpec) -> RepresentingMeasure:
             raise ParameterError(f"measure document field {name!r} is empty")
         if isinstance(value, np.ndarray) and (value[1:, 0] < value[:-1, 0]).any():
             raise ParameterError(f"measure document field {name!r} has decreasing locations")
-    if not spec.interval.contains(x0):
-        raise DomainError(f"normalization point {x0} outside the state space")
+    _require(spec, "normalization point", x0)
 
     def ac_left(y):
         return np.interp(y, left_samples[:, 0], left_samples[:, 1])

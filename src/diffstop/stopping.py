@@ -44,8 +44,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .diffusion import (DiffusionSpec, _below, _check_side, _scalar_aware, fundamental,
-                        make_sticky_bm)
+from .diffusion import (DiffusionSpec, FundamentalSolutions, _below, _check_side, _formula,
+                        _scalar_aware, fundamental, make_sticky_bm)
 from .errors import ConvergenceError, DomainError, ParameterError
 
 if TYPE_CHECKING:
@@ -65,15 +65,16 @@ class Reward:
     dx_right: Callable
 
 
-def default_reward() -> Reward:
-    @_scalar_aware
-    def value(x):
-        return np.maximum(1.0 + x, 0.0)
+def _payoff(x):
+    """The reward (1 + x)^+ on a float64 array."""
+    return np.maximum(1.0 + x, 0.0)
 
+
+def default_reward() -> Reward:
     def dx(side):
         return _scalar_aware(lambda x: np.where(_below(x, -1.0, side), 0.0, 1.0))
 
-    return Reward(value, dx("left"), dx("right"))
+    return Reward(_scalar_aware(_payoff), dx("left"), dx("right"))
 
 
 def _check_stickiness(c: float):
@@ -117,34 +118,26 @@ def _st_branches(alpha: float, c: float):
     return (lambda x: s_up(x) + sticky(x), t_mid), (s_up, lambda x: t_mid(x) + sticky(x))
 
 
-def _st(alpha: float, c: float, xs, side) -> tuple[np.ndarray, np.ndarray]:
-    """(s, t) at each x, with the one-sided limits of ``side`` at 0 and -1
-    (:func:`_below`; the right ones for None).  Each branch is evaluated on
-    its own points only, so no branch overflows off its side; a NaN x gives
-    NaN."""
-    _check_rates(alpha, c)
-    xs = np.asarray(xs, dtype=float)
-    s, t = np.zeros_like(xs), np.zeros_like(xs)     # below -1, where g = 0
-    below = _below(xs, -1.0, side)
-    middle = ~below & _below(xs, 0.0, side)
-    for on, (s_on, t_on) in zip((middle, ~(below | middle)), _st_branches(alpha, c)):
-        s[on], t[on] = s_on(xs[on]), t_on(xs[on])
-    return s, t
-
-
 def st_functions(alpha: float, c: float, x, side: str | None = None) -> tuple:
     """(s(x), t(x)) of the driftless sticky problem: floats for a scalar x, arrays for an array.
 
     Both functions are discontinuous at the sticky point and at the reward
     kink, so evaluation exactly at 0 or -1 requires ``side`` ("left" or
-    "right") selecting the one-sided limit.
+    "right") selecting the one-sided limit (:func:`_below`).  Each branch is
+    evaluated on its own points only, so no branch overflows off its side;
+    a NaN x gives NaN.
     """
     x = np.asarray(x, dtype=float)
     if side is not None:
         _check_side(side)
     elif (at := x[np.isin(x, (0.0, -1.0))]).size:
         raise DomainError(f"s and t are discontinuous at {at[0]}; pass side='left' or 'right'")
-    s, t = _st(alpha, c, x, side)
+    _check_rates(alpha, c)
+    s, t = np.zeros_like(x), np.zeros_like(x)     # below -1, where g = 0
+    below = _below(x, -1.0, side)
+    middle = ~below & _below(x, 0.0, side)
+    for on, (s_on, t_on) in zip((middle, ~(below | middle)), _st_branches(alpha, c)):
+        s[on], t[on] = s_on(x[on]), t_on(x[on])
     return (s, t) if x.ndim else (float(s), float(t))
 
 
@@ -191,9 +184,11 @@ def solve_threshold(alpha: float, c: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _value_setup(alpha: float, c: float) -> tuple[float, Callable, Callable]:
-    """(x*, the value, its scale derivative ``ds(x, side)``) of the stopping
-    problem: g(x*) psi(x) / psi(x*) below x*, g above.  Below x* <= 0,
+def _value_setup(alpha: float, c: float) -> tuple[float, FundamentalSolutions, Callable,
+                                                  Callable]:
+    """(x*, the fundamental solutions, the value, its scale derivative
+    ``ds(x, side)``) of the stopping problem: g(x*) psi(x) / psi(x*) below
+    x*, g above.  Below x* <= 0,
     where psi(x) is not a normal float, psi(x) / psi(x*) is taken as
     exp((theta - mu)(x - x*)), with no division; once psi(x*) is not normal
     either, that is everywhere below x*.  x is clipped to min(x, x*), so
@@ -205,7 +200,7 @@ def _value_setup(alpha: float, c: float) -> tuple[float, Callable, Callable]:
     deep = math.log(np.finfo(float).tiny) / up if xs <= 0.0 else -math.inf
     coef = (1.0 + xs) / psi_xs if xs >= deep else 0.0
 
-    psi, psi_ds = fs.psi.__wrapped__, fs.psi_ds.__wrapped__
+    psi, psi_ds = _formula(fs.psi), _formula(fs.psi_ds)
 
     def below(x, side=None):
         x = np.minimum(x, xs)
@@ -218,17 +213,17 @@ def _value_setup(alpha: float, c: float) -> tuple[float, Callable, Callable]:
 
     @_scalar_aware
     def value(x):
-        return np.where(x <= xs, below(x), np.maximum(1.0 + x, 0.0))
+        return np.where(x <= xs, below(x), _payoff(x))
 
     def ds(x, side):
         return np.where(_below(x, xs, side), below(x, side), 1.0)
 
-    return xs, value, ds
+    return xs, fs, value, ds
 
 
 def value_function(alpha: float, c: float, x) -> float | np.ndarray:
     """Stopping value: g(x*) psi(x) / psi(x*) below the threshold, g above."""
-    return _value_setup(alpha, c)[1](x)
+    return _value_setup(alpha, c)[2](x)
 
 
 def value_candidate(alpha: float, c: float, x0: float | None = None) -> ExcessiveCandidate:
@@ -239,11 +234,10 @@ def value_candidate(alpha: float, c: float, x0: float | None = None) -> Excessiv
     """
     from .representation import _candidate
 
-    xs, value, ds = _value_setup(alpha, c)
-    spec = make_sticky_bm(0.0, c)
+    xs, fs, value, ds = _value_setup(alpha, c)
     if x0 is None:
-        x0 = max(xs, *spec.atom_locations) + 1.0
-    return _candidate(spec, value, ds, float(x0), (xs,), f"value(alpha={alpha}, c={c})")
+        x0 = max(xs, *fs.spec.atom_locations) + 1.0
+    return _candidate(fs.spec, value, ds, float(x0), (xs,), f"value(alpha={alpha}, c={c})")
 
 
 @dataclass(frozen=True)
@@ -282,8 +276,7 @@ def smooth_fit_report(alpha: float, c: float) -> SmoothFitReport:
     branches of the value function; the speed-atom term is nonzero only
     when the threshold is the sticky point itself.
     """
-    xs = solve_threshold(alpha, c)
-    fs = fundamental(make_sticky_bm(0.0, c), alpha)
+    xs, fs, _, _ = _value_setup(alpha, c)
     v_at = (1.0 + xs)
     # psi'(x*-)/psi(x*) branch by branch: psi = exp((theta - mu) x) on x <= 0
     # underflows at large alpha, and psi >= 1 on x > 0
@@ -313,13 +306,11 @@ def general_smooth_fit_check(spec: DiffusionSpec, alpha: float, g: Callable,
     that is, that their one-sided F-derivatives agree to 1e-6 relative; when
     they are, smooth fit with respect to F holds and the verdict is
     "SmoothFit".  When any hypothesis fails the criterion is silent, so the
-    verdict is "Inconclusive", never "Fails".
+    verdict is "Inconclusive", never "Fails".  An F that does not increase
+    near z raises :class:`DomainError` (from :func:`f_derivative`).
     """
     from .representation import f_derivative
 
-    probe = 1e-3 * (1.0 + abs(z))
-    if not (float(F(z + probe)) > float(F(z)) > float(F(z - probe))):
-        raise DomainError(f"F is not increasing near {z}")
     fs = fundamental(spec, alpha)
     for fn in (g, fs.psi, fs.phi):
         try:
@@ -362,8 +353,6 @@ def solve_alpha_zero(mu: float, c: float = 1.0) -> AlphaZeroSolution:
 
     @_scalar_aware
     def value(x):
-        return np.where(x <= threshold,
-                        g_at * np.exp(rate * x) / psi_at,
-                        np.maximum(1.0 + x, 0.0))
+        return np.where(x <= threshold, g_at * np.exp(rate * x) / psi_at, _payoff(x))
 
     return AlphaZeroSolution(mu=mu, threshold=threshold, value=value)

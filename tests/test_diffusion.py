@@ -307,6 +307,12 @@ class TestZeroDiscount:
         with pytest.raises(ParameterError):
             fundamental(make_sticky_bm(0.0, 1.0), -0.1)
 
+    @pytest.mark.parametrize("alpha", ["a", None, 1j, [0.5]])
+    def test_alpha_that_is_not_a_real_number_rejected(self, alpha):
+        # "a" used to raise the bare ValueError of float("a")
+        with pytest.raises(ParameterError, match="discount rate must be a real number"):
+            fundamental(make_sticky_bm(0.0, 1.0), alpha)
+
 
 class TestGreen:
     def test_value_at_origin(self):

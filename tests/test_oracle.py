@@ -193,6 +193,18 @@ class TestDiscretize:
             with pytest.raises(DomainError, match="outside the interval"):
                 discretize(STICKY, np.nan, 6.0, 100)
 
+    @pytest.mark.parametrize("n", [100.5, math.nan, 101.0, True, "101", None])
+    def test_node_count_must_be_an_int(self, n):
+        # 100.5 and nan used to raise a bare TypeError from linspace
+        with pytest.raises(ParameterError, match=re.escape(f"n must be an int >= 50, got {n!r}")):
+            discretize(STICKY, -6.0, 6.0, n)
+
+    def test_numpy_int_node_count(self):
+        chain = discretize(STICKY, -6.0, 6.0, np.int64(101))
+        assert np.array_equal(chain.nodes, discretize(STICKY, -6.0, 6.0, 101).nodes)
+        with pytest.raises(ParameterError, match="need at least 50 nodes, got 2"):
+            discretize(STICKY, -6.0, 6.0, np.int64(2))
+
     @pytest.mark.parametrize("lo, hi", [(-0.0005, 6.0), (-6.0, 0.0005)])
     def test_atom_on_a_truncation_node_rejected(self, lo, hi):
         # at n = 4001 the atom at 0 lies nearest the edge node, which has no

@@ -13,6 +13,8 @@ from diffstop import representation
 from diffstop.diffusion import (
     _values,
     fundamental,
+    green,
+    hitting_laplace,
     make_drift_bm,
     make_reflected_killed_bm,
     make_sticky_bm,
@@ -1283,6 +1285,19 @@ class TestExcessivity:
         with pytest.raises(ParameterError, match="at least one"):
             excessivity_check(STICKY, 0.5, lambda x: 1.0, grid, betas)
 
+    @pytest.mark.parametrize("betas", [(math.nan,), (math.inf,), (1.0, math.nan), (0.0,), (-1.0,)])
+    def test_beta_must_be_positive_and_finite(self, betas):
+        # NaN used to pass and inf to fail inside fundamental, on alpha + beta
+        with pytest.raises(ParameterError, match="betas must be positive and finite"):
+            excessivity_check(STICKY, 0.5, lambda x: 1.0, [0.0], betas)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-6])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # a NaN tol used to fail every u without an error
+        with pytest.raises(ParameterError, match=re.escape(
+                f"tol must be finite and >= 0, got {tol!r}")):
+            excessivity_check(STICKY, 0.5, lambda x: 1.0, [0.0], (1.0,), tol=tol)
+
     @pytest.mark.parametrize("spec, x", [
         (STICKY, math.nan),
         (make_reflected_killed_bm(), math.nan),
@@ -1817,3 +1832,75 @@ class TestScalarConvention:
                 assert type(got) is np.ndarray and got.dtype == np.float64
                 assert got.shape == (2,)
             assert np.array_equal(got, want, equal_nan=True), form
+
+
+# ---------------------------------------------------------------------------
+# one state-space rule, one point per call
+# ---------------------------------------------------------------------------
+
+def _rk_measure():
+    return martin_measure(RK, 1.0, psi_candidate(RK, 1.0, x0=0.5))
+
+
+def _doc_at(x0):
+    doc = measure_to_doc(_rk_measure())
+    doc["x0"] = x0
+    return doc
+
+
+# (entry point, the name it gives the point); each is called with the point p
+_STATE_ENTRIES = {
+    "green": (lambda p: green(RK, 1.0, 0.5, p), "point"),
+    "hitting_laplace": (lambda p: hitting_laplace(RK, 1.0, p, 0.5), "point"),
+    "green_candidate": (lambda p: green_candidate(RK, 1.0, p, x0=0.5), "pole"),
+    "martin_measure": (lambda p: martin_measure(RK, 1.0, psi_candidate(RK, 1.0, x0=p)),
+                       "normalization point"),
+    "reconstruct": (lambda p: reconstruct(_rk_measure(), RK, 1.0, p), "evaluation point"),
+    "excessivity_check": (lambda p: excessivity_check(RK, 1.0, fundamental(RK, 1.0).psi,
+                                                      [0.5, p], (1.0,)), "grid point"),
+    "measure_from_doc": (lambda p: measure_from_doc(_doc_at(p), RK), "normalization point"),
+}
+
+
+@pytest.mark.parametrize("entry, p", [
+    (entry, p) for entry in _STATE_ENTRIES for p in (math.nan, 1.0, 1.5, -0.5)
+    # a document's NaN x0 is refused earlier, as a non-finite field
+    if not (entry == "measure_from_doc" and math.isnan(p))])
+def test_one_state_space_message(entry, p):
+    call, what = _STATE_ENTRIES[entry]
+    with pytest.raises(DomainError) as err:
+        call(p)
+    assert str(err.value) == f"{what} {p} outside the state space [0.0, 1.0]"
+
+
+class TestOnePoint:
+    """reconstruct and derivative_jump take one point; an array is refused
+    with a ParameterError naming the argument, not numpy's ValueError."""
+
+    ALPHA = 0.3
+    SPEC = make_sticky_bm(0.0, 1.0)
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        cand = value_candidate(self.ALPHA, 1.0)
+        nu = martin_measure(self.SPEC, self.ALPHA, cand)
+        return cand, nu, riesz_from_martin(nu, self.SPEC, self.ALPHA)
+
+    @pytest.mark.parametrize("x", [np.array([0.1, 0.2]), np.array([0.1]), [0.1], "a", None])
+    def test_reconstruct_refuses_anything_but_one_point(self, setup, x):
+        with pytest.raises(ParameterError, match="reconstruct takes one point: x must be"):
+            reconstruct(setup[1], self.SPEC, self.ALPHA, x)
+
+    @pytest.mark.parametrize("z", [np.array([0.1, 0.2]), np.array([0.1]), [0.1], "a", None])
+    def test_derivative_jump_refuses_anything_but_one_point(self, setup, z):
+        cand, _, sigma = setup
+        with pytest.raises(ParameterError, match="derivative_jump takes one point: z must be"):
+            derivative_jump(self.SPEC, self.ALPHA, cand, sigma, z)
+
+    @pytest.mark.parametrize("x", [0, 2, np.float64(0.2), np.array(0.2), np.int64(2)])
+    def test_one_point_of_any_real_type(self, setup, x):
+        cand, nu, sigma = setup
+        assert reconstruct(nu, self.SPEC, self.ALPHA, x) == \
+            reconstruct(nu, self.SPEC, self.ALPHA, float(x))
+        assert derivative_jump(self.SPEC, self.ALPHA, cand, sigma, x) == \
+            derivative_jump(self.SPEC, self.ALPHA, cand, sigma, float(x))

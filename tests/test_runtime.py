@@ -118,9 +118,10 @@ BASE = {"diffstop.diffusion", "diffstop.errors", "numpy"}
     (["sweep", "--alpha-from", "0.1", "--alpha-to", "0.2", "--step", "0.1"],
      {"stopping"}),
     (["plot-data", "--alpha", "0.3", "--points", "3"], {"stopping"}),
-    (["measure", "--candidate", "green", "--alpha", "0.5"],
-     {"representation", "stopping"}),
+    (["measure", "--candidate", "green", "--alpha", "0.5"], {"representation"}),
     (["verify", "--alpha", "0.25", "--n", "201"], {"oracle", "stopping"}),
+    (["measure", "--candidate", "value", "--alpha", "0.5"],
+     {"representation", "stopping"}),
 ])
 def test_subcommand_loads_only_its_layers(argv, extra):
     code = f"from diffstop.cli import main\nassert main({argv!r}) == 0"
